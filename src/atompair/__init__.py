@@ -8,31 +8,33 @@ accelerated pair against a static pair in a thermal bath at the Unruh
 temperature.
 """
 
-from ._accel import NUMBA_ENABLED, backend_name
 from .coefficients import (BathKind, CoefficientSet, DipoleOrientation,
                            SystemParams, assemble, coth_stable)
-from .dynamics import (PopulationGenerator, Propagator, XState,
-                       asymptotic_state, basis_transform, build_generator,
-                       catalogue_state, evolve, propagator_for)
+from .dynamics import (XState, asymptotic_state, basis_transform,
+                       build_generator, catalogue_state, evolve)
 from .entanglement import (EntanglementEvents, Trajectory, compute_trajectory,
                            concurrence_wootters, concurrence_x, detect_events)
 from .errors import (AtompairError, ComputationError, ConfigError,
                      DegenerateGeneratorError, DomainError, InvalidStateError,
                      NonConvergenceError)
-from .spectral import (SpectralPoint, f11, f12_component,
-                       f12_thermal_component, fourier_oracle)
+from .spectral import f11, f12_component, f12_thermal_component, fourier_oracle
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the numerical path: always the numpy one."""
+    return "numpy"
+
 
 __all__ = [
     "AtompairError", "BathKind", "CoefficientSet", "ComputationError",
     "ConfigError", "DegenerateGeneratorError", "DipoleOrientation",
     "DomainError", "EntanglementEvents", "InvalidStateError",
-    "NonConvergenceError", "NUMBA_ENABLED", "PopulationGenerator",
-    "Propagator", "SpectralPoint", "SystemParams", "Trajectory", "XState",
+    "NonConvergenceError", "SystemParams", "Trajectory", "XState",
     "assemble", "asymptotic_state", "backend_name", "basis_transform",
     "build_generator", "catalogue_state", "compute_trajectory",
     "concurrence_wootters", "concurrence_x", "coth_stable", "detect_events",
     "evolve", "f11", "f12_component", "f12_thermal_component",
-    "fourier_oracle", "propagator_for", "__version__",
+    "fourier_oracle", "__version__",
 ]

@@ -24,8 +24,7 @@ from . import __version__
 from .coefficients import BathKind, SystemParams, assemble
 from .config import COMMANDS, RunConfig, load_config, load_preset, preset_names
 from .errors import AtompairError, ConfigError
-from .sweeps import (LABEL_NAMES, run_curve, run_events, run_max_concurrence,
-                     run_region_map)
+from .sweeps import LABEL_NAMES, run_curve, run_events, run_region_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,11 +41,8 @@ def _fmt(x) -> str:
 
 
 def _write_text(path: Path, text: str) -> str:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError:
-        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -107,6 +103,11 @@ def _events_payload(spec, result):
     return {"panel": spec.label, "cells": cells}
 
 
+def _write_events(path: Path, spec, events, files: dict):
+    text = json.dumps(_events_payload(spec, events), sort_keys=True, indent=2) + "\n"
+    files[path.name] = _write_text(path, text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,8 +125,7 @@ def cmd_coeffs(config: RunConfig, out_dir, threads):
                 for bath in config.bath_modes:
                     params = SystemParams(
                         a_over_omega=float(a), omega_L=float(L),
-                        dipole1=d1, dipole2=d2, bath=bath,
-                        gamma0_over_omega=config.gamma0_over_omega)
+                        dipole1=d1, dipole2=d2, bath=bath)
                     for order in (12, 21):
                         cs = assemble(params, order)
                         rows.append([pol_label, _fmt(a), _fmt(L), bath.value,
@@ -178,11 +178,8 @@ def cmd_evolve(config: RunConfig, out_dir, threads):
         csv_path = out_dir / f"{config.name}_{panel}.csv"
         files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
         if "events" in spec.outputs:
-            events = run_events(spec, threads=threads)
-            ev_path = out_dir / f"{config.name}_{panel}.events.json"
-            text = json.dumps(_events_payload(spec, events),
-                              sort_keys=True, indent=2) + "\n"
-            files[ev_path.name] = _write_text(ev_path, text)
+            _write_events(out_dir / f"{config.name}_{panel}.events.json",
+                          spec, run_events(spec, threads=threads), files)
         _write_meta(out_dir / f"{config.name}_{panel}.meta.json",
                     _meta(config, "evolve", panel, files, columns))
     return EXIT_OK
@@ -192,28 +189,26 @@ def cmd_sweep(config: RunConfig, out_dir, threads):
     config.check_command("sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in config.sweep_specs("sweep"):
-        result = run_max_concurrence(spec, threads=threads)
+        events = run_events(spec, threads=threads)
         cell_cols = _cell_columns(spec)
         columns = list(cell_cols)
-        for mode in result.modes:
+        for mode in events.modes:
             columns.append(f"max_C_{_MODE_SUFFIX[mode]}")
             columns.append(f"tau_max_{_MODE_SUFFIX[mode]}")
         rows = []
-        for ci, cell in enumerate(result.cells):
+        for ci, cell in enumerate(events.cells):
             row = [_fmt(cell[name]) for name in cell_cols]
-            for mi in range(len(result.modes)):
-                row.append(_fmt(result.max_concurrence[ci, mi]))
-                row.append(_fmt(result.max_time[ci, mi]))
+            for mi in range(len(events.modes)):
+                # table columns 4 and 5: max_C and its time
+                row.append(_fmt(events.table[ci, mi, 4]))
+                row.append(_fmt(events.table[ci, mi, 5]))
             rows.append(row)
         files = {}
         csv_path = out_dir / f"{config.name}_{panel}.csv"
         files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
         if "events" in spec.outputs:
-            events = run_events(spec, threads=threads)
-            ev_path = out_dir / f"{config.name}_{panel}.events.json"
-            text = json.dumps(_events_payload(spec, events),
-                              sort_keys=True, indent=2) + "\n"
-            files[ev_path.name] = _write_text(ev_path, text)
+            _write_events(out_dir / f"{config.name}_{panel}.events.json",
+                          spec, events, files)
         _write_meta(out_dir / f"{config.name}_{panel}.meta.json",
                     _meta(config, "sweep", panel, files, columns))
     return EXIT_OK

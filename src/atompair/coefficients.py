@@ -79,27 +79,19 @@ class DipoleOrientation:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Dimensionless physical configuration of one run cell.
-
-    ``gamma0_over_omega`` converts between frequency units and emission-rate
-    units; all outputs of this package are already expressed per emission
-    rate, so it only matters for users converting back to omega-time.
-    """
+    """Dimensionless physical configuration of one run cell."""
 
     a_over_omega: float
     omega_L: float
     dipole1: DipoleOrientation
     dipole2: DipoleOrientation
     bath: BathKind
-    gamma0_over_omega: float = 1.0
 
     def __post_init__(self):
         if self.a_over_omega < 0.0:
             raise DomainError(f"a_over_omega must be >= 0, got {self.a_over_omega}")
         if self.omega_L <= 0.0:
             raise DomainError(f"omega_L must be > 0, got {self.omega_L}")
-        if self.gamma0_over_omega <= 0.0:
-            raise DomainError(f"gamma0_over_omega must be > 0, got {self.gamma0_over_omega}")
         if not isinstance(self.bath, BathKind):
             raise DomainError(f"bath must be a BathKind, got {self.bath!r}")
 

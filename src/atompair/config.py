@@ -16,7 +16,6 @@ Schema (defaults in parentheses):
       - [z, x]                      # axis letters or unit 3-vectors
     bath_modes: [accelerated, thermal]   # (both)
     atom_order: 12                  # (12) or 21
-    gamma0_over_omega: 1.0          # (1.0)
     fixed:                          # scalar or list per axis
       a_over_omega: [0.25, 1.0]
       omega_L: 1.0
@@ -117,7 +116,6 @@ class RunConfig:
     polarizations: tuple       # ((DipoleOrientation, DipoleOrientation, label), ...)
     bath_modes: tuple
     atom_order: int
-    gamma0_over_omega: float
     fixed: dict                # axis -> tuple of values
     grid: dict                 # axis -> resolved tuple of values
     outputs: tuple
@@ -289,8 +287,7 @@ def _parse_range(source, path, axis, entry):
 
 
 _TOP_KEYS = ("name", "title", "initial_states", "polarizations", "bath_modes",
-             "atom_order", "gamma0_over_omega", "fixed", "grid", "outputs",
-             "events", "horizon")
+             "atom_order", "fixed", "grid", "outputs", "events", "horizon")
 
 
 def parse_config(data: dict, source: str = "<config>") -> RunConfig:
@@ -337,10 +334,6 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     atom_order = data.get("atom_order", 12)
     if atom_order not in (12, 21):
         _fail(source, "atom_order", f"must be 12 or 21, got {atom_order!r}")
-    gamma0 = _expect_number(source, "gamma0_over_omega",
-                            data.get("gamma0_over_omega", 1.0))
-    if gamma0 <= 0.0:
-        _fail(source, "gamma0_over_omega", "must be > 0")
 
     fixed_body = _expect_mapping(source, "fixed", data.get("fixed", {}) or {},
                                  ("a_over_omega", "omega_L"))
@@ -400,7 +393,6 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         polarizations=tuple(polarizations),
         bath_modes=tuple(modes),
         atom_order=atom_order,
-        gamma0_over_omega=gamma0,
         fixed=fixed, grid=grid,
         outputs=tuple(outputs),
         event_kind=event_kind,

@@ -8,7 +8,6 @@ exponential as fallback when the eigenvector matrix is ill-conditioned.
 All times are in units of the inverse spontaneous emission rate.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -114,98 +113,40 @@ def catalogue_state(name: str, p: float | None = None) -> XState:
     raise DomainError(f"unknown initial state {name!r}")
 
 
-@dataclass(frozen=True)
-class PopulationGenerator:
+def build_generator(coeffs: CoefficientSet) -> np.ndarray:
     """Rate matrix M with d/dtau (pGG,pAA,pSS,pEE) = M p, units of the
-    emission rate. Columns sum to zero exactly (the diagonal is assembled
-    as minus its column's off-diagonal sum); off-diagonal entries are the
+    emission rate. Columns sum to zero (the diagonal is assembled as minus
+    its column's off-diagonal sum); off-diagonal entries are the
     (nonnegative) transition rates between the four levels."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def column_sums(self) -> np.ndarray:
-        # accumulate in construction order (off-diagonals first) so the
-        # structural cancellation against the diagonal is reproduced exactly
-        out = np.empty(4)
-        for k in range(4):
-            s = 0.0
-            for r in range(4):
-                if r != k:
-                    s += self.matrix[r, k]
-            out[k] = s + self.matrix[k, k]
-        return out
-
-
-def build_generator(coeffs: CoefficientSet) -> PopulationGenerator:
     M = kernels.generator_kernel(coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2)
-    gen = PopulationGenerator(matrix=M)
-    sums = np.abs(gen.column_sums()).max()
+    sums = np.abs(M.sum(axis=0)).max()
     if sums > 1e-12 * max(1.0, np.abs(M).max()):
         raise ComputationError(f"generator columns do not sum to zero: {sums}")
-    return gen
+    return M
 
 
-class Propagator:
-    """Prepared exact propagator for one CoefficientSet.
-
-    Immutable after construction and safe to share between threads. Warns
-    and switches to the matrix-exponential fallback when the eigenvector
-    matrix is ill-conditioned (degenerate coefficient coincidences).
-    """
-
-    def __init__(self, coeffs: CoefficientSet):
-        self.coeffs = coeffs
-        self.generator = build_generator(coeffs)
-        w, V, Vinv, cond = kernels.eig_decompose(self.generator.matrix)
-        self.eigenvalues = w
-        self._V = V
-        self._Vinv = Vinv
-        self.condition = float(cond)
-        self.use_expm = (not np.isfinite(cond)) or cond > kernels.COND_LIMIT
-        if self.use_expm:
-            warnings.warn(
-                "population generator eigenvectors are ill-conditioned "
-                f"(cond ~ {cond:.3g}); using matrix-exponential fallback",
-                RuntimeWarning, stacklevel=2)
-
-    def populations(self, p0: np.ndarray, tau: float) -> np.ndarray:
-        c = self._Vinv @ p0.astype(np.complex128)
-        return kernels.pops_at(self.eigenvalues, self._V, c,
-                               self.generator.matrix, self.use_expm,
-                               np.asarray(p0, dtype=float), float(tau))
-
-    def evolve(self, state: XState, tau: float) -> XState:
-        if tau < 0.0:
-            raise DomainError(f"tau must be >= 0, got {tau}")
-        p = self.populations(state.populations(), tau)
-        damp = np.exp(-4.0 * self.coeffs.A1 * tau)
-        return XState(p[0], p[1], p[2], p[3],
-                      cAS=state.cAS * damp, cGE=state.cGE * damp)
-
-    def trajectory(self, state: XState, taus: np.ndarray):
-        """Populations and coherences on a time grid; returns (pops, cAS, cGE)."""
-        taus = np.asarray(taus, dtype=float)
-        pops, _, _ = kernels.trajectory_kernel(
-            self.coeffs.A1, self.coeffs.B1, self.coeffs.A2, self.coeffs.B2,
-            state.populations(), state.cAS.real, state.cAS.imag,
-            state.cGE.real, state.cGE.imag, taus)
-        damp = np.exp(-4.0 * self.coeffs.A1 * taus)
-        return pops, state.cAS * damp, state.cGE * damp
-
-
-@functools.lru_cache(maxsize=256)
-def propagator_for(coeffs: CoefficientSet) -> Propagator:
-    """Shared immutable propagator cache keyed by the coefficient set."""
-    return Propagator(coeffs)
+def warn_on_fallback(cond: float):
+    """Warn when the generator's eigenvectors force the expm fallback."""
+    if kernels.needs_expm(cond):
+        warnings.warn(
+            "population generator eigenvectors are ill-conditioned "
+            f"(cond ~ {cond:.3g}); using matrix-exponential fallback",
+            RuntimeWarning, stacklevel=3)
 
 
 def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:
     """Exact state at time tau (units of the inverse emission rate)."""
     initial.validate()
-    return propagator_for(coeffs).evolve(initial, tau)
+    if tau < 0.0:
+        raise DomainError(f"tau must be >= 0, got {tau}")
+    traj = kernels.PreparedTrajectory(
+        coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2, initial.populations(),
+        initial.cAS.real, initial.cAS.imag, initial.cGE.real, initial.cGE.imag)
+    warn_on_fallback(traj.cond)
+    p = traj.populations(float(tau))
+    damp = np.exp(-4.0 * coeffs.A1 * tau)
+    return XState(p[0], p[1], p[2], p[3],
+                  cAS=initial.cAS * damp, cGE=initial.cGE * damp)
 
 
 def asymptotic_state(coeffs: CoefficientSet) -> XState:
@@ -217,7 +158,7 @@ def asymptotic_state(coeffs: CoefficientSet) -> XState:
     A1*B2 == A2*B1 (every assembled set does) the equal-population closed
     form for pAA = pSS is verified against the null vector to 1e-10.
     """
-    M = build_generator(coeffs).matrix
+    M = build_generator(coeffs)
     U, s, Vt = np.linalg.svd(M)
     scale = s[0]
     if s[3] > 1e-10 * scale:

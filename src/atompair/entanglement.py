@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientSet
-from .dynamics import XState, propagator_for
+from .dynamics import XState, warn_on_fallback
 from .errors import DomainError, InvalidStateError
 
 EPS_DEAD = kernels.EPS_DEAD
@@ -37,6 +37,17 @@ class EntanglementEvents:
     max_concurrence: float
     max_time: float
     revival_amplitude: float = 0.0
+
+    @classmethod
+    def from_row(cls, row) -> "EntanglementEvents":
+        """From the kernel's (death, birth, revival, enhancement, max_C,
+        max_time, revival_amplitude) row; NaN times mean no event."""
+        d, b, rev, enh, mc, mt, ra = row
+        return cls(death_time=None if np.isnan(d) else float(d),
+                   birth_time=None if np.isnan(b) else float(b),
+                   revival=bool(rev), enhancement=bool(enh),
+                   max_concurrence=float(mc), max_time=float(mt),
+                   revival_amplitude=float(ra))
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,11 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
         raise DomainError("empty time grid")
     if taus[0] != 0.0 or np.any(np.diff(taus) <= 0.0):
         raise DomainError("time grid must start at 0 and increase strictly")
-    propagator_for(coeffs)  # validates the coefficient set / warms the cache
-    pops, C, _ = kernels.trajectory_kernel(
+    pops, C, cond = kernels.trajectory_kernel(
         coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2,
         initial.populations(), initial.cAS.real, initial.cAS.imag,
         initial.cGE.real, initial.cGE.imag, taus)
+    warn_on_fallback(cond)
     damp = np.exp(-4.0 * coeffs.A1 * taus)
     return Trajectory(times=taus, populations=pops,
                       cAS=initial.cAS * damp, cGE=initial.cGE * damp,
@@ -121,23 +132,15 @@ def detect_events(traj: Trajectory,
     death_time is the first crossing below EPS_DEAD from above, birth_time
     the first crossing above it from below; revival needs a death followed
     by a later birth; enhancement means the refined maximum exceeds the
-    initial concurrence by more than EPS_ENH. Crossals are refined by
+    initial concurrence by more than EPS_ENH. Crossings are refined by
     bisection on the exact propagator, the maximum by golden section, both
     to ``refine_tol`` in scaled time.
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
-    d, b, rev, enh, mc, mt, ra = kernels.events_kernel(
+    return EntanglementEvents.from_row(kernels.events_kernel(
         traj.coeffs.A1, traj.coeffs.B1, traj.coeffs.A2, traj.coeffs.B2,
         traj.initial.populations(),
         traj.initial.cAS.real, traj.initial.cAS.imag,
         traj.initial.cGE.real, traj.initial.cGE.imag,
-        traj.times, refine_tol)
-    return EntanglementEvents(
-        death_time=None if np.isnan(d) else float(d),
-        birth_time=None if np.isnan(b) else float(b),
-        revival=bool(rev),
-        enhancement=bool(enh),
-        max_concurrence=float(mc),
-        max_time=float(mt),
-        revival_amplitude=float(ra))
+        traj.times, refine_tol))

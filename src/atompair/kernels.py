@@ -1,20 +1,17 @@
 """Hot numerical kernels.
 
-Everything in this module is compiled with ``@njit`` when the numba backend
-is active (numba installed and not disabled) and runs as plain numpy/Python
-otherwise, which is the default without numba; see :mod:`atompair._accel`.
-Keep the code inside the numba-supported subset: scalars, small ndarrays, no
-Python objects. Input validation lives in the public wrappers
-(:mod:`atompair.spectral`, :mod:`atompair.coefficients`, ...), not here.
+Scalar numpy/Python code for one cell or one trajectory at a time. Input
+validation lives in the public wrappers (:mod:`atompair.spectral`,
+:mod:`atompair.coefficients`, ...), not here.
 
 Units: the atomic transition frequency is fixed at 1, so ``a`` means a/omega
 and ``L`` means omega*L. Rates are expressed in units of the spontaneous
 emission rate, times in its inverse.
 """
 
-import numpy as np
+import functools
 
-from ._accel import njit
+import numpy as np
 
 # switch points of the series fallbacks
 SMALL_A = 1e-4      # below this the accelerated spectral shapes equal the static ones to O(a^2)
@@ -32,7 +29,6 @@ _INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
 # ---------------------------------------------------------------------------
 # elementary pieces
 
-@njit(cache=True, nogil=True)
 def coth_kernel(x):
     # caller guarantees x > 0
     if x > 20.0:
@@ -42,12 +38,10 @@ def coth_kernel(x):
     return 1.0 / np.tanh(x)
 
 
-@njit(cache=True, nogil=True)
 def f11_kernel(lam, a):
     return 1.0 + (a * a) / (lam * lam)
 
 
-@njit(cache=True, nogil=True)
 def f12_thermal_kernel(i, j, lam, L):
     """Static-bath cross-correlation shape, component (i, j), 1-based axes."""
     r = lam * L
@@ -64,7 +58,6 @@ def f12_thermal_kernel(i, j, lam, L):
     return 0.0
 
 
-@njit(cache=True, nogil=True)
 def _f12_closed(i, j, lam, a, L):
     # canonical nonzero components (1,1), (2,2), (3,3), (1,3); no switching
     q = a * L
@@ -96,7 +89,6 @@ def _f12_closed(i, j, lam, a, L):
         + (4.0 + 4.0 * r2 + q2 * (4.0 + r2)) * sn)
 
 
-@njit(cache=True, nogil=True)
 def _f12_series(i, j, lam, a, L):
     # 6th-order expansion about L = 0 of the canonical components
     l2 = lam * lam
@@ -138,7 +130,6 @@ def _f12_series(i, j, lam, a, L):
     return L * (c1 + L2 * (c3 + L2 * c5))
 
 
-@njit(cache=True, nogil=True)
 def f12_kernel(i, j, lam, a, L, order21):
     """Accelerated cross-correlation shape f_ij; order21 selects the swapped pair.
 
@@ -171,7 +162,6 @@ def f12_kernel(i, j, lam, a, L, order21):
 # ---------------------------------------------------------------------------
 # dissipator coefficients (units of the spontaneous emission rate)
 
-@njit(cache=True, nogil=True)
 def assemble_kernel(a, L, d1, d2, thermal, order21):
     """Kossakowski coefficients (A1, B1, A2, B2) for one bath mode.
 
@@ -206,7 +196,6 @@ def assemble_kernel(a, L, d1, d2, thermal, order21):
     return A1, B1, A2, B2
 
 
-@njit(cache=True, nogil=True)
 def generator_kernel(A1, B1, A2, B2):
     """Population rate matrix M, d/dtau (pGG,pAA,pSS,pEE) = M p.
 
@@ -215,57 +204,38 @@ def generator_kernel(A1, B1, A2, B2):
     hence trace preservation) exact in floating point, with the diagonals
     matching the -4(...) closed forms to roundoff.
     """
-    M = np.empty((4, 4))
+    M = np.zeros((4, 4))
     M[0, 1] = 2.0 * (A1 + B1 - A2 - B2)
     M[0, 2] = 2.0 * (A1 + B1 + A2 + B2)
-    M[0, 3] = 0.0
     M[1, 0] = 2.0 * (A1 - B1 - A2 + B2)
-    M[1, 2] = 0.0
     M[1, 3] = 2.0 * (A1 + B1 - A2 - B2)
     M[2, 0] = 2.0 * (A1 - B1 + A2 - B2)
-    M[2, 1] = 0.0
     M[2, 3] = 2.0 * (A1 + B1 + A2 + B2)
-    M[3, 0] = 0.0
     M[3, 1] = 2.0 * (A1 - B1 - A2 + B2)
     M[3, 2] = 2.0 * (A1 - B1 + A2 - B2)
     for k in range(4):
-        s = 0.0
-        for r in range(4):
-            if r != k:
-                s += M[r, k]
-        M[k, k] = -s
+        M[k, k] = -sum(M[r, k] for r in range(4) if r != k)
     return M
 
 
 # ---------------------------------------------------------------------------
 # exact propagation of the closed linear system
 
-@njit(cache=True, nogil=True)
 def eig_decompose(M):
     """Eigendecomposition of the generator plus a condition estimate."""
     Mc = M.astype(np.complex128)
     w, V = np.linalg.eig(Mc)
     Vinv = np.linalg.inv(V)
-    nv = 0.0
-    ni = 0.0
-    for r in range(4):
-        for c in range(4):
-            nv += abs(V[r, c]) ** 2
-            ni += abs(Vinv[r, c]) ** 2
+    # Frobenius norms, summed in row-major order
+    nv = sum(abs(x) ** 2 for x in V.flat)
+    ni = sum(abs(x) ** 2 for x in Vinv.flat)
     cond = np.sqrt(nv) * np.sqrt(ni)
     return w, V, Vinv, cond
 
 
-@njit(cache=True, nogil=True)
 def expm_kernel(A):
     """Scaling-and-squaring Taylor matrix exponential for the 4x4 generator."""
-    nrm = 0.0
-    for r in range(4):
-        s = 0.0
-        for c in range(4):
-            s += abs(A[r, c])
-        if s > nrm:
-            nrm = s
+    nrm = max(0.0, *(sum(abs(A[r, c]) for c in range(4)) for r in range(4)))
     k = 0
     while nrm > 0.25:
         nrm *= 0.5
@@ -281,165 +251,135 @@ def expm_kernel(A):
     return E
 
 
-@njit(cache=True, nogil=True)
 def pops_at(w, V, c, M, use_expm, p0, tau):
     """Populations at one time from the prepared decomposition (c = Vinv p0)."""
-    out = np.empty(4)
     if tau == 0.0:
-        for m in range(4):
-            out[m] = p0[m]
-        return out
-    if use_expm:
-        E = expm_kernel(M * tau)
-        for m in range(4):
-            s = 0.0
-            for n in range(4):
-                s += E[m, n] * p0[n]
-            out[m] = s
-    else:
-        ph = c * np.exp(w * tau)
-        v = V @ ph
-        for m in range(4):
-            out[m] = v[m].real
-    return out
+        return p0.copy()
+    if not use_expm:
+        return (V @ (c * np.exp(w * tau))).real
+    E = expm_kernel(M * tau)
+    return np.array([sum(E[m, n] * p0[n] for n in range(4)) for m in range(4)])
 
 
-@njit(cache=True, nogil=True)
-def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE):
-    """X-state concurrence max{0, K1, K2} from the eight real components."""
+
+
+def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
+    """X-state concurrence max{0, K1, K2} from the eight real components.
+
+    With ``clamp=False`` it returns max(K1, K2) without the clamp at zero
+    (negative values certify a dip) and zeroes negative radicands silently;
+    with the clamp a radicand below RADICAND_SLACK raises ValueError.
+    """
     rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
-    if rad1 < 0.0:
-        if rad1 < RADICAND_SLACK:
-            raise ValueError("concurrence radicand below tolerance: state not positive")
-        rad1 = 0.0
     prod = pGG * pEE
-    if prod < 0.0:
-        if prod < RADICAND_SLACK:
-            raise ValueError("concurrence radicand below tolerance: state not positive")
-        prod = 0.0
-    K1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
     rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
+    if clamp and (rad1 < RADICAND_SLACK or prod < RADICAND_SLACK or rad2 < RADICAND_SLACK):
+        raise ValueError("concurrence radicand below tolerance: state not positive")
+    if rad1 < 0.0:
+        rad1 = 0.0
+    if prod < 0.0:
+        prod = 0.0
     if rad2 < 0.0:
-        if rad2 < RADICAND_SLACK:
-            raise ValueError("concurrence radicand below tolerance: state not positive")
         rad2 = 0.0
+    K1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
     K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(rad2)
     C = K1 if K1 > K2 else K2
-    return C if C > 0.0 else 0.0
+    if clamp:
+        return C if C > 0.0 else 0.0
+    return C
 
 
-@njit(cache=True, nogil=True)
-def _conc_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, tau):
-    p = pops_at(w, V, c, M, use_expm, p0, tau)
-    amp = np.exp(-4.0 * A1 * tau)
-    return concurrence_kernel(p[0], p[1], p[2], p[3],
-                              reAS0 * amp, imAS0 * amp, reGE0 * amp, imGE0 * amp)
+def needs_expm(cond):
+    """Whether the eigenvector condition number calls for the expm fallback."""
+    return (not np.isfinite(cond)) or cond > COND_LIMIT
 
 
-@njit(cache=True, nogil=True)
-def _conc_raw_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, tau):
+class PreparedTrajectory:
+    """Exact evolution of one initial X state under one coefficient set.
+
+    Setup is done once: generator, eigendecomposition, expm-fallback flag
+    and c = Vinv p0. The coherences decay as exp(-4 A1 tau).
+    """
+
+    __slots__ = ("A1", "M", "w", "V", "c", "cond", "use_expm", "p0",
+                 "reAS0", "imAS0", "reGE0", "imGE0")
+
+    def __init__(self, A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0):
+        self.A1 = A1
+        self.M = generator_kernel(A1, B1, A2, B2)
+        self.w, self.V, Vinv, self.cond = eig_decompose(self.M)
+        self.use_expm = needs_expm(self.cond)
+        self.c = Vinv @ p0.astype(np.complex128)
+        self.p0 = p0
+        self.reAS0, self.imAS0, self.reGE0, self.imGE0 = reAS0, imAS0, reGE0, imGE0
+
+    def populations(self, tau):
+        return pops_at(self.w, self.V, self.c, self.M, self.use_expm, self.p0, tau)
+
+    def concurrence(self, p, tau, clamp=True):
+        """Concurrence at tau from the populations p there."""
+        amp = np.exp(-4.0 * self.A1 * tau)
+        return concurrence_kernel(p[0], p[1], p[2], p[3],
+                                  self.reAS0 * amp, self.imAS0 * amp,
+                                  self.reGE0 * amp, self.imGE0 * amp, clamp)
+
+
+def _conc_at(traj, tau):
+    return traj.concurrence(traj.populations(tau), tau)
+
+
+def _conc_raw_at(traj, tau):
     # max(K1, K2) without the clamp at zero; negative values certify a dip
-    p = pops_at(w, V, c, M, use_expm, p0, tau)
-    amp = np.exp(-4.0 * A1 * tau)
-    pGG, pAA, pSS, pEE = p[0], p[1], p[2], p[3]
-    reAS = reAS0 * amp
-    imAS = imAS0 * amp
-    rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
-    if rad1 < 0.0:
-        rad1 = 0.0
-    prod = pGG * pEE
-    if prod < 0.0:
-        prod = 0.0
-    K1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
-    rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
-    if rad2 < 0.0:
-        rad2 = 0.0
-    K2 = 2.0 * np.hypot(reGE0 * amp, imGE0 * amp) - np.sqrt(rad2)
-    return K1 if K1 > K2 else K2
+    return traj.concurrence(traj.populations(tau), tau, False)
 
 
-@njit(cache=True, nogil=True)
 def trajectory_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus):
     """Populations and concurrence along a time grid. Returns (pops, C, cond)."""
-    M = generator_kernel(A1, B1, A2, B2)
-    w, V, Vinv, cond = eig_decompose(M)
-    use_expm = (not np.isfinite(cond)) or cond > COND_LIMIT
-    c = Vinv @ p0.astype(np.complex128)
+    traj = PreparedTrajectory(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0)
     n = taus.size
     pops = np.empty((n, 4))
     C = np.empty(n)
     for k in range(n):
-        p = pops_at(w, V, c, M, use_expm, p0, taus[k])
-        pops[k, 0] = p[0]
-        pops[k, 1] = p[1]
-        pops[k, 2] = p[2]
-        pops[k, 3] = p[3]
-        amp = np.exp(-4.0 * A1 * taus[k])
-        C[k] = concurrence_kernel(p[0], p[1], p[2], p[3],
-                                  reAS0 * amp, imAS0 * amp, reGE0 * amp, imGE0 * amp)
-    return pops, C, cond
+        p = traj.populations(taus[k])
+        pops[k] = p
+        C[k] = traj.concurrence(p, taus[k])
+    return pops, C, traj.cond
 
 
-@njit(cache=True, nogil=True)
-def _bisect_crossing(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0,
-                     lo, hi, want_up, refine_tol):
-    # bracket carries a sign change of C - EPS_DEAD by construction
+def _bisect_crossing(f, lo, hi, want_up, refine_tol):
+    # bracket carries a sign change of f - EPS_DEAD by construction
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
-        high = _conc_at(w, V, c, M, use_expm, p0, A1,
-                        reAS0, imAS0, reGE0, imGE0, mid) > EPS_DEAD
-        if want_up == high:
+        if want_up == (f(mid) > EPS_DEAD):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-@njit(cache=True, nogil=True)
-def _golden_extremum(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0,
-                     lo, hi, sign, refine_tol, raw):
-    # golden-section on sign*C; sign=+1 finds a maximum, -1 a minimum.
-    # raw=True searches the unclamped max(K1, K2) instead.
+def _golden_extremum(f, lo, hi, sign, refine_tol):
+    # golden-section on sign*f; sign=+1 finds a maximum, -1 a minimum
     x1 = hi - _INVGOLD * (hi - lo)
     x2 = lo + _INVGOLD * (hi - lo)
-    if raw:
-        f1 = sign * _conc_raw_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, x1)
-        f2 = sign * _conc_raw_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, x2)
-    else:
-        f1 = sign * _conc_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, x1)
-        f2 = sign * _conc_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, x2)
+    f1 = sign * f(x1)
+    f2 = sign * f(x2)
     while hi - lo > refine_tol:
         if f1 < f2:
             lo = x1
             x1 = x2
             f1 = f2
             x2 = lo + _INVGOLD * (hi - lo)
-            if raw:
-                f2 = sign * _conc_raw_at(w, V, c, M, use_expm, p0, A1,
-                                         reAS0, imAS0, reGE0, imGE0, x2)
-            else:
-                f2 = sign * _conc_at(w, V, c, M, use_expm, p0, A1,
-                                     reAS0, imAS0, reGE0, imGE0, x2)
+            f2 = sign * f(x2)
         else:
             hi = x2
             x2 = x1
             f2 = f1
             x1 = hi - _INVGOLD * (hi - lo)
-            if raw:
-                f1 = sign * _conc_raw_at(w, V, c, M, use_expm, p0, A1,
-                                         reAS0, imAS0, reGE0, imGE0, x1)
-            else:
-                f1 = sign * _conc_at(w, V, c, M, use_expm, p0, A1,
-                                     reAS0, imAS0, reGE0, imGE0, x1)
+            f1 = sign * f(x1)
     t = 0.5 * (lo + hi)
-    if raw:
-        f = _conc_raw_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, t)
-    else:
-        f = _conc_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, t)
-    return t, f
+    return t, f(t)
 
 
-@njit(cache=True, nogil=True)
 def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_tol):
     """Entanglement events along one trajectory.
 
@@ -453,29 +393,20 @@ def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_t
     remain invisible. revival_amplitude is the largest concurrence after
     the first death, 0 when there is no death.
     """
-    M = generator_kernel(A1, B1, A2, B2)
-    w, V, Vinv, cond = eig_decompose(M)
-    use_expm = (not np.isfinite(cond)) or cond > COND_LIMIT
-    c = Vinv @ p0.astype(np.complex128)
+    traj = PreparedTrajectory(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0)
+    conc = functools.partial(_conc_at, traj)
     n = taus.size
     C = np.empty(n)
     for k in range(n):
-        C[k] = _conc_at(w, V, c, M, use_expm, p0, A1, reAS0, imAS0, reGE0, imGE0, taus[k])
+        C[k] = _conc_at(traj, taus[k])
 
-    # crossing times and directions, in chronological order
-    cross_t = np.empty(2 * n)
-    cross_up = np.empty(2 * n, np.int8)
-    ncross = 0
+    crossings = []   # (time, upward), in chronological order
     above = C[0] > EPS_DEAD
     for k in range(1, n):
         now = C[k] > EPS_DEAD
         if now != above:
-            t = _bisect_crossing(w, V, c, M, use_expm, p0, A1,
-                                 reAS0, imAS0, reGE0, imGE0,
-                                 taus[k - 1], taus[k], now, refine_tol)
-            cross_t[ncross] = t
-            cross_up[ncross] = 1 if now else 0
-            ncross += 1
+            t = _bisect_crossing(conc, taus[k - 1], taus[k], now, refine_tol)
+            crossings.append((t, now))
             above = now
         elif (now and k < n - 1 and C[k] <= C[k - 1] and C[k] <= C[k + 1]
               and C[k - 1] > EPS_DEAD and C[k + 1] > EPS_DEAD):
@@ -483,44 +414,21 @@ def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_t
             # samples; certify at machine depth (a zero-temperature dip is a
             # V touching zero over a vanishing time window)
             dip_tol = 1e-12 * max(1.0, taus[k + 1])
-            tmin, fmin = _golden_extremum(w, V, c, M, use_expm, p0, A1,
-                                          reAS0, imAS0, reGE0, imGE0,
-                                          taus[k - 1], taus[k + 1], -1.0,
-                                          dip_tol, True)
+            tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
+                                          taus[k - 1], taus[k + 1], -1.0, dip_tol)
             if fmin <= EPS_DEAD:
-                td = _bisect_crossing(w, V, c, M, use_expm, p0, A1,
-                                      reAS0, imAS0, reGE0, imGE0,
-                                      taus[k - 1], tmin, False, refine_tol)
-                tb = _bisect_crossing(w, V, c, M, use_expm, p0, A1,
-                                      reAS0, imAS0, reGE0, imGE0,
-                                      tmin, taus[k + 1], True, refine_tol)
-                cross_t[ncross] = td
-                cross_up[ncross] = 0
-                ncross += 1
-                cross_t[ncross] = tb
-                cross_up[ncross] = 1
-                ncross += 1
+                td = _bisect_crossing(conc, taus[k - 1], tmin, False, refine_tol)
+                tb = _bisect_crossing(conc, tmin, taus[k + 1], True, refine_tol)
+                crossings += [(td, False), (tb, True)]
 
-    death = np.nan
-    birth = np.nan
-    for m in range(ncross):
-        if cross_up[m] == 0 and np.isnan(death):
-            death = cross_t[m]
-        if cross_up[m] == 1 and np.isnan(birth):
-            birth = cross_t[m]
+    death = next((t for t, up in crossings if not up), np.nan)
+    birth = next((t for t, up in crossings if up), np.nan)
 
-    # golden-section refinement of the sampled maximum
-    kbest = 0
-    cbest = C[0]
-    for k in range(1, n):
-        if C[k] > cbest:
-            cbest = C[k]
-            kbest = k
-    lo = taus[kbest - 1] if kbest > 0 else taus[0]
-    hi = taus[kbest + 1] if kbest < n - 1 else taus[n - 1]
-    tmax, fmax = _golden_extremum(w, V, c, M, use_expm, p0, A1,
-                                  reAS0, imAS0, reGE0, imGE0, lo, hi, 1.0,
-                                  refine_tol, False)
+    # golden-section refinement of the sampled maximum (first best sample)
+    kbest = int(np.argmax(C))
+    cbest = C[kbest]
+    tmax, fmax = _golden_extremum(conc, taus[max(kbest - 1, 0)],
+                                  taus[min(kbest + 1, n - 1)], 1.0, refine_tol)
     max_c = cbest
     max_t = taus[kbest]
     if fmax > max_c:
@@ -529,29 +437,19 @@ def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_t
 
     # largest concurrence after the first death
     rev_amp = 0.0
-    if not np.isnan(death):
-        kpost = -1
-        cpost = 0.0
-        for k in range(n):
-            if taus[k] > death and C[k] > cpost:
-                cpost = C[k]
-                kpost = k
-        if kpost >= 0:
-            plo = taus[kpost - 1] if kpost > 0 else taus[0]
-            if plo < death:
-                plo = death
-            phi = taus[kpost + 1] if kpost < n - 1 else taus[n - 1]
-            tpost, fpost = _golden_extremum(w, V, c, M, use_expm, p0, A1,
-                                            reAS0, imAS0, reGE0, imGE0,
-                                            plo, phi, 1.0, refine_tol, False)
-            rev_amp = cpost if cpost > fpost else fpost
+    post = np.flatnonzero(taus > death)   # empty when there is no death
+    if post.size and C[post].max() > 0.0:
+        kpost = post[np.argmax(C[post])]
+        cpost = C[kpost]
+        tpost, fpost = _golden_extremum(conc, max(taus[max(kpost - 1, 0)], death),
+                                        taus[min(kpost + 1, n - 1)], 1.0, refine_tol)
+        rev_amp = cpost if cpost > fpost else fpost
 
     revival = 1 if (not np.isnan(death)) and (not np.isnan(birth)) and birth > death else 0
     enhancement = 1 if max_c > C[0] + EPS_ENH else 0
     return death, birth, revival, enhancement, max_c, max_t, rev_amp
 
 
-@njit(cache=True, nogil=True)
 def events_cells_kernel(a_vals, L_vals, p0s, reAS0s, imAS0s, reGE0s, imGE0s,
                         d1, d2, thermal, order21, taus, refine_tol):
     """Event detection over a list of cells for one bath mode.
@@ -563,14 +461,6 @@ def events_cells_kernel(a_vals, L_vals, p0s, reAS0s, imAS0s, reGE0s, imGE0s,
     out = np.empty((n, 7))
     for k in range(n):
         A1, B1, A2, B2 = assemble_kernel(a_vals[k], L_vals[k], d1, d2, thermal, order21)
-        d, b, rev, enh, mc, mt, ra = events_kernel(
-            A1, B1, A2, B2, p0s[k], reAS0s[k], imAS0s[k], reGE0s[k], imGE0s[k],
-            taus, refine_tol)
-        out[k, 0] = d
-        out[k, 1] = b
-        out[k, 2] = rev
-        out[k, 3] = enh
-        out[k, 4] = mc
-        out[k, 5] = mt
-        out[k, 6] = ra
+        out[k] = events_kernel(A1, B1, A2, B2, p0s[k], reAS0s[k], imAS0s[k],
+                               reGE0s[k], imGE0s[k], taus, refine_tol)
     return out

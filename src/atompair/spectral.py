@@ -17,8 +17,6 @@ All arguments are dimensionless: lam and a in units of the transition
 frequency, L in its inverse.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -42,20 +40,6 @@ def _check_positive(name, value, allow_zero=False):
             raise DomainError(f"{name} must be >= 0, got {value}")
     elif value <= 0.0:
         raise DomainError(f"{name} must be > 0, got {value}")
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Argument bundle (lam, a, L) with the domain rules applied."""
-
-    lam: float
-    a: float
-    L: float
-
-    def __post_init__(self):
-        _check_positive("lam", self.lam)
-        _check_positive("a", self.a, allow_zero=True)
-        _check_positive("L", self.L)  # L = 0 rejected: two-dipole model breaks down
 
 
 def f11(lam: float, a: float) -> float:

@@ -4,8 +4,9 @@ A SweepSpec fixes the physics of a panel (initial state, polarisations,
 bath modes) and the grid axes; the run_* functions evaluate every grid cell
 for every requested bath mode. Cells are independent work items evaluated
 in a deterministic order; with ``threads > 1`` they are distributed over a
-thread pool (the kernels release the GIL), and results are keyed by cell
-index, so outputs are bit-identical for any thread count.
+thread pool, and results are keyed by cell index, so outputs are
+bit-identical for any thread count. The kernels are plain Python and hold
+the GIL for most of their time, so extra threads give little or no speedup.
 """
 
 import itertools
@@ -176,24 +177,19 @@ def run_curve(spec: SweepSpec, threads: int = 1) -> CurveResult:
     cells = spec.cells()
     modes = spec.bath_modes
     nc, nm, nt = len(cells), len(modes), taus.size
+    a_vals, L_vals, p0s, reAS, imAS, reGE, imGE = _cell_inputs(spec, cells)
     conc = np.empty((nc, nm, nt))
     pops = np.empty((nc, nm, nt, 4))
+    d1 = spec.dipole1.as_array()
+    d2 = spec.dipole2.as_array()
 
     def worker(job):
         ci, mi = job
-        cell = cells[ci]
-        initial = spec.resolve_initial(cell)
         thermal = modes[mi] is BathKind.THERMAL_AT_UNRUH
-        a_val = cell["a_over_omega"] if "a_over_omega" in cell else _fixed_axis(spec, "a_over_omega")
-        L_val = cell["omega_L"] if "omega_L" in cell else _fixed_axis(spec, "omega_L")
         A1, B1, A2, B2 = kernels.assemble_kernel(
-            float(a_val), float(L_val),
-            spec.dipole1.as_array(), spec.dipole2.as_array(),
-            thermal, spec.atom_order == 21)
+            a_vals[ci], L_vals[ci], d1, d2, thermal, spec.atom_order == 21)
         p, C, _ = kernels.trajectory_kernel(
-            A1, B1, A2, B2, initial.populations(),
-            initial.cAS.real, initial.cAS.imag,
-            initial.cGE.real, initial.cGE.imag, taus)
+            A1, B1, A2, B2, p0s[ci], reAS[ci], imAS[ci], reGE[ci], imGE[ci], taus)
         return ci, mi, p, C
 
     jobs = [(ci, mi) for ci in range(nc) for mi in range(nm)]
@@ -204,14 +200,22 @@ def run_curve(spec: SweepSpec, threads: int = 1) -> CurveResult:
                        concurrence=conc, populations=pops)
 
 
-def _fixed_axis(spec, name):
-    # single-valued axes act as fixed parameters for cells that lack them
-    values = spec.axis(name)
-    if values is None:
-        raise DomainError(f"axis {name!r} missing from sweep spec")
-    if values.size != 1:
-        raise DomainError(f"axis {name!r} is swept; cell must carry it")
-    return values[0]
+def _cell_inputs(spec, cells):
+    """Per-cell kernel inputs: (a, L, p0, reAS, imAS, reGE, imGE) arrays.
+
+    Every cell carries every non-time axis, single-valued ones included.
+    """
+    _require_axis(spec, "a_over_omega", 1)
+    _require_axis(spec, "omega_L", 1)
+    a_vals = np.array([cell["a_over_omega"] for cell in cells])
+    L_vals = np.array([cell["omega_L"] for cell in cells])
+    initials = [spec.resolve_initial(cell) for cell in cells]
+    p0s = np.array([initial.populations() for initial in initials])
+    reAS = np.array([initial.cAS.real for initial in initials])
+    imAS = np.array([initial.cAS.imag for initial in initials])
+    reGE = np.array([initial.cGE.real for initial in initials])
+    imGE = np.array([initial.cGE.imag for initial in initials])
+    return a_vals, L_vals, p0s, reAS, imAS, reGE, imGE
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +230,7 @@ class EventsResult:
                         # maxC, maxT, revival_amplitude
 
     def events(self, cell_index: int, mode_index: int) -> EntanglementEvents:
-        d, b, rev, enh, mc, mt, ra = self.table[cell_index, mode_index]
-        return EntanglementEvents(
-            death_time=None if np.isnan(d) else float(d),
-            birth_time=None if np.isnan(b) else float(b),
-            revival=bool(rev), enhancement=bool(enh),
-            max_concurrence=float(mc), max_time=float(mt),
-            revival_amplitude=float(ra))
+        return EntanglementEvents.from_row(self.table[cell_index, mode_index])
 
 
 def run_events(spec: SweepSpec, threads: int = 1) -> EventsResult:
@@ -242,25 +240,7 @@ def run_events(spec: SweepSpec, threads: int = 1) -> EventsResult:
     taus = spec.horizon_grid()
     nc, nm = len(cells), len(modes)
 
-    a_vals = np.array([cell.get("a_over_omega", np.nan) for cell in cells])
-    L_vals = np.array([cell.get("omega_L", np.nan) for cell in cells])
-    if np.isnan(a_vals).any():
-        a_vals[:] = np.where(np.isnan(a_vals), _fixed_axis(spec, "a_over_omega"), a_vals)
-    if np.isnan(L_vals).any():
-        L_vals[:] = np.where(np.isnan(L_vals), _fixed_axis(spec, "omega_L"), L_vals)
-    p0s = np.empty((nc, 4))
-    reAS = np.empty(nc)
-    imAS = np.empty(nc)
-    reGE = np.empty(nc)
-    imGE = np.empty(nc)
-    for k, cell in enumerate(cells):
-        initial = spec.resolve_initial(cell)
-        p0s[k] = initial.populations()
-        reAS[k] = initial.cAS.real
-        imAS[k] = initial.cAS.imag
-        reGE[k] = initial.cGE.real
-        imGE[k] = initial.cGE.imag
-
+    a_vals, L_vals, p0s, reAS, imAS, reGE, imGE = _cell_inputs(spec, cells)
     table = np.empty((nc, nm, 7))
     d1 = spec.dipole1.as_array()
     d2 = spec.dipole2.as_array()

@@ -45,7 +45,7 @@ def random_xstate(rng):
 
 def coherence_block(coeffs: CoefficientSet):
     """8x8 real linear generator for (populations, coherence quadratures)."""
-    M = build_generator(coeffs).matrix
+    M = build_generator(coeffs)
     A = np.zeros((8, 8))
     A[:4, :4] = M
     A[4:, 4:] = -4.0 * coeffs.A1 * np.eye(4)

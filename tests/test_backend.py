@@ -1,77 +1,21 @@
-"""The pure-numpy fallback must give the right numbers.
+"""The numpy path must give the right numbers.
 
-numba is optional. The probe runs in a fresh interpreter twice: with the
-default backend, which is numba exactly when numba imports, and with
-``ATOMPAIR_NO_NUMBA=1``. The two runs must agree. The numpy run must also
-match a reference built here from the probe's own coefficients: populations
-from ``scipy.linalg.expm``, coherences decaying as exp(-4 A1 tau), the X-state
-concurrence, bisection for death and birth, and golden section for the
-largest concurrence after death.
+A psi1 trajectory is checked against a reference built here from the same
+coefficients: populations from ``scipy.linalg.expm``, coherences decaying
+as exp(-4 A1 tau), the X-state concurrence, bisection for death and birth,
+and golden section for the largest concurrence after death.
 """
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
-P = 0.25  # psi1 weight of the probe's initial state
-
-PROBE = r"""
-import json
-import numpy as np
 import atompair as ap
 from atompair.sweeps import time_grid
 
-z = ap.DipoleOrientation.from_axis("z")
-params = ap.SystemParams(a_over_omega=0.7, omega_L=1.1, dipole1=z, dipole2=z,
-                         bath=ap.BathKind.ACCELERATED_VACUUM)
-cs = ap.assemble(params)
-taus = time_grid(10.0, 40)
-traj = ap.compute_trajectory(ap.catalogue_state("psi1", %r), cs, taus)
-ev = ap.detect_events(traj)
-print(json.dumps({
-    "backend": ap.backend_name(),
-    "coeffs": [cs.A1, cs.B1, cs.A2, cs.B2],
-    "taus": taus.tolist(),
-    "pops": traj.populations.tolist(),
-    "conc": traj.concurrence.tolist(),
-    "death": ev.death_time,
-    "birth": ev.birth_time,
-    "revival": ev.revival,
-    "amp": ev.revival_amplitude,
-}))
-""" % P
+P = 0.25  # psi1 weight of the initial state
 
 EPS_DEAD = 1e-12        # death/birth threshold of the detector
 INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def probe_env(no_numba):
-    env = dict(os.environ)
-    if no_numba:
-        env["ATOMPAIR_NO_NUMBA"] = "1"
-    else:
-        env.pop("ATOMPAIR_NO_NUMBA", None)
-    return env
-
-
-def run_probe(no_numba):
-    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
-                         text=True, env=probe_env(no_numba))
-    if out.returncode != 0:
-        pytest.fail(f"probe exited with {out.returncode}:\n{out.stderr}")
-    return json.loads(out.stdout)
-
-
-def numba_imports():
-    """Whether ``import numba`` succeeds where the default probe runs."""
-    out = subprocess.run([sys.executable, "-c", "import numba"],
-                         capture_output=True, env=probe_env(no_numba=False))
-    return out.returncode == 0
 
 
 class Reference:
@@ -164,26 +108,22 @@ class Reference:
         return death, birth, revival, amp
 
 
-def test_fallback_matches_numba_backend():
-    jit = run_probe(no_numba=False)
-    plain = run_probe(no_numba=True)
-    assert jit["backend"] == ("numba" if numba_imports() else "numpy")
-    assert plain["backend"] == "numpy"
-    assert np.allclose(jit["coeffs"], plain["coeffs"], rtol=1e-13, atol=1e-15)
-    assert np.allclose(jit["conc"], plain["conc"], rtol=1e-10, atol=1e-12)
-    assert jit["revival"] == plain["revival"]
-    assert abs(jit["death"] - plain["death"]) < 1e-5
-    assert abs(jit["birth"] - plain["birth"]) < 1e-5
-    assert abs(jit["amp"] - plain["amp"]) < 1e-9
+def test_numpy_path_matches_expm_reference():
+    assert ap.backend_name() == "numpy"
+    z = ap.DipoleOrientation.from_axis("z")
+    params = ap.SystemParams(a_over_omega=0.7, omega_L=1.1, dipole1=z, dipole2=z,
+                             bath=ap.BathKind.ACCELERATED_VACUUM)
+    cs = ap.assemble(params)
+    taus = time_grid(10.0, 40)
+    traj = ap.compute_trajectory(ap.catalogue_state("psi1", P), cs, taus)
+    ev = ap.detect_events(traj)
 
-    # the numpy path against an independent expm reference
-    ref = Reference(*plain["coeffs"])
-    taus = np.array(plain["taus"])
-    assert np.allclose(plain["pops"], ref.populations(taus), rtol=1e-10, atol=1e-12)
-    assert np.allclose(plain["conc"], ref.concurrence(taus), rtol=1e-10, atol=1e-12)
+    ref = Reference(cs.A1, cs.B1, cs.A2, cs.B2)
+    assert np.allclose(traj.populations, ref.populations(taus), rtol=1e-10, atol=1e-12)
+    assert np.allclose(traj.concurrence, ref.concurrence(taus), rtol=1e-10, atol=1e-12)
     death, birth, revival, amp = ref.events(taus[-1])
     assert death is not None and birth is not None
-    assert plain["revival"] == revival
-    assert abs(plain["death"] - death) < 1e-5
-    assert abs(plain["birth"] - birth) < 1e-5
-    assert abs(plain["amp"] - amp) < 1e-9
+    assert ev.revival == revival
+    assert abs(ev.death_time - death) < 1e-5
+    assert abs(ev.birth_time - birth) < 1e-5
+    assert abs(ev.revival_amplitude - amp) < 1e-9

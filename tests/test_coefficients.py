@@ -39,10 +39,6 @@ def test_system_params_validation():
         make_params(-0.1, 1.0)
     with pytest.raises(DomainError):
         make_params(1.0, 0.0)
-    with pytest.raises(DomainError):
-        SystemParams(a_over_omega=1.0, omega_L=1.0, dipole1=AXES["z"],
-                     dipole2=AXES["z"], bath=BathKind.ACCELERATED_VACUUM,
-                     gamma0_over_omega=0.0)
 
 
 def test_coefficient_set_ordering():

@@ -62,6 +62,9 @@ def test_unknown_keys_rejected(tmp_path):
     bad = dict(MINIMAL, events={"kinds": "revival"})
     with pytest.raises(ConfigError, match="events"):
         load_config(write_config(tmp_path, bad))
+    bad = dict(MINIMAL, gamma0_over_omega=1.0)  # removed knob: no output used it
+    with pytest.raises(ConfigError, match="gamma0_over_omega"):
+        load_config(write_config(tmp_path, bad))
 
 
 def test_physical_validation(tmp_path):
@@ -199,6 +202,32 @@ def test_cli_sweep_output(tmp_path):
     columns, rows = read_table(tmp_path / "o" / "sw_E_zz.csv")
     assert "max_C_accelerated" in columns and "tau_max_thermal" in columns
     assert len(rows) == 12
+
+
+def test_cli_sweep_runs_events_once(tmp_path, monkeypatch):
+    from atompair import kernels
+    original = kernels.events_cells_kernel
+    seen = []
+
+    def counting(a_vals, *args):
+        seen.append(a_vals.size)
+        return original(a_vals, *args)
+
+    monkeypatch.setattr(kernels, "events_cells_kernel", counting)
+    data = dict(MINIMAL, name="once", initial_states=["E"],
+                fixed={"a_over_omega": 0.6666666666666666},
+                grid={"omega_L": {"start": 0.5, "stop": 2.0, "num": 2}},
+                outputs=["max_concurrence", "events"])
+    cfg = write_config(tmp_path, data)
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "o",
+                    "--threads", 1]) == 0
+    assert sum(seen) == 2 * 2  # cells x bath modes: one event pass
+    columns, rows = read_table(tmp_path / "o" / "once_E_zz.csv")
+    events = json.loads((tmp_path / "o" / "once_E_zz.events.json").read_text())
+    for row, cell in zip(rows, events["cells"]):
+        acc = cell["modes"]["accelerated"]
+        assert float(row[columns.index("max_C_accelerated")]) == acc["max_concurrence"]
+        assert float(row[columns.index("tau_max_accelerated")]) == acc["max_time"]
 
 
 def test_cli_region_output(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from atompair import (DomainError, SpectralPoint, f11, f12_component,
-                      f12_thermal_component, fourier_oracle)
+from atompair import (DomainError, f11, f12_component, f12_thermal_component,
+                      fourier_oracle)
 from atompair.kernels import SMALL_R, _f12_closed, _f12_series
 
 NONZERO = [(1, 1), (2, 2), (3, 3), (1, 3), (3, 1)]
@@ -26,14 +26,6 @@ def test_f11_domain():
         f11(-1.0, 1.0)
     with pytest.raises(DomainError):
         f11(1.0, -0.5)
-
-
-def test_spectral_point_validation():
-    SpectralPoint(1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        SpectralPoint(1.0, 1.0, 0.0)  # zero separation rejected
-    with pytest.raises(DomainError):
-        SpectralPoint(-1.0, 1.0, 1.0)
 
 
 def test_f12_zero_components():
