@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``coeffs``, ``evolve``, ``sweep``, ``region``; each takes
-``--config <path>`` or ``--preset <name>``, plus ``--out <dir>`` and
-``--threads <n>``. Output tables are UTF-8 CSV with LF line endings, a
-fixed column order and 17 significant digits; every table comes with a
-JSON metadata sidecar carrying the resolved parameters, package version
-and a sha256 checksum. Reruns of the same config are byte-identical for
-any thread count.
+``--config <path>`` or ``--preset <name>``, plus ``--out <dir>``. The
+config is validated in full before the output directory is created. Output
+tables are UTF-8 CSV with LF line endings, a fixed column order and 17
+significant digits; every table comes with a JSON metadata sidecar carrying
+the resolved parameters, package version and a sha256 checksum. Grid cells
+run one at a time; ``--threads <n>`` is still accepted (n >= 1) and changes
+nothing, so reruns of the same config are byte-identical for any value.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 computation
 error, 4 I/O error.
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import BathKind, SystemParams, assemble
-from .config import COMMANDS, RunConfig, load_config, load_preset, preset_names
+from .config import RunConfig, load_config, load_preset, preset_names
 from .errors import AtompairError, ConfigError
 from .sweeps import LABEL_NAMES, run_curve, run_events, run_region_map
 
@@ -111,7 +112,7 @@ def _write_events(path: Path, spec, events, files: dict):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_coeffs(config: RunConfig, out_dir, threads):
+def cmd_coeffs(config: RunConfig, out_dir):
     config.check_command("coeffs")
     a_values = config.axis_values("a_over_omega")
     L_values = config.axis_values("omega_L")
@@ -152,11 +153,11 @@ def _cell_columns(spec):
     return [name for name, _ in spec.cell_axes()]
 
 
-def cmd_evolve(config: RunConfig, out_dir, threads):
-    config.check_command("evolve")
+def cmd_evolve(config: RunConfig, out_dir):
+    specs = config.sweep_specs("evolve")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for panel, spec in config.sweep_specs("evolve"):
-        curve = run_curve(spec, threads=threads)
+    for panel, spec in specs:
+        curve = run_curve(spec)
         cell_cols = _cell_columns(spec)
         columns = list(cell_cols) + ["tau"]
         for mode in curve.modes:
@@ -179,17 +180,17 @@ def cmd_evolve(config: RunConfig, out_dir, threads):
         files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
         if "events" in spec.outputs:
             _write_events(out_dir / f"{config.name}_{panel}.events.json",
-                          spec, run_events(spec, threads=threads), files)
+                          spec, run_events(spec), files)
         _write_meta(out_dir / f"{config.name}_{panel}.meta.json",
                     _meta(config, "evolve", panel, files, columns))
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, out_dir, threads):
-    config.check_command("sweep")
+def cmd_sweep(config: RunConfig, out_dir):
+    specs = config.sweep_specs("sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for panel, spec in config.sweep_specs("sweep"):
-        events = run_events(spec, threads=threads)
+    for panel, spec in specs:
+        events = run_events(spec)
         cell_cols = _cell_columns(spec)
         columns = list(cell_cols)
         for mode in events.modes:
@@ -214,11 +215,11 @@ def cmd_sweep(config: RunConfig, out_dir, threads):
     return EXIT_OK
 
 
-def cmd_region(config: RunConfig, out_dir, threads):
-    config.check_command("region")
+def cmd_region(config: RunConfig, out_dir):
+    specs = config.sweep_specs("region")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for panel, spec in config.sweep_specs("region"):
-        region = run_region_map(spec, threads=threads)
+    for panel, spec in specs:
+        region = run_region_map(spec)
         columns = ["a_over_omega", "omega_L", "label"]
         rows = []
         for i, a in enumerate(region.a_values):
@@ -258,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: ./out)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid cells (default: 1)")
+                       help="accepted for compatibility, must be >= 1; grid "
+                            "cells run one at a time (default: 1)")
     return parser
 
 
@@ -270,7 +272,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be >= 1, got {ns.threads}")
         config = load_preset(ns.preset) if ns.preset else load_config(ns.config)
         handler = _HANDLERS[ns.command]
-        return handler(config, ns.out, ns.threads)
+        return handler(config, ns.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

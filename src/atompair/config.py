@@ -35,6 +35,7 @@ Schema (defaults in parentheses):
 Each axis must appear in exactly one of ``fixed``/``grid``.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -74,6 +75,8 @@ def _expect_mapping(source, path, value, allowed):
 def _expect_number(source, path, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(source, path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(source, path, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -246,7 +249,7 @@ def _parse_dipole(source, path, entry):
 
 def _parse_values(source, path, entry, minimum, allow_equal=False):
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        values = (float(entry),)
+        values = (_expect_number(source, path, entry),)
     elif isinstance(entry, list) and entry:
         values = tuple(_expect_number(source, f"{path}[{k}]", v)
                        for k, v in enumerate(entry))
@@ -301,9 +304,14 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     if not isinstance(title, str):
         _fail(source, "title", "must be a string")
 
+    state_entries = data.get("initial_states")
+    if state_entries is None:
+        state_entries = []
+    if not isinstance(state_entries, list):
+        _fail(source, "initial_states", f"expected a list of states, got {state_entries!r}")
     initial_states = tuple(
         _parse_initial_state(source, f"initial_states[{k}]", entry)
-        for k, entry in enumerate(data.get("initial_states", []) or []))
+        for k, entry in enumerate(state_entries))
 
     pol_entries = data.get("polarizations")
     if not isinstance(pol_entries, list) or not pol_entries:
@@ -409,6 +417,8 @@ def load_config(path) -> RunConfig:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if data is None:
         raise ConfigError(f"{path}: empty config")
     return parse_config(data, source=str(path))

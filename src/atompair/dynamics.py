@@ -134,14 +134,21 @@ def warn_on_fallback(cond: float):
             RuntimeWarning, stacklevel=3)
 
 
+def prepare(initial: XState, coeffs: CoefficientSet) -> kernels.PreparedTrajectory:
+    """One-time setup of the exact evolution of ``initial`` under ``coeffs``:
+    generator, eigendecomposition and expm-fallback flag. No validation and
+    no fallback warning; callers do both where they need them."""
+    return kernels.PreparedTrajectory(
+        coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2, initial.populations(),
+        initial.cAS.real, initial.cAS.imag, initial.cGE.real, initial.cGE.imag)
+
+
 def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:
     """Exact state at time tau (units of the inverse emission rate)."""
     initial.validate()
     if tau < 0.0:
         raise DomainError(f"tau must be >= 0, got {tau}")
-    traj = kernels.PreparedTrajectory(
-        coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2, initial.populations(),
-        initial.cAS.real, initial.cAS.imag, initial.cGE.real, initial.cGE.imag)
+    traj = prepare(initial, coeffs)
     warn_on_fallback(traj.cond)
     p = traj.populations(float(tau))
     damp = np.exp(-4.0 * coeffs.A1 * tau)

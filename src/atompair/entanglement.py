@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientSet
-from .dynamics import XState, warn_on_fallback
+from .dynamics import XState, prepare, warn_on_fallback
 from .errors import DomainError, InvalidStateError
 
 EPS_DEAD = kernels.EPS_DEAD
@@ -114,11 +114,9 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
         raise DomainError("empty time grid")
     if taus[0] != 0.0 or np.any(np.diff(taus) <= 0.0):
         raise DomainError("time grid must start at 0 and increase strictly")
-    pops, C, cond = kernels.trajectory_kernel(
-        coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2,
-        initial.populations(), initial.cAS.real, initial.cAS.imag,
-        initial.cGE.real, initial.cGE.imag, taus)
-    warn_on_fallback(cond)
+    prepared = prepare(initial, coeffs)
+    pops, C = kernels.trajectory_kernel(prepared, taus)
+    warn_on_fallback(prepared.cond)
     damp = np.exp(-4.0 * coeffs.A1 * taus)
     return Trajectory(times=taus, populations=pops,
                       cAS=initial.cAS * damp, cGE=initial.cGE * damp,
@@ -139,8 +137,4 @@ def detect_events(traj: Trajectory,
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
     return EntanglementEvents.from_row(kernels.events_kernel(
-        traj.coeffs.A1, traj.coeffs.B1, traj.coeffs.A2, traj.coeffs.B2,
-        traj.initial.populations(),
-        traj.initial.cAS.real, traj.initial.cAS.imag,
-        traj.initial.cGE.real, traj.initial.cGE.imag,
-        traj.times, refine_tol))
+        prepare(traj.initial, traj.coeffs), traj.times, refine_tol))

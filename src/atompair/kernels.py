@@ -333,9 +333,9 @@ def _conc_raw_at(traj, tau):
     return traj.concurrence(traj.populations(tau), tau, False)
 
 
-def trajectory_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus):
-    """Populations and concurrence along a time grid. Returns (pops, C, cond)."""
-    traj = PreparedTrajectory(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0)
+def trajectory_kernel(traj, taus):
+    """Populations and concurrence of a prepared trajectory along a time
+    grid. Returns (pops, C)."""
     n = taus.size
     pops = np.empty((n, 4))
     C = np.empty(n)
@@ -343,7 +343,7 @@ def trajectory_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus):
         p = traj.populations(taus[k])
         pops[k] = p
         C[k] = traj.concurrence(p, taus[k])
-    return pops, C, traj.cond
+    return pops, C
 
 
 def _bisect_crossing(f, lo, hi, want_up, refine_tol):
@@ -380,8 +380,8 @@ def _golden_extremum(f, lo, hi, sign, refine_tol):
     return t, f(t)
 
 
-def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_tol):
-    """Entanglement events along one trajectory.
+def events_kernel(traj, taus, refine_tol):
+    """Entanglement events along one prepared trajectory.
 
     Returns (death_time, birth_time, revival, enhancement, max_C, max_time,
     revival_amplitude); missing times are NaN, flags are 0/1. Threshold
@@ -393,7 +393,6 @@ def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_t
     remain invisible. revival_amplitude is the largest concurrence after
     the first death, 0 when there is no death.
     """
-    traj = PreparedTrajectory(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0)
     conc = functools.partial(_conc_at, traj)
     n = taus.size
     C = np.empty(n)
@@ -448,19 +447,3 @@ def events_kernel(A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0, taus, refine_t
     revival = 1 if (not np.isnan(death)) and (not np.isnan(birth)) and birth > death else 0
     enhancement = 1 if max_c > C[0] + EPS_ENH else 0
     return death, birth, revival, enhancement, max_c, max_t, rev_amp
-
-
-def events_cells_kernel(a_vals, L_vals, p0s, reAS0s, imAS0s, reGE0s, imGE0s,
-                        d1, d2, thermal, order21, taus, refine_tol):
-    """Event detection over a list of cells for one bath mode.
-
-    Arrays are indexed by cell; the output row layout is
-    (death, birth, revival, enhancement, max_C, max_time, revival_amplitude).
-    """
-    n = a_vals.size
-    out = np.empty((n, 7))
-    for k in range(n):
-        A1, B1, A2, B2 = assemble_kernel(a_vals[k], L_vals[k], d1, d2, thermal, order21)
-        out[k] = events_kernel(A1, B1, A2, B2, p0s[k], reAS0s[k], imAS0s[k],
-                               reGE0s[k], imGE0s[k], taus, refine_tol)
-    return out

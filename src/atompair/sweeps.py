@@ -1,23 +1,21 @@
 """Parameter sweeps: concurrence curves, evolution maxima, region maps.
 
 A SweepSpec fixes the physics of a panel (initial state, polarisations,
-bath modes) and the grid axes; the run_* functions evaluate every grid cell
-for every requested bath mode. Cells are independent work items evaluated
-in a deterministic order; with ``threads > 1`` they are distributed over a
-thread pool, and results are keyed by cell index, so outputs are
-bit-identical for any thread count. The kernels are plain Python and hold
-the GIL for most of their time, so extra threads give little or no speedup.
+bath modes) and the grid axes. Every run_* function goes through one
+serial loop, ``_trajectories``, that prepares the exact trajectory of each
+(cell, bath mode) in turn; curves sample it on the tau axis, event runs
+scan it on the horizon grid. Cells run one at a time in a fixed order, so
+outputs are bit-identical from run to run.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .coefficients import BathKind, DipoleOrientation
-from .dynamics import XState, catalogue_state
+from .coefficients import BathKind, CoefficientSet, DipoleOrientation
+from .dynamics import XState, catalogue_state, prepare
 from .entanglement import EntanglementEvents, concurrence_x
 from .errors import DomainError
 
@@ -144,16 +142,22 @@ def _require_axis(spec, name, minimum=2):
     return values
 
 
-def _chunks(n, threads):
-    size = max(1, -(-n // max(1, threads * 4)))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _trajectories(spec, cells):
+    """Yield (cell index, mode index, prepared trajectory), modes innermost.
 
-
-def _run_ordered(worker, jobs, threads):
-    if threads <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+    Every cell carries every non-time axis, single-valued ones included.
+    """
+    _require_axis(spec, "a_over_omega", 1)
+    _require_axis(spec, "omega_L", 1)
+    d1 = spec.dipole1.as_array()
+    d2 = spec.dipole2.as_array()
+    for ci, cell in enumerate(cells):
+        initial = spec.resolve_initial(cell)
+        for mi, mode in enumerate(spec.bath_modes):
+            coeffs = CoefficientSet(*kernels.assemble_kernel(
+                cell["a_over_omega"], cell["omega_L"], d1, d2,
+                mode is BathKind.THERMAL_AT_UNRUH, spec.atom_order == 21))
+            yield ci, mi, prepare(initial, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,53 +173,18 @@ class CurveResult:
     populations: np.ndarray        # (ncells, nmodes, ntimes, 4)
 
 
-def run_curve(spec: SweepSpec, threads: int = 1) -> CurveResult:
+def run_curve(spec: SweepSpec) -> CurveResult:
     """Concurrence and populations on the tau axis for every cell and mode."""
     if "curve" not in spec.outputs:
         raise DomainError("spec.outputs does not request a curve")
     taus = _require_axis(spec, "tau")
     cells = spec.cells()
-    modes = spec.bath_modes
-    nc, nm, nt = len(cells), len(modes), taus.size
-    a_vals, L_vals, p0s, reAS, imAS, reGE, imGE = _cell_inputs(spec, cells)
-    conc = np.empty((nc, nm, nt))
-    pops = np.empty((nc, nm, nt, 4))
-    d1 = spec.dipole1.as_array()
-    d2 = spec.dipole2.as_array()
-
-    def worker(job):
-        ci, mi = job
-        thermal = modes[mi] is BathKind.THERMAL_AT_UNRUH
-        A1, B1, A2, B2 = kernels.assemble_kernel(
-            a_vals[ci], L_vals[ci], d1, d2, thermal, spec.atom_order == 21)
-        p, C, _ = kernels.trajectory_kernel(
-            A1, B1, A2, B2, p0s[ci], reAS[ci], imAS[ci], reGE[ci], imGE[ci], taus)
-        return ci, mi, p, C
-
-    jobs = [(ci, mi) for ci in range(nc) for mi in range(nm)]
-    for ci, mi, p, C in _run_ordered(worker, jobs, threads):
-        conc[ci, mi] = C
-        pops[ci, mi] = p
-    return CurveResult(spec=spec, times=taus, cells=tuple(cells), modes=modes,
-                       concurrence=conc, populations=pops)
-
-
-def _cell_inputs(spec, cells):
-    """Per-cell kernel inputs: (a, L, p0, reAS, imAS, reGE, imGE) arrays.
-
-    Every cell carries every non-time axis, single-valued ones included.
-    """
-    _require_axis(spec, "a_over_omega", 1)
-    _require_axis(spec, "omega_L", 1)
-    a_vals = np.array([cell["a_over_omega"] for cell in cells])
-    L_vals = np.array([cell["omega_L"] for cell in cells])
-    initials = [spec.resolve_initial(cell) for cell in cells]
-    p0s = np.array([initial.populations() for initial in initials])
-    reAS = np.array([initial.cAS.real for initial in initials])
-    imAS = np.array([initial.cAS.imag for initial in initials])
-    reGE = np.array([initial.cGE.real for initial in initials])
-    imGE = np.array([initial.cGE.imag for initial in initials])
-    return a_vals, L_vals, p0s, reAS, imAS, reGE, imGE
+    conc = np.empty((len(cells), len(spec.bath_modes), taus.size))
+    pops = np.empty(conc.shape + (4,))
+    for ci, mi, traj in _trajectories(spec, cells):
+        pops[ci, mi], conc[ci, mi] = kernels.trajectory_kernel(traj, taus)
+    return CurveResult(spec=spec, times=taus, cells=tuple(cells),
+                       modes=spec.bath_modes, concurrence=conc, populations=pops)
 
 
 # ---------------------------------------------------------------------------
@@ -233,57 +202,22 @@ class EventsResult:
         return EntanglementEvents.from_row(self.table[cell_index, mode_index])
 
 
-def run_events(spec: SweepSpec, threads: int = 1) -> EventsResult:
-    """Entanglement events for every cell and mode on the horizon grid."""
-    cells = spec.cells()
-    modes = spec.bath_modes
-    taus = spec.horizon_grid()
-    nc, nm = len(cells), len(modes)
+def run_events(spec: SweepSpec) -> EventsResult:
+    """Entanglement events for every cell and mode on the horizon grid.
 
-    a_vals, L_vals, p0s, reAS, imAS, reGE, imGE = _cell_inputs(spec, cells)
-    table = np.empty((nc, nm, 7))
-    d1 = spec.dipole1.as_array()
-    d2 = spec.dipole2.as_array()
-
-    def worker(job):
-        mi, lo, hi = job
-        thermal = modes[mi] is BathKind.THERMAL_AT_UNRUH
-        out = kernels.events_cells_kernel(
-            a_vals[lo:hi], L_vals[lo:hi], p0s[lo:hi],
-            reAS[lo:hi], imAS[lo:hi], reGE[lo:hi], imGE[lo:hi],
-            d1, d2, thermal, spec.atom_order == 21, taus, spec.refine_tol)
-        return mi, lo, hi, out
-
-    jobs = [(mi, lo, hi) for mi in range(nm) for lo, hi in _chunks(nc, threads)]
-    for mi, lo, hi, out in _run_ordered(worker, jobs, threads):
-        table[lo:hi, mi, :] = out
-    return EventsResult(spec=spec, cells=tuple(cells), modes=modes, table=table)
-
-
-@dataclass(frozen=True)
-class MaxConcurrenceResult:
-    spec: SweepSpec
-    cells: tuple
-    modes: tuple
-    max_concurrence: np.ndarray   # (ncells, nmodes)
-    max_time: np.ndarray          # (ncells, nmodes)
-
-
-def run_max_concurrence(spec: SweepSpec, threads: int = 1) -> MaxConcurrenceResult:
-    """Maximum concurrence over the evolution, per cell and mode.
-
-    The sampled maximum is refined by golden section around the best
-    sample, to ``refine_tol`` in scaled time; multi-bump trajectories are
-    assumed to be sampled finely enough for the best sample to sit on the
-    winning bump.
+    Table columns 4 and 5 are the maximum concurrence over the evolution
+    and its time: the sampled maximum refined by golden section around the
+    best sample, to ``refine_tol`` in scaled time. Multi-bump trajectories
+    are assumed to be sampled finely enough for the best sample to sit on
+    the winning bump.
     """
-    if "max_concurrence" not in spec.outputs:
-        raise DomainError("spec.outputs does not request max_concurrence")
-    result = run_events(spec, threads=threads)
-    return MaxConcurrenceResult(
-        spec=spec, cells=result.cells, modes=result.modes,
-        max_concurrence=result.table[:, :, 4].copy(),
-        max_time=result.table[:, :, 5].copy())
+    cells = spec.cells()
+    taus = spec.horizon_grid()
+    table = np.empty((len(cells), len(spec.bath_modes), 7))
+    for ci, mi, traj in _trajectories(spec, cells):
+        table[ci, mi] = kernels.events_kernel(traj, taus, spec.refine_tol)
+    return EventsResult(spec=spec, cells=tuple(cells), modes=spec.bath_modes,
+                        table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +257,7 @@ class RegionMap:
         return flipped
 
 
-def run_region_map(spec: SweepSpec, threads: int = 1) -> RegionMap:
+def run_region_map(spec: SweepSpec) -> RegionMap:
     """Classify every (a, L) cell by which bath modes show the event.
 
     A revival counts when the detector flags it and the post-death
@@ -340,7 +274,7 @@ def run_region_map(spec: SweepSpec, threads: int = 1) -> RegionMap:
         raise DomainError("region maps need both bath modes")
     a_values = _require_axis(spec, "a_over_omega")
     L_values = _require_axis(spec, "omega_L")
-    result = run_events(spec, threads=threads)
+    result = run_events(spec)
     ai = result.spec.bath_modes.index(BathKind.ACCELERATED_VACUUM)
     ti = result.spec.bath_modes.index(BathKind.THERMAL_AT_UNRUH)
     floor = spec.region_min_amplitude

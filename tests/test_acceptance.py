@@ -13,7 +13,7 @@ import atompair as ap
 from atompair import BathKind, XState, catalogue_state
 from atompair.cli import main as cli_main
 from atompair.config import load_preset, parse_config
-from atompair.sweeps import run_curve, run_events, run_max_concurrence, run_region_map
+from atompair.sweeps import run_curve, run_events, run_region_map
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
@@ -148,7 +148,7 @@ def test_criterion_6_concurrence_oracle(rng):
 
 def _curves(preset_name):
     cfg = load_preset(preset_name)
-    return {label: (spec, run_curve(spec, threads=2))
+    return {label: (spec, run_curve(spec))
             for label, spec in cfg.sweep_specs("evolve")}
 
 
@@ -197,7 +197,7 @@ def test_criterion_7_fig2():
 def test_criterion_7_fig3():
     cfg = load_preset("fig3")
     for label, spec in cfg.sweep_specs("evolve"):
-        result = run_events(spec, threads=2)
+        result = run_events(spec)
         cell = next(ci for ci, c in enumerate(result.cells)
                     if c["a_over_omega"] == pytest.approx(1.4))
         ev = _events_by_mode(spec, result, cell)
@@ -221,11 +221,11 @@ def test_criterion_7_fig4():
     for label, spec in cfg.sweep_specs("sweep"):
         if not label.endswith("yy"):
             continue
-        result = run_max_concurrence(spec, threads=2)
+        result = run_events(spec)
         ai = result.modes.index(AV)
         ti = result.modes.index(TH)
-        acc_intervals = _entangled_intervals(result.max_concurrence[:, ai])
-        th_intervals = _entangled_intervals(result.max_concurrence[:, ti])
+        acc_intervals = _entangled_intervals(result.table[:, ai, 4])
+        th_intervals = _entangled_intervals(result.table[:, ti, 4])
         assert th_intervals >= 2, "static bath should show a dark interval"
         assert acc_intervals == 1, "accelerated pair should not"
     _ok("7/fig4", "y-polarized static bath at a/omega=2/3 shows a dark "
@@ -236,12 +236,12 @@ def test_criterion_7_fig6():
     cfg = load_preset("fig6")
     nonmonotone = []
     for label, spec in cfg.sweep_specs("sweep"):
-        result = run_max_concurrence(spec, threads=2)
+        result = run_events(spec)
         ai = result.modes.index(AV)
         ti = result.modes.index(TH)
-        th = result.max_concurrence[:, ti]
+        th = result.table[:, ti, 4]
         assert np.all(np.diff(th) <= 1e-12), f"static max-C must be monotone ({label})"
-        acc = result.max_concurrence[:, ai]
+        acc = result.table[:, ai, 4]
         nonmonotone.append(bool(np.any(np.diff(acc) > 1e-6)))
     assert any(nonmonotone)
     _ok("7/fig6", "at omega L=1/2 the static maximum falls monotonically with "
@@ -256,7 +256,7 @@ def test_criterion_7_fig7_fig8():
                                      "psi1-0.75": ("none", "none")})):
         cfg = load_preset(preset)
         for label, spec in cfg.sweep_specs("evolve"):
-            result = run_events(spec, threads=2)
+            result = run_events(spec)
             ev = _events_by_mode(spec, result, 0)
             key = label.rsplit("_", 1)[0]
             want_acc, want_th = expect[key]
@@ -271,7 +271,7 @@ def test_criterion_7_fig7_fig8():
 def test_criterion_7_fig9():
     cfg = load_preset("fig9")
     for label, spec in cfg.sweep_specs("evolve"):
-        result = run_events(spec, threads=2)
+        result = run_events(spec)
         ev = _events_by_mode(spec, result, 0)
         if label.endswith("zx"):
             assert ev[AV].revival, label
@@ -287,7 +287,7 @@ def test_criterion_7_region_maps():
     for preset in ("fig10", "fig11", "fig12"):
         cfg = downsampled(preset, 80)
         (label, spec), = cfg.sweep_specs("region")
-        maps[preset] = run_region_map(spec, threads=2).counts()
+        maps[preset] = run_region_map(spec).counts()
     for preset in ("fig10", "fig11"):
         counts = maps[preset]
         assert counts["accelerated-only"] == 0, (preset, counts)

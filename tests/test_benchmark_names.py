@@ -1,0 +1,33 @@
+"""The traced benchmark finds its layers by function name.
+
+``perfbench/tracer.py`` wraps package functions by module and name; a
+function it needs that is renamed or deleted turns the per-layer metrics
+built on it "unmeasured" without failing anything. This test fails instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_layer_functions_resolve():
+    tracer = _load_tracer()
+    modules = {}
+    for _layer, module_name, func_name in tracer.LAYER_TABLE:
+        modules.setdefault(func_name, []).append(module_name)
+    needed = sorted({func for funcs in tracer.NEEDS.values() for func in funcs})
+    missing = [func for func in needed
+               if not any(hasattr(importlib.import_module(name), func)
+                          for name in modules.get(func, []))]
+    assert not missing, f"functions the traced benchmark needs are gone: {missing}"
+    # the cond metrics compare against the expm threshold
+    assert isinstance(importlib.import_module("atompair.kernels").COND_LIMIT, float)

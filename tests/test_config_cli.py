@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ def test_physical_validation(tmp_path):
     bad = dict(MINIMAL, bath_modes=["accelerated", "accelerated"])
     with pytest.raises(ConfigError, match="duplicate"):
         load_config(write_config(tmp_path, bad))
+    # non-finite numbers are rejected where they are read, naming the key
+    nan, inf = float("nan"), float("inf")
+    for key, bad in (
+            ("fixed.a_over_omega", dict(MINIMAL, fixed={"a_over_omega": nan, "omega_L": 1.0})),
+            ("fixed.omega_L", dict(MINIMAL, fixed={"a_over_omega": 1.0, "omega_L": inf})),
+            ("horizon.tau_max", dict(MINIMAL, horizon={"tau_max": inf})),
+            ("events.min_amplitude", dict(MINIMAL, events={"min_amplitude": nan}))):
+        with pytest.raises(ConfigError, match=re.escape(key) + ": must be finite"):
+            load_config(write_config(tmp_path, bad))
+    # initial_states must be a list, as polarizations must
+    for entry in (5, "SA"):
+        with pytest.raises(ConfigError, match="initial_states: expected a list"):
+            load_config(write_config(tmp_path, dict(MINIMAL, initial_states=entry)))
 
 
 def test_axis_must_be_fixed_or_grid(tmp_path):
@@ -206,14 +220,14 @@ def test_cli_sweep_output(tmp_path):
 
 def test_cli_sweep_runs_events_once(tmp_path, monkeypatch):
     from atompair import kernels
-    original = kernels.events_cells_kernel
+    original = kernels.events_kernel
     seen = []
 
-    def counting(a_vals, *args):
-        seen.append(a_vals.size)
-        return original(a_vals, *args)
+    def counting(*args):
+        seen.append(1)
+        return original(*args)
 
-    monkeypatch.setattr(kernels, "events_cells_kernel", counting)
+    monkeypatch.setattr(kernels, "events_kernel", counting)
     data = dict(MINIMAL, name="once", initial_states=["E"],
                 fixed={"a_over_omega": 0.6666666666666666},
                 grid={"omega_L": {"start": 0.5, "stop": 2.0, "num": 2}},
@@ -260,6 +274,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")
     assert run_cli(["evolve", "--config", cfg, "--out", blocker / "sub"]) == 4
+    # a config that is not UTF-8 text is a configuration error
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(yaml.safe_dump(dict(MINIMAL, title="café"),
+                                      allow_unicode=True).encode("latin-1"))
+    assert run_cli(["evolve", "--config", latin1, "--out", tmp_path / "o"]) == 2
+    # a config error leaves no output directory behind, for every command
+    for command, data in (("evolve", dict(MINIMAL, grid={})),
+                          ("sweep", MINIMAL), ("region", MINIMAL)):
+        cfg = write_config(tmp_path, data, f"{command}.yaml")
+        out = tmp_path / f"never_{command}"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
     capsys.readouterr()
 
 
@@ -267,7 +293,7 @@ def test_cli_computation_exit_code(tmp_path, monkeypatch):
     import atompair.cli as cli_mod
     from atompair.errors import ComputationError
 
-    def boom(config, out_dir, threads):
+    def boom(config, out_dir):
         raise ComputationError("synthetic failure")
 
     monkeypatch.setitem(cli_mod._HANDLERS, "evolve", boom)

@@ -3,7 +3,7 @@ import pytest
 
 from atompair import BathKind, DomainError, XState, catalogue_state, detect_events, compute_trajectory
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
-                             run_max_concurrence, run_region_map, time_grid)
+                             run_region_map, time_grid)
 from conftest import AXES
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
@@ -87,16 +87,6 @@ def test_run_curve_requires_tau_axis():
         run_curve(spec)
 
 
-def test_thread_count_does_not_change_results():
-    spec = region_spec(n=10)
-    one = run_region_map(spec, threads=1)
-    four = run_region_map(spec, threads=4)
-    assert np.array_equal(one.labels, four.labels)
-    ev1 = run_events(spec, threads=1).table
-    ev3 = run_events(spec, threads=3).table
-    assert np.array_equal(ev1, ev3, equal_nan=True)
-
-
 def test_repeated_runs_identical():
     spec = make_spec(axes=(("a_over_omega", (0.6,)), ("omega_L", (0.9,)),
                            ("tau", tuple(time_grid(10.0, 50)))))
@@ -112,11 +102,11 @@ def test_p_axis_resolves_family():
         axes=(("a_over_omega", (0.6666666666666666,)), ("omega_L", (1.0,)),
               ("p", (0.2, 0.8))),
         outputs=("max_concurrence",))
-    result = run_max_concurrence(spec)
+    result = run_events(spec)
     assert len(result.cells) == 2
     assert result.cells[0]["p"] == 0.2
     # both weights start at concurrence 0.8 and can only lose entanglement
-    assert result.max_concurrence[0, 0] == pytest.approx(0.8, abs=1e-9)
+    assert result.table[0, 0, 4] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_run_events_matches_detect_events():
@@ -137,7 +127,7 @@ def _coeffs_for(spec, mode, a, L):
 
 
 def test_region_map_labels_and_counts():
-    m = run_region_map(region_spec(n=16), threads=2)
+    m = run_region_map(region_spec(n=16))
     counts = m.counts()
     assert sum(counts.values()) == 16 * 16
     assert set(counts) == set(LABEL_NAMES)
@@ -171,8 +161,8 @@ def test_region_cells_agree_with_single_mode_runs():
 
 def test_refinement_reports_boundary_cells_only():
     # fine grid holds 2n-1 points on the same ranges, so fine[2i] == coarse[i]
-    coarse = run_region_map(region_spec(n=15, astart=0.2, Lstart=0.33), threads=2)
-    fine = run_region_map(region_spec(n=29, astart=0.2, Lstart=0.33), threads=2)
+    coarse = run_region_map(region_spec(n=15, astart=0.2, Lstart=0.33))
+    fine = run_region_map(region_spec(n=29, astart=0.2, Lstart=0.33))
     assert np.allclose(fine.a_values[::2], coarse.a_values)
     flipped = coarse.refinement_boundary_cells(fine)
     interior = (15 - 2) * (15 - 2)
