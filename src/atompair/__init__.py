@@ -9,15 +9,14 @@ temperature.
 """
 
 from .coefficients import (BathKind, CoefficientSet, DipoleOrientation,
-                           SystemParams, assemble, coth_stable)
-from .dynamics import (XState, asymptotic_state, basis_transform,
-                       build_generator, catalogue_state, evolve)
+                           SystemParams, assemble)
+from .dynamics import (XState, asymptotic_state, build_generator,
+                       catalogue_state, evolve)
 from .entanglement import (EntanglementEvents, Trajectory, compute_trajectory,
                            concurrence_wootters, concurrence_x, detect_events)
 from .errors import (AtompairError, ComputationError, ConfigError,
                      DegenerateGeneratorError, DomainError, InvalidStateError,
                      NonConvergenceError)
-from .spectral import f11, f12_component, f12_thermal_component, fourier_oracle
 
 __version__ = "0.1.0"
 
@@ -32,9 +31,7 @@ __all__ = [
     "ConfigError", "DegenerateGeneratorError", "DipoleOrientation",
     "DomainError", "EntanglementEvents", "InvalidStateError",
     "NonConvergenceError", "SystemParams", "Trajectory", "XState",
-    "assemble", "asymptotic_state", "backend_name", "basis_transform",
-    "build_generator", "catalogue_state", "compute_trajectory",
-    "concurrence_wootters", "concurrence_x", "coth_stable", "detect_events",
-    "evolve", "f11", "f12_component", "f12_thermal_component",
-    "fourier_oracle", "__version__",
+    "assemble", "asymptotic_state", "backend_name", "build_generator",
+    "catalogue_state", "compute_trajectory", "concurrence_wootters",
+    "concurrence_x", "detect_events", "evolve", "__version__",
 ]

@@ -75,15 +75,6 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_table(path):
-    """Reparse an emitted CSV into (columns, list of row-lists of strings)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.rstrip("\n").split("\n")
-    columns = lines[0].split(",")
-    return columns, [line.split(",") for line in lines[1:]]
-
-
 def _events_payload(spec, result):
     cells = []
     for ci, cell in enumerate(result.cells):
@@ -140,12 +131,11 @@ def cmd_coeffs(config: RunConfig, out_dir):
     print("  ".join(c.rjust(widths[k]) for k, c in enumerate(columns)))
     for row in pretty:
         print("  ".join(v.rjust(widths[k]) for k, v in enumerate(row)))
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"{config.name}_coeffs.csv"
-        digest = _write_text(csv_path, _csv(columns, rows))
-        _write_meta(out_dir / f"{config.name}_coeffs.meta.json",
-                    _meta(config, "coeffs", "", {csv_path.name: digest}, columns))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{config.name}_coeffs.csv"
+    digest = _write_text(csv_path, _csv(columns, rows))
+    _write_meta(out_dir / f"{config.name}_coeffs.meta.json",
+                _meta(config, "coeffs", "", {csv_path.name: digest}, columns))
     return EXIT_OK
 
 
@@ -178,7 +168,7 @@ def cmd_evolve(config: RunConfig, out_dir):
         files = {}
         csv_path = out_dir / f"{config.name}_{panel}.csv"
         files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
-        if "events" in spec.outputs:
+        if "events" in config.outputs:
             _write_events(out_dir / f"{config.name}_{panel}.events.json",
                           spec, run_events(spec), files)
         _write_meta(out_dir / f"{config.name}_{panel}.meta.json",
@@ -207,7 +197,7 @@ def cmd_sweep(config: RunConfig, out_dir):
         files = {}
         csv_path = out_dir / f"{config.name}_{panel}.csv"
         files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
-        if "events" in spec.outputs:
+        if "events" in config.outputs:
             _write_events(out_dir / f"{config.name}_{panel}.events.json",
                           spec, events, files)
         _write_meta(out_dir / f"{config.name}_{panel}.meta.json",

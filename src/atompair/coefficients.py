@@ -9,7 +9,6 @@ fixed at 1, so inputs are the dimensionless ratios a/omega and omega*L.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +60,16 @@ class DipoleOrientation:
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (3,):
             raise DomainError("dipole orientation needs exactly 3 components")
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
+        # divide by the largest component first, so that |d|^2 neither
+        # overflows nor underflows
+        scale = float(np.abs(arr).max())
+        if scale == 0.0:
             raise DomainError("cannot normalise a zero dipole vector")
-        return cls(tuple(arr / norm))
+        arr = arr / scale
+        return cls(tuple(arr / float(np.linalg.norm(arr))))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.components)
-
-    @property
-    def label(self) -> str:
-        for name, vec in _AXIS_VECTORS.items():
-            if all(abs(a - b) < 1e-15 for a, b in zip(self.components, vec)):
-                return name
-        return "({:g},{:g},{:g})".format(*self.components)
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,6 @@ class CoefficientSet:
         if not (self.A1 >= self.B1 > 0.0):
             raise DomainError(
                 f"coefficient ordering A1 >= B1 > 0 violated: A1={self.A1}, B1={self.B1}")
-
-
-def coth_stable(x: float) -> float:
-    """Overflow-free coth for x > 0 (asymptotic and small-x branches)."""
-    if not (x > 0.0) or math.isnan(x):
-        raise DomainError(f"coth_stable needs x > 0, got {x}")
-    return kernels.coth_kernel(x)
 
 
 def assemble(params: SystemParams, atom_order: int = 12) -> CoefficientSet:

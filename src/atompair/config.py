@@ -66,7 +66,7 @@ def _fail(source, path, message):
 def _expect_mapping(source, path, value, allowed):
     if not isinstance(value, dict):
         _fail(source, path, f"expected a mapping, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(allowed))
+    unknown = sorted(set(value) - set(allowed), key=str)  # YAML keys may mix types
     if unknown:
         _fail(source, path, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
     return value
@@ -75,9 +75,13 @@ def _expect_mapping(source, path, value, allowed):
 def _expect_number(source, path, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(source, path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         _fail(source, path, f"must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _expect_int(source, path, value, minimum):
@@ -161,7 +165,6 @@ class RunConfig:
                 dipole1=d1, dipole2=d2,
                 bath_modes=self.bath_modes,
                 axes=tuple(axes),
-                outputs=self.outputs,
                 atom_order=self.atom_order,
                 event_kind=self.event_kind,
                 horizon_tau=self.horizon_tau,
@@ -240,8 +243,7 @@ def _parse_dipole(source, path, entry):
         return DipoleOrientation.from_axis(entry), entry
     if isinstance(entry, (list, tuple)) and len(entry) == 3:
         vec = [_expect_number(source, f"{path}[{k}]", v) for k, v in enumerate(entry)]
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
+        if all(v == 0.0 for v in vec):
             _fail(source, path, "zero dipole vector")
         return DipoleOrientation.normalized(vec), "v"
     _fail(source, path, f"expected an axis letter or a 3-vector, got {entry!r}")
@@ -331,7 +333,7 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         _fail(source, "bath_modes", "must be a nonempty list")
     modes = []
     for k, entry in enumerate(mode_names):
-        kind = _MODE_BY_NAME.get(entry)
+        kind = _MODE_BY_NAME.get(entry) if isinstance(entry, str) else None
         if kind is None:
             _fail(source, f"bath_modes[{k}]",
                   f"must be one of {sorted(_MODE_BY_NAME)}, got {entry!r}")

@@ -189,22 +189,3 @@ def asymptotic_state(coeffs: CoefficientSet) -> XState:
                 f"closed form {closed}")
     return XState(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
-
-def basis_transform(state: XState) -> np.ndarray:
-    """Density matrix in the product basis {|00>, |01>, |10>, |11>}.
-
-    The result is an X-form matrix by construction: the coupled basis mixes
-    only the middle block. Used for positivity checks and as input to the
-    spin-flip concurrence oracle.
-    """
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = state.pGG
-    rho[3, 3] = state.pEE
-    rho[0, 3] = state.cGE
-    rho[3, 0] = np.conj(state.cGE)
-    half = 0.5 * (state.pAA + state.pSS)
-    rho[1, 1] = half - state.cAS.real
-    rho[2, 2] = half + state.cAS.real
-    rho[1, 2] = 0.5 * (state.pSS - state.pAA) - 1j * state.cAS.imag
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho

@@ -16,8 +16,6 @@ from .coefficients import CoefficientSet
 from .dynamics import XState, prepare, warn_on_fallback
 from .errors import DomainError, InvalidStateError
 
-EPS_DEAD = kernels.EPS_DEAD
-EPS_ENH = kernels.EPS_ENH
 DEFAULT_REFINE_TOL = 1e-6
 
 
@@ -127,12 +125,12 @@ def detect_events(traj: Trajectory,
                   refine_tol: float = DEFAULT_REFINE_TOL) -> EntanglementEvents:
     """Scan a trajectory for death/birth/revival/enhancement.
 
-    death_time is the first crossing below EPS_DEAD from above, birth_time
-    the first crossing above it from below; revival needs a death followed
-    by a later birth; enhancement means the refined maximum exceeds the
-    initial concurrence by more than EPS_ENH. Crossings are refined by
-    bisection on the exact propagator, the maximum by golden section, both
-    to ``refine_tol`` in scaled time.
+    death_time is the first crossing below kernels.EPS_DEAD from above,
+    birth_time the first crossing above it from below; revival needs a
+    death followed by a later birth; enhancement means the refined maximum
+    exceeds the initial concurrence by more than kernels.EPS_ENH.
+    Crossings are refined by bisection on the exact propagator, the
+    maximum by golden section, both to ``refine_tol`` in scaled time.
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")

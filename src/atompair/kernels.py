@@ -1,8 +1,9 @@
 """Hot numerical kernels.
 
-Scalar numpy/Python code for one cell or one trajectory at a time. Input
-validation lives in the public wrappers (:mod:`atompair.spectral`,
-:mod:`atompair.coefficients`, ...), not here.
+Scalar numpy/Python code for one cell or one trajectory at a time. The
+kernels do not validate their arguments: the config parser and the public
+dataclasses (:mod:`atompair.config`, :mod:`atompair.coefficients`,
+:mod:`atompair.sweeps`) check every input before it reaches them.
 
 Units: the atomic transition frequency is fixed at 1, so ``a`` means a/omega
 and ``L`` means omega*L. Rates are expressed in units of the spontaneous
@@ -28,6 +29,14 @@ _INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
 # ---------------------------------------------------------------------------
 # elementary pieces
+#
+# The Fourier transforms of the vacuum field correlations along the pair of
+# uniformly accelerated worldlines have the form
+# (lam^3 / 3 pi) * Planck-factor * f(lam, a, L); the kernels below evaluate
+# the dimensionless shape factors f. The same-trajectory factor f11 is
+# isotropic; the cross-trajectory factor f12 carries the tensor structure
+# over the Cartesian axes (1 = direction of motion, 3 = separation axis).
+# The static-bath shapes are the a -> 0 limits of the accelerated ones.
 
 def coth_kernel(x):
     # caller guarantees x > 0

@@ -20,7 +20,6 @@ from .entanglement import EntanglementEvents, concurrence_x
 from .errors import DomainError
 
 AXIS_NAMES = ("a_over_omega", "omega_L", "p", "tau")
-OUTPUT_KINDS = ("curve", "events", "max_concurrence", "region")
 LABEL_NAMES = ("neither", "accelerated-only", "thermal-only", "both")
 
 DEFAULT_HORIZON_TAU = 50.0
@@ -56,7 +55,6 @@ class SweepSpec:
     dipole2: DipoleOrientation
     bath_modes: tuple
     axes: tuple              # ((name, (values...)), ...)
-    outputs: tuple
     atom_order: int = 12
     event_kind: str = "revival"
     horizon_tau: float = DEFAULT_HORIZON_TAU
@@ -99,9 +97,6 @@ class SweepSpec:
             else:
                 if np.any(arr < 0.0):
                     raise DomainError("a_over_omega grid must be >= 0")
-        for kind in self.outputs:
-            if kind not in OUTPUT_KINDS:
-                raise DomainError(f"unknown output kind {kind!r}")
         has_p_axis = any(name == "p" for name, _ in self.axes)
         if has_p_axis:
             if self.initial_label not in ("psi1", "psi2"):
@@ -175,8 +170,6 @@ class CurveResult:
 
 def run_curve(spec: SweepSpec) -> CurveResult:
     """Concurrence and populations on the tau axis for every cell and mode."""
-    if "curve" not in spec.outputs:
-        raise DomainError("spec.outputs does not request a curve")
     taus = _require_axis(spec, "tau")
     cells = spec.cells()
     conc = np.empty((len(cells), len(spec.bath_modes), taus.size))
@@ -239,23 +232,6 @@ class RegionMap:
         return {name: int((self.labels == code).sum())
                 for code, name in enumerate(LABEL_NAMES)}
 
-    def refinement_boundary_cells(self, fine: "RegionMap") -> list:
-        """Coarse cells flipped under grid doubling despite a uniform
-        neighbourhood; these localise the region boundary, they are not
-        errors. ``fine`` must hold 2n-1 points per axis on the same range."""
-        na, nL = self.labels.shape
-        if fine.labels.shape != (2 * na - 1, 2 * nL - 1):
-            raise DomainError("fine map must have 2n-1 points per axis")
-        flipped = []
-        for i in range(1, na - 1):
-            for j in range(1, nL - 1):
-                lab = self.labels[i, j]
-                if (self.labels[i - 1, j] == lab and self.labels[i + 1, j] == lab
-                        and self.labels[i, j - 1] == lab and self.labels[i, j + 1] == lab):
-                    if fine.labels[2 * i, 2 * j] != lab:
-                        flipped.append((i, j))
-        return flipped
-
 
 def run_region_map(spec: SweepSpec) -> RegionMap:
     """Classify every (a, L) cell by which bath modes show the event.
@@ -266,8 +242,6 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     margin. This keeps the map at the scale of visible features instead of
     the detector's roundoff-level threshold.
     """
-    if "region" not in spec.outputs:
-        raise DomainError("spec.outputs does not request a region map")
     modes = spec.bath_modes
     if (BathKind.ACCELERATED_VACUUM not in modes
             or BathKind.THERMAL_AT_UNRUH not in modes):

@@ -1,27 +1,28 @@
-"""Modulating functions of the field-correlation spectra.
+"""Independent oracles and helpers that only the test suite uses.
 
-The two-point correlations of the vacuum electric field along the pair of
-uniformly accelerated worldlines have Fourier transforms of the form
-(lam^3 / 3 pi) * Planck-factor * f(lam, a, L); this module evaluates the
-dimensionless shape factors f. The same-trajectory factor ``f11`` is
-isotropic; the cross-trajectory factor ``f12_component`` carries the
-tensor structure over the Cartesian axes (1 = direction of motion,
-3 = separation axis). ``f12_thermal_component`` gives the a -> 0 shapes,
-which coincide with those of a static pair in a thermal bath.
+None of this is on the production path, and the package does not import
+it:
 
-``fourier_oracle`` recomputes any component by direct numerical Fourier
-transform of the proper-time correlation functions and is used by the test
-suite to cross-check every closed form; it is not on the production path.
+- ``fourier_oracle`` recomputes any field-correlation shape factor by
+  direct numerical Fourier transform of the proper-time Wightman functions
+  (``_correlation``), so every closed form in ``atompair.kernels`` is
+  checked against an independent derivation;
+- ``basis_transform`` expands an X state into the full 4x4 density matrix
+  in the product basis, the input of the spin-flip concurrence oracle
+  ``atompair.concurrence_wootters`` and of the positivity checks;
+- ``refinement_boundary_cells`` compares a coarse region map with its
+  grid-doubled refinement;
+- ``read_table`` reparses the CSV tables the CLI writes.
 
-All arguments are dimensionless: lam and a in units of the transition
+Arguments are dimensionless: lam and a in units of the transition
 frequency, L in its inverse.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from . import kernels
-from .errors import DomainError, NonConvergenceError
+from atompair.dynamics import XState
+from atompair.errors import DomainError, NonConvergenceError
 
 _AXES = (1, 2, 3)
 
@@ -34,47 +35,9 @@ def _check_axes(i, j):
         raise DomainError(f"axis indices must be in {{1,2,3}}, got ({i}, {j})")
 
 
-def _check_positive(name, value, allow_zero=False):
-    if allow_zero:
-        if value < 0.0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
-    elif value <= 0.0:
+def _check_positive(name, value):
+    if value <= 0.0:
         raise DomainError(f"{name} must be > 0, got {value}")
-
-
-def f11(lam: float, a: float) -> float:
-    """Same-trajectory shape factor 1 + a^2/lam^2."""
-    _check_positive("lam", lam)
-    _check_positive("a", a, allow_zero=True)
-    return kernels.f11_kernel(lam, a)
-
-
-def f12_component(i: int, j: int, lam: float, a: float, L: float,
-                  atom_order: int = 12) -> float:
-    """Cross-trajectory shape factor, component (i, j).
-
-    Only (1,1), (2,2), (3,3), (1,3), (3,1) are nonzero; (3,1) is minus
-    (1,3). ``atom_order=21`` selects the swapped pair, which flips the sign
-    of the (1,3)/(3,1) components once more. Below a < 1e-4 the static
-    shapes are used (the diagonals agree to O(a^2), the skew component is
-    itself O(a)); below lam*L < 3e-3 a series expansion replaces the
-    cancellation-prone closed form.
-    """
-    _check_axes(i, j)
-    _check_positive("lam", lam)
-    _check_positive("a", a, allow_zero=True)
-    _check_positive("L", L)
-    if atom_order not in (12, 21):
-        raise DomainError(f"atom_order must be 12 or 21, got {atom_order}")
-    return kernels.f12_kernel(i, j, lam, a, L, atom_order == 21)
-
-
-def f12_thermal_component(i: int, j: int, lam: float, L: float) -> float:
-    """Static-bath cross shape factor (the a -> 0 limit of f12_component)."""
-    _check_axes(i, j)
-    _check_positive("lam", lam)
-    _check_positive("L", L)
-    return kernels.f12_thermal_kernel(i, j, lam, L)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +91,7 @@ def fourier_oracle(i: int, j: int, lam: float, a: float, L: float = 1.0,
     dropped to a depth c where the kernels are smooth (the vertical legs
     are purely imaginary by symmetry and cancel from the real part). The
     Planck-factor normalisation is divided out, so the result compares
-    directly with f11 / f12_component.
+    directly with f11_kernel / f12_kernel.
 
     Raises NonConvergenceError when the last two extrapolants differ by
     more than ``tol`` (relative, with an absolute floor of the same size).
@@ -174,3 +137,53 @@ def fourier_oracle(i: int, j: int, lam: float, a: float, L: float = 1.0,
         raise NonConvergenceError(
             f"oracle extrapolation did not stabilise: {reference} vs {result}")
     return result
+
+
+# ---------------------------------------------------------------------------
+# states, region maps, tables
+
+def basis_transform(state: XState) -> np.ndarray:
+    """Density matrix in the product basis {|00>, |01>, |10>, |11>}.
+
+    The result is an X-form matrix by construction: the coupled basis mixes
+    only the middle block. Used for positivity checks and as input to the
+    spin-flip concurrence oracle.
+    """
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = state.pGG
+    rho[3, 3] = state.pEE
+    rho[0, 3] = state.cGE
+    rho[3, 0] = np.conj(state.cGE)
+    half = 0.5 * (state.pAA + state.pSS)
+    rho[1, 1] = half - state.cAS.real
+    rho[2, 2] = half + state.cAS.real
+    rho[1, 2] = 0.5 * (state.pSS - state.pAA) - 1j * state.cAS.imag
+    rho[2, 1] = np.conj(rho[1, 2])
+    return rho
+
+
+def refinement_boundary_cells(coarse, fine) -> list:
+    """Coarse cells flipped under grid doubling despite a uniform
+    neighbourhood; these localise the region boundary, they are not
+    errors. ``fine`` must hold 2n-1 points per axis on the same range."""
+    na, nL = coarse.labels.shape
+    if fine.labels.shape != (2 * na - 1, 2 * nL - 1):
+        raise DomainError("fine map must have 2n-1 points per axis")
+    flipped = []
+    for i in range(1, na - 1):
+        for j in range(1, nL - 1):
+            lab = coarse.labels[i, j]
+            if (coarse.labels[i - 1, j] == lab and coarse.labels[i + 1, j] == lab
+                    and coarse.labels[i, j - 1] == lab and coarse.labels[i, j + 1] == lab):
+                if fine.labels[2 * i, 2 * j] != lab:
+                    flipped.append((i, j))
+    return flipped
+
+
+def read_table(path):
+    """Reparse an emitted CSV into (columns, list of row-lists of strings)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines = text.rstrip("\n").split("\n")
+    columns = lines[0].split(",")
+    return columns, [line.split(",") for line in lines[1:]]

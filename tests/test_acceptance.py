@@ -13,8 +13,10 @@ import atompair as ap
 from atompair import BathKind, XState, catalogue_state
 from atompair.cli import main as cli_main
 from atompair.config import load_preset, parse_config
+from atompair.kernels import f11_kernel, f12_kernel, f12_thermal_kernel
 from atompair.sweeps import run_curve, run_events, run_region_map
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
+from oracles import basis_transform, fourier_oracle
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 EPS_DEAD = 1e-12
@@ -42,14 +44,14 @@ def test_criterion_1_spectral_expansions():
     a = 1e-4
     for L in (0.3, 1.0, 3.0):
         for (i, j) in ((1, 1), (2, 2), (3, 3)):
-            diff = abs(ap.f12_component(i, j, 1.0, a, L)
-                       - ap.f12_thermal_component(i, j, 1.0, L))
+            diff = abs(f12_kernel(i, j, 1.0, a, L, False)
+                       - f12_thermal_kernel(i, j, 1.0, L))
             assert diff < 1e-6, (i, j, L, diff)
         # the skew pair vanishes at first order in the acceleration
         for (i, j) in ((1, 3), (3, 1)):
-            assert ap.f12_thermal_component(i, j, 1.0, L) == 0.0
-            v_a = ap.f12_component(i, j, 1.0, a, L)
-            v_2a = ap.f12_component(i, j, 1.0, 2.0 * a, L)
+            assert f12_thermal_kernel(i, j, 1.0, L) == 0.0
+            v_a = f12_kernel(i, j, 1.0, a, L, False)
+            v_2a = f12_kernel(i, j, 1.0, 2.0 * a, L, False)
             assert abs(v_a) < 3.0 * a * L
             assert v_2a / v_a == pytest.approx(2.0, rel=1e-3)
     _ok(1, "small-acceleration expansions match the static shapes "
@@ -63,12 +65,12 @@ def test_criterion_2_oracle_equivalence(rng):
         a = rng.uniform(0.2, 2.0)
         L = rng.uniform(0.2, 2.0)
         if k % 5 == 0:
-            got = ap.fourier_oracle(1, 1, lam, a, same_atom=True)
-            want = ap.f11(lam, a)
+            got = fourier_oracle(1, 1, lam, a, same_atom=True)
+            want = f11_kernel(lam, a)
         else:
             i, j = components[rng.integers(0, len(components))]
-            got = ap.fourier_oracle(i, j, lam, a, L)
-            want = ap.f12_component(i, j, lam, a, L)
+            got = fourier_oracle(i, j, lam, a, L)
+            want = f12_kernel(i, j, lam, a, L, False)
         assert abs(got - want) <= 1e-4 * max(abs(want), 1e-8), (lam, a, L)
     _ok(2, "20 random spectral points agree with the numeric Fourier "
            "transform oracle to 1e-4 relative")
@@ -113,7 +115,7 @@ def test_criterion_5_dynamics_invariants(rng):
         for tau in taus:
             out = ap.evolve(state, cs, float(tau))
             assert abs(out.trace - 1.0) < 1e-10
-            assert np.linalg.eigvalsh(ap.basis_transform(out)).min() >= -1e-9
+            assert np.linalg.eigvalsh(basis_transform(out)).min() >= -1e-9
     for _ in range(10):
         cs = random_coeffs(rng)
         state = random_xstate(rng)
@@ -137,7 +139,7 @@ def test_criterion_6_concurrence_oracle(rng):
     for _ in range(1000):
         state = random_xstate(rng)
         assert abs(ap.concurrence_x(state)
-                   - ap.concurrence_wootters(ap.basis_transform(state))) < 1e-10
+                   - ap.concurrence_wootters(basis_transform(state))) < 1e-10
     _ok(6, "closed-form X-state concurrence equals the spin-flip construction "
            "to 1e-10 on 1000 random states")
 

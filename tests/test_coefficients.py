@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from atompair import (BathKind, CoefficientSet, DipoleOrientation, DomainError,
-                      SystemParams, assemble, coth_stable, f11)
+                      SystemParams, assemble)
+from atompair.kernels import coth_kernel, f11_kernel
 from conftest import AXES, random_params
 
 
@@ -12,15 +13,9 @@ def make_params(a, L, d1="z", d2="z", bath=BathKind.ACCELERATED_VACUUM):
 
 
 def test_coth_stable_values():
-    assert coth_stable(20.0) == pytest.approx(1.0 + 2.0 * np.exp(-40.0), rel=1e-15)
-    assert coth_stable(1.0) == pytest.approx(1.3130352854993313, abs=1e-12)
-    assert coth_stable(1e-8) == pytest.approx(1e8, rel=1e-9)
-
-
-def test_coth_stable_domain():
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(DomainError):
-            coth_stable(bad)
+    assert coth_kernel(20.0) == pytest.approx(1.0 + 2.0 * np.exp(-40.0), rel=1e-15)
+    assert coth_kernel(1.0) == pytest.approx(1.3130352854993313, abs=1e-12)
+    assert coth_kernel(1e-8) == pytest.approx(1e8, rel=1e-9)
 
 
 def test_dipole_validation():
@@ -28,6 +23,14 @@ def test_dipole_validation():
         DipoleOrientation((1.0, 1.0, 0.0))
     d = DipoleOrientation.normalized([1.0, 1.0, 0.0])
     assert np.isclose(np.dot(d.as_array(), d.as_array()), 1.0, atol=1e-15)
+    # |d|^2 of these overflows or underflows unless the vector is scaled first
+    half = np.sqrt(0.5)
+    for vec, want in (([1e200, 1e200, 0.0], [half, half, 0.0]),
+                      ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                      ([1e-160, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                      ([0.0, -3e-170, 4e-170], [0.0, -0.6, 0.8])):
+        d = DipoleOrientation.normalized(vec)
+        assert np.allclose(d.as_array(), want, rtol=0.0, atol=1e-15), vec
     with pytest.raises(DomainError):
         DipoleOrientation.normalized([0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
@@ -75,8 +78,8 @@ def test_thermal_ratio_is_f11():
     for a in (0.3, 1.0, 2.5):
         acc = assemble(make_params(a, 1.2))
         th = assemble(make_params(a, 1.2, bath=BathKind.THERMAL_AT_UNRUH))
-        assert th.A1 == pytest.approx(acc.A1 / f11(1.0, a), rel=1e-13)
-        assert th.B1 == pytest.approx(acc.B1 / f11(1.0, a), rel=1e-13)
+        assert th.A1 == pytest.approx(acc.A1 / f11_kernel(1.0, a), rel=1e-13)
+        assert th.B1 == pytest.approx(acc.B1 / f11_kernel(1.0, a), rel=1e-13)
 
 
 def test_modes_converge_at_small_acceleration():

@@ -1,13 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import atompair
 from atompair import ConfigError
-from atompair.cli import main, read_table
+from atompair.cli import main
 from atompair.config import load_config, load_preset, parse_config, preset_names
+from oracles import read_table
 
 MINIMAL = {
     "name": "mini",
@@ -97,6 +103,21 @@ def test_physical_validation(tmp_path):
     for entry in (5, "SA"):
         with pytest.raises(ConfigError, match="initial_states: expected a list"):
             load_config(write_config(tmp_path, dict(MINIMAL, initial_states=entry)))
+    # an integer beyond the float range is not finite either
+    bad = dict(MINIMAL, fixed={"a_over_omega": 10 ** 400, "omega_L": 1.0})
+    with pytest.raises(ConfigError, match=r"fixed\.a_over_omega: must be finite"):
+        load_config(write_config(tmp_path, bad))
+    # unknown keys of mixed type are listed, not sorted into a TypeError
+    bad = dict(MINIMAL)
+    bad[7] = 1
+    bad["pizza"] = 2
+    with pytest.raises(ConfigError, match=r"top level: unknown keys \[7, 'pizza'\]"):
+        load_config(write_config(tmp_path, bad))
+    # a bath mode or an output that is not a known name names its entry
+    for key, bad in (("bath_modes[0]", dict(MINIMAL, bath_modes=[["accelerated"]])),
+                     ("outputs[0]", dict(MINIMAL, outputs=["picture"]))):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write_config(tmp_path, bad))
 
 
 def test_axis_must_be_fixed_or_grid(tmp_path):
@@ -131,6 +152,17 @@ def test_vector_polarizations(tmp_path):
     (label, spec), = cfg.sweep_specs("evolve")
     assert label == "A_pol0"
     assert np.allclose(spec.dipole1.as_array(), [0.0, 0.0, 1.0])
+    # components whose squares overflow or underflow still normalise
+    half = np.sqrt(0.5)
+    for vec, want in (([1e200, 1e200, 0.0], [half, half, 0.0]),
+                      ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0])):
+        cfg = write_config(tmp_path, dict(MINIMAL, name="vec",
+                                          polarizations=[[vec, "z"]]))
+        (_, spec), = load_config(cfg).sweep_specs("evolve")
+        assert np.allclose(spec.dipole1.as_array(), want, rtol=0.0, atol=1e-15)
+        assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    with pytest.raises(ConfigError, match=r"polarizations\[0\]\[0\]: zero dipole"):
+        load_config(write_config(tmp_path, dict(MINIMAL, polarizations=[[[0, 0, 0], "z"]])))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +331,17 @@ def test_cli_computation_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(cli_mod._HANDLERS, "evolve", boom)
     cfg = write_config(tmp_path, dict(MINIMAL, name="cc"))
     assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+
+def test_cli_import_loads_no_scipy():
+    # the numeric Fourier oracle and its scipy quadrature live in tests/
+    src = Path(atompair.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, atompair.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_threads_validation(tmp_path):

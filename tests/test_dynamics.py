@@ -3,10 +3,11 @@ import pytest
 
 from atompair import (BathKind, CoefficientSet, DegenerateGeneratorError,
                       DomainError, InvalidStateError, XState,
-                      asymptotic_state, basis_transform, build_generator,
-                      catalogue_state, compute_trajectory, evolve)
+                      asymptotic_state, build_generator, catalogue_state,
+                      compute_trajectory, evolve)
 from atompair import kernels
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
+from oracles import basis_transform
 from scipy.linalg import expm as scipy_expm
 
 VACUUM = CoefficientSet(A1=0.25, B1=0.25, A2=0.0, B2=0.0)

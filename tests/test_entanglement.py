@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from atompair import (BathKind, DomainError, InvalidStateError, SystemParams,
-                      XState, assemble, basis_transform, catalogue_state,
-                      compute_trajectory, concurrence_wootters, concurrence_x,
-                      detect_events)
+                      XState, assemble, catalogue_state, compute_trajectory,
+                      concurrence_wootters, concurrence_x, detect_events)
 from atompair.sweeps import time_grid
 from conftest import AXES, random_coeffs, random_xstate
+from oracles import basis_transform
 
 VACUUM_PARAMS = dict(dipole1=AXES["z"], dipole2=AXES["z"])
 

@@ -5,6 +5,7 @@ from atompair import BathKind, DomainError, XState, catalogue_state, detect_even
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
                              run_region_map, time_grid)
 from conftest import AXES
+from oracles import refinement_boundary_cells
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 
@@ -16,8 +17,7 @@ def make_spec(**overrides):
         dipole1=AXES["z"], dipole2=AXES["z"],
         bath_modes=(AV, TH),
         axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,)),
-              ("tau", tuple(time_grid(10.0, 60)))),
-        outputs=("curve", "events"))
+              ("tau", tuple(time_grid(10.0, 60)))))
     base.update(overrides)
     return SweepSpec(**base)
 
@@ -31,7 +31,7 @@ def region_spec(n=20, initial=("psi2", 0.2), kind="revival", amax=3.0, Lmax=5.0,
         initial_label=fam, initial=catalogue_state(fam, p),
         axes=(("a_over_omega", tuple(np.linspace(astart, amax, n))),
               ("omega_L", tuple(np.linspace(Lstart, Lmax, n)))),
-        outputs=("region",), event_kind=kind)
+        event_kind=kind)
 
 
 def test_time_grid_shapes():
@@ -64,8 +64,6 @@ def test_spec_validation():
         make_spec(event_kind="both")
     with pytest.raises(DomainError):
         make_spec(initial=None)  # no p axis to supply the weight
-    with pytest.raises(DomainError):
-        make_spec(outputs=("picture",))
 
 
 def test_run_curve_shapes_and_modes():
@@ -81,8 +79,7 @@ def test_run_curve_shapes_and_modes():
 
 
 def test_run_curve_requires_tau_axis():
-    spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))),
-                     outputs=("curve",))
+    spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))))
     with pytest.raises(DomainError):
         run_curve(spec)
 
@@ -100,8 +97,7 @@ def test_p_axis_resolves_family():
     spec = make_spec(
         initial=None, initial_label="psi2",
         axes=(("a_over_omega", (0.6666666666666666,)), ("omega_L", (1.0,)),
-              ("p", (0.2, 0.8))),
-        outputs=("max_concurrence",))
+              ("p", (0.2, 0.8))))
     result = run_events(spec)
     assert len(result.cells) == 2
     assert result.cells[0]["p"] == 0.2
@@ -110,8 +106,7 @@ def test_p_axis_resolves_family():
 
 
 def test_run_events_matches_detect_events():
-    spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))),
-                     outputs=("events",))
+    spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))))
     result = run_events(spec)
     direct = detect_events(compute_trajectory(
         spec.initial, _coeffs_for(spec, AV, 0.5, 1.0), spec.horizon_grid()))
@@ -136,7 +131,7 @@ def test_region_map_labels_and_counts():
 def test_region_map_requires_both_modes():
     spec = make_spec(
         axes=(("a_over_omega", (0.5, 1.0)), ("omega_L", (0.5, 1.0))),
-        outputs=("region",), bath_modes=(AV,))
+        bath_modes=(AV,))
     with pytest.raises(DomainError):
         run_region_map(spec)
 
@@ -164,10 +159,10 @@ def test_refinement_reports_boundary_cells_only():
     coarse = run_region_map(region_spec(n=15, astart=0.2, Lstart=0.33))
     fine = run_region_map(region_spec(n=29, astart=0.2, Lstart=0.33))
     assert np.allclose(fine.a_values[::2], coarse.a_values)
-    flipped = coarse.refinement_boundary_cells(fine)
+    flipped = refinement_boundary_cells(coarse, fine)
     interior = (15 - 2) * (15 - 2)
     assert len(flipped) <= 0.05 * interior
     for (i, j) in flipped:
         assert 0 < i < 14 and 0 < j < 14
     with pytest.raises(DomainError):
-        coarse.refinement_boundary_cells(coarse)
+        refinement_boundary_cells(coarse, coarse)
