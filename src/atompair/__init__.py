@@ -15,8 +15,7 @@ from .dynamics import (XState, asymptotic_state, build_generator,
 from .entanglement import (EntanglementEvents, Trajectory, compute_trajectory,
                            concurrence_wootters, concurrence_x, detect_events)
 from .errors import (AtompairError, ComputationError, ConfigError,
-                     DegenerateGeneratorError, DomainError, InvalidStateError,
-                     NonConvergenceError)
+                     DegenerateGeneratorError, DomainError, InvalidStateError)
 
 __version__ = "0.1.0"
 
@@ -29,8 +28,8 @@ def backend_name() -> str:
 __all__ = [
     "AtompairError", "BathKind", "CoefficientSet", "ComputationError",
     "ConfigError", "DegenerateGeneratorError", "DipoleOrientation",
-    "DomainError", "EntanglementEvents", "InvalidStateError",
-    "NonConvergenceError", "SystemParams", "Trajectory", "XState",
+    "DomainError", "EntanglementEvents", "InvalidStateError", "SystemParams",
+    "Trajectory", "XState",
     "assemble", "asymptotic_state", "backend_name", "build_generator",
     "catalogue_state", "compute_trajectory", "concurrence_wootters",
     "concurrence_x", "detect_events", "evolve", "__version__",

@@ -14,12 +14,11 @@ error, 4 I/O error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .coefficients import BathKind, SystemParams, assemble
@@ -47,26 +46,8 @@ def _write_text(path: Path, text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_meta(path: Path, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_text(path, text)
-
-
-def _meta(config: RunConfig, command: str, panel: str, files: dict,
-          columns=None, extra=None) -> dict:
-    payload = {
-        "name": config.name,
-        "command": command,
-        "panel": panel,
-        "version": __version__,
-        "parameters": config.raw,
-        "files": files,
-    }
-    if columns is not None:
-        payload["columns"] = list(columns)
-    if extra:
-        payload.update(extra)
-    return payload
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _csv(columns, rows) -> str:
@@ -78,26 +59,29 @@ def _csv(columns, rows) -> str:
 def _events_payload(spec, result):
     cells = []
     for ci, cell in enumerate(result.cells):
-        modes = {}
-        for mi, mode in enumerate(result.modes):
-            ev = result.events(ci, mi)
-            modes[_MODE_SUFFIX[mode]] = {
-                "death_time": ev.death_time,
-                "birth_time": ev.birth_time,
-                "revival": ev.revival,
-                "enhancement": ev.enhancement,
-                "max_concurrence": ev.max_concurrence,
-                "max_time": ev.max_time,
-                "revival_amplitude": ev.revival_amplitude,
-            }
+        modes = {_MODE_SUFFIX[mode]: dataclasses.asdict(result.events(ci, mi))
+                 for mi, mode in enumerate(result.modes)}
         cells.append({"cell": {k: float(v) for k, v in cell.items()},
                       "modes": modes})
     return {"panel": spec.label, "cells": cells}
 
 
-def _write_events(path: Path, spec, events, files: dict):
-    text = json.dumps(_events_payload(spec, events), sort_keys=True, indent=2) + "\n"
-    files[path.name] = _write_text(path, text)
+def _write_outputs(config: RunConfig, out_dir, command: str, panel: str,
+                   stem: str, columns, rows, events=None, extra=None):
+    """Write one panel: ``<stem>.csv``, the events payload as
+    ``<stem>.events.json`` when given, and ``<stem>.meta.json``, which
+    records the resolved parameters and the sha256 of the other two."""
+    files = {}
+    name = f"{stem}.csv"
+    files[name] = _write_text(out_dir / name, _csv(columns, rows))
+    if events is not None:
+        name = f"{stem}.events.json"
+        files[name] = _write_text(out_dir / name, _json(events))
+    meta = {"name": config.name, "command": command, "panel": panel,
+            "version": __version__, "parameters": config.raw, "files": files,
+            "columns": list(columns)}
+    meta.update(extra or {})
+    _write_text(out_dir / f"{stem}.meta.json", _json(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +116,9 @@ def cmd_coeffs(config: RunConfig, out_dir):
     for row in pretty:
         print("  ".join(v.rjust(widths[k]) for k, v in enumerate(row)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.name}_coeffs.csv"
-    digest = _write_text(csv_path, _csv(columns, rows))
-    _write_meta(out_dir / f"{config.name}_coeffs.meta.json",
-                _meta(config, "coeffs", "", {csv_path.name: digest}, columns))
+    _write_outputs(config, out_dir, "coeffs", "", f"{config.name}_coeffs",
+                   columns, rows)
     return EXIT_OK
-
-
-def _cell_columns(spec):
-    return [name for name, _ in spec.cell_axes()]
 
 
 def cmd_evolve(config: RunConfig, out_dir):
@@ -148,7 +126,7 @@ def cmd_evolve(config: RunConfig, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
         curve = run_curve(spec)
-        cell_cols = _cell_columns(spec)
+        cell_cols = [name for name, _ in spec.cell_axes()]
         columns = list(cell_cols) + ["tau"]
         for mode in curve.modes:
             columns.append(f"C_{_MODE_SUFFIX[mode]}")
@@ -165,14 +143,10 @@ def cmd_evolve(config: RunConfig, out_dir):
                 for mi in range(len(curve.modes)):
                     row.extend(_fmt(curve.populations[ci, mi, kt, m]) for m in range(4))
                 rows.append(row)
-        files = {}
-        csv_path = out_dir / f"{config.name}_{panel}.csv"
-        files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
-        if "events" in config.outputs:
-            _write_events(out_dir / f"{config.name}_{panel}.events.json",
-                          spec, run_events(spec), files)
-        _write_meta(out_dir / f"{config.name}_{panel}.meta.json",
-                    _meta(config, "evolve", panel, files, columns))
+        events = (_events_payload(spec, run_events(spec))
+                  if "events" in config.outputs else None)
+        _write_outputs(config, out_dir, "evolve", panel, f"{config.name}_{panel}",
+                       columns, rows, events)
     return EXIT_OK
 
 
@@ -181,27 +155,23 @@ def cmd_sweep(config: RunConfig, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
         events = run_events(spec)
-        cell_cols = _cell_columns(spec)
+        cell_cols = [name for name, _ in spec.cell_axes()]
         columns = list(cell_cols)
         for mode in events.modes:
             columns.append(f"max_C_{_MODE_SUFFIX[mode]}")
             columns.append(f"tau_max_{_MODE_SUFFIX[mode]}")
+        max_c = events.column("max_concurrence")
+        max_t = events.column("max_time")
         rows = []
         for ci, cell in enumerate(events.cells):
             row = [_fmt(cell[name]) for name in cell_cols]
             for mi in range(len(events.modes)):
-                # table columns 4 and 5: max_C and its time
-                row.append(_fmt(events.table[ci, mi, 4]))
-                row.append(_fmt(events.table[ci, mi, 5]))
+                row.append(_fmt(max_c[ci, mi]))
+                row.append(_fmt(max_t[ci, mi]))
             rows.append(row)
-        files = {}
-        csv_path = out_dir / f"{config.name}_{panel}.csv"
-        files[csv_path.name] = _write_text(csv_path, _csv(columns, rows))
-        if "events" in config.outputs:
-            _write_events(out_dir / f"{config.name}_{panel}.events.json",
-                          spec, events, files)
-        _write_meta(out_dir / f"{config.name}_{panel}.meta.json",
-                    _meta(config, "sweep", panel, files, columns))
+        payload = _events_payload(spec, events) if "events" in config.outputs else None
+        _write_outputs(config, out_dir, "sweep", panel, f"{config.name}_{panel}",
+                       columns, rows, payload)
     return EXIT_OK
 
 
@@ -215,15 +185,12 @@ def cmd_region(config: RunConfig, out_dir):
         for i, a in enumerate(region.a_values):
             for j, L in enumerate(region.L_values):
                 rows.append([_fmt(a), _fmt(L), LABEL_NAMES[region.labels[i, j]]])
-        csv_path = out_dir / f"{config.name}_{panel}_region.csv"
-        digest = _write_text(csv_path, _csv(columns, rows))
         counts = region.counts()
+        _write_outputs(config, out_dir, "region", panel,
+                       f"{config.name}_{panel}_region", columns, rows,
+                       extra={"label_counts": counts, "criterion": region.criterion})
         print(f"{config.name} {panel} [{region.criterion}]: "
               + ", ".join(f"{k}={v}" for k, v in counts.items()))
-        _write_meta(out_dir / f"{config.name}_{panel}_region.meta.json",
-                    _meta(config, "region", panel, {csv_path.name: digest},
-                          columns, extra={"label_counts": counts,
-                                          "criterion": region.criterion}))
     return EXIT_OK
 
 

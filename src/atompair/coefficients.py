@@ -95,9 +95,9 @@ class SystemParams:
 class CoefficientSet:
     """Kossakowski coefficients in units of the spontaneous emission rate.
 
-    A1 >= B1 > 0 always (Planck factor >= 1); |A2| <= A1 and |B2| <= B1 hold
-    empirically over the swept parameter space and are checked in tests, not
-    here.
+    All four are finite and A1 >= B1 > 0 always (Planck factor >= 1);
+    |A2| <= A1 and |B2| <= B1 hold empirically over the swept parameter
+    space and are checked in tests, not here.
     """
 
     A1: float
@@ -106,6 +106,9 @@ class CoefficientSet:
     B2: float
 
     def __post_init__(self):
+        values = (self.A1, self.B1, self.A2, self.B2)
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"coefficients must be finite, got {[float(v) for v in values]}")
         if not (self.A1 >= self.B1 > 0.0):
             raise DomainError(
                 f"coefficient ordering A1 >= B1 > 0 violated: A1={self.A1}, B1={self.B1}")

@@ -45,7 +45,7 @@ import yaml
 
 from .coefficients import BathKind, DipoleOrientation
 from .dynamics import XState, catalogue_state
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .sweeps import (DEFAULT_HORIZON_SAMPLES, DEFAULT_HORIZON_TAU, SweepSpec,
                      time_grid)
 
@@ -138,16 +138,10 @@ class RunConfig:
             return self.fixed[axis]
         return self.grid.get(axis)
 
-    def panels(self):
-        """(label, initial_spec, dipole pair) per initial state x polarization."""
-        out = []
-        for ini in self.initial_states:
-            for d1, d2, pol_label in self.polarizations:
-                out.append((f"{ini.label}_{pol_label}", ini, (d1, d2)))
-        return out
-
     def sweep_specs(self, command: str):
-        """Expand into one SweepSpec per panel for the given subcommand."""
+        """Expand into one (label, SweepSpec) panel per initial state x
+        polarization for the given subcommand. SweepSpec owns the rules
+        that tie an initial state to the p axis; a breach names the entry."""
         self.check_command(command)
         axes = []
         for axis in _PHYSICAL_AXES:
@@ -157,19 +151,25 @@ class RunConfig:
         if command == "evolve":
             axes.append(("tau", self.grid["tau"]))
         specs = []
-        for label, ini, (d1, d2) in self.panels():
-            specs.append((label, SweepSpec(
-                label=f"{self.name}_{label}",
-                initial_label=ini.family,
-                initial=ini.resolve(),
-                dipole1=d1, dipole2=d2,
-                bath_modes=self.bath_modes,
-                axes=tuple(axes),
-                atom_order=self.atom_order,
-                event_kind=self.event_kind,
-                horizon_tau=self.horizon_tau,
-                horizon_samples=self.horizon_samples,
-                region_min_amplitude=self.event_min_amplitude)))
+        for k, ini in enumerate(self.initial_states):
+            for d1, d2, pol_label in self.polarizations:
+                label = f"{ini.label}_{pol_label}"
+                try:
+                    spec = SweepSpec(
+                        label=f"{self.name}_{label}",
+                        initial_label=ini.family,
+                        initial=ini.resolve(),
+                        dipole1=d1, dipole2=d2,
+                        bath_modes=self.bath_modes,
+                        axes=tuple(axes),
+                        atom_order=self.atom_order,
+                        event_kind=self.event_kind,
+                        horizon_tau=self.horizon_tau,
+                        horizon_samples=self.horizon_samples,
+                        region_min_amplitude=self.event_min_amplitude)
+                except DomainError as exc:
+                    _fail(self.source, f"initial_states[{k}]", str(exc))
+                specs.append((label, spec))
         return specs
 
     def check_command(self, command: str):
@@ -180,18 +180,6 @@ class RunConfig:
             return
         if not self.initial_states:
             _fail(src, "initial_states", f"required for `{command}`")
-        has_p_axis = "p" in self.grid
-        for ini in self.initial_states:
-            if ini.family in _STATE_NAMES:
-                if has_p_axis:
-                    _fail(src, "initial_states",
-                          "a p grid axis needs psi1/psi2 family entries")
-            elif ini.p is None and not has_p_axis:
-                _fail(src, "initial_states",
-                      f"{ini.family} needs p (or a p grid axis)")
-            elif ini.p is not None and has_p_axis:
-                _fail(src, "initial_states",
-                      "give p either per state or as a grid axis, not both")
         if command == "evolve":
             if "curve" not in self.outputs:
                 _fail(src, "outputs", "`evolve` needs the curve output")
@@ -274,7 +262,10 @@ def _parse_range(source, path, axis, entry):
         spacing = body.get("spacing", "log")
         if spacing not in ("log", "linear"):
             _fail(source, f"{path}.spacing", f"must be log or linear, got {spacing!r}")
-        return tuple(time_grid(stop, num, spacing))
+        try:
+            return tuple(time_grid(stop, num, spacing))
+        except DomainError as exc:
+            _fail(source, path, str(exc))
     body = _expect_mapping(source, path, entry, ("start", "stop", "num"))
     start = _expect_number(source, f"{path}.start", body.get("start"))
     stop = _expect_number(source, f"{path}.stop", body.get("stop"))
@@ -396,6 +387,10 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         _fail(source, "horizon.tau_max", "must be > 0")
     horizon_samples = _expect_int(source, "horizon.samples",
                                   horizon_body.get("samples", DEFAULT_HORIZON_SAMPLES), 2)
+    try:
+        time_grid(horizon_tau, horizon_samples, "log")
+    except DomainError as exc:
+        _fail(source, "horizon.tau_max", str(exc))
 
     return RunConfig(
         name=name, source=source, title=title,
@@ -421,6 +416,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer literal beyond int() limits
+        raise ConfigError(f"{path}: unreadable value: {exc}") from exc
     if data is None:
         raise ConfigError(f"{path}: empty config")
     return parse_config(data, source=str(path))

@@ -44,9 +44,9 @@ class XState:
     def populations(self) -> np.ndarray:
         return np.array([self.pGG, self.pAA, self.pSS, self.pEE])
 
-    def validate(self, trace_tol: float = TRACE_TOL) -> "XState":
+    def validate(self) -> "XState":
         """Check trace, positivity of populations and the two 2x2 blocks."""
-        if abs(self.trace - 1.0) > trace_tol:
+        if abs(self.trace - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace deviates from 1 by {self.trace - 1.0}")
         for name, p in (("pGG", self.pGG), ("pAA", self.pAA),
                         ("pSS", self.pSS), ("pEE", self.pEE)):
@@ -60,22 +60,6 @@ class XState:
         return self
 
     # --- the initial states used by the sweep presets ---
-
-    @classmethod
-    def ground(cls) -> "XState":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def antisymmetric(cls) -> "XState":
-        return cls(0.0, 1.0, 0.0, 0.0)
-
-    @classmethod
-    def symmetric(cls) -> "XState":
-        return cls(0.0, 0.0, 1.0, 0.0)
-
-    @classmethod
-    def excited(cls) -> "XState":
-        return cls(0.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def psi1(cls, p: float) -> "XState":
@@ -93,10 +77,10 @@ class XState:
 
 
 _CATALOGUE = {
-    "G": XState.ground,
-    "A": XState.antisymmetric,
-    "S": XState.symmetric,
-    "E": XState.excited,
+    "G": XState(1.0, 0.0, 0.0, 0.0),
+    "A": XState(0.0, 1.0, 0.0, 0.0),
+    "S": XState(0.0, 0.0, 1.0, 0.0),
+    "E": XState(0.0, 0.0, 0.0, 1.0),
 }
 
 
@@ -105,7 +89,7 @@ def catalogue_state(name: str, p: float | None = None) -> XState:
     if name in _CATALOGUE:
         if p is not None:
             raise DomainError(f"state {name!r} takes no parameter p")
-        return _CATALOGUE[name]()
+        return _CATALOGUE[name]
     if name == "psi1" or name == "psi2":
         if p is None:
             raise DomainError(f"state {name!r} needs the weight p")

@@ -7,7 +7,7 @@ death, (delayed or revived) birth, revival and enhancement, refining every
 threshold crossing by bisection on the exact propagator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,16 +16,16 @@ from .coefficients import CoefficientSet
 from .dynamics import XState, prepare, warn_on_fallback
 from .errors import DomainError, InvalidStateError
 
-DEFAULT_REFINE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class EntanglementEvents:
     """Detected events along one trajectory (times in 1/emission-rate).
 
-    ``revival_amplitude`` is the largest concurrence reached after the first
-    death (0 when no death occurs); region maps use it to separate visible
-    revivals from threshold-level ones.
+    The field order is the layout of an events row, ``EVENT_FIELDS``, as
+    ``kernels.events_kernel`` returns it and ``sweeps.EventsResult`` stores
+    it. ``revival_amplitude`` is the largest concurrence reached after the
+    first death (0 when no death occurs); region maps use it to separate
+    visible revivals from threshold-level ones.
     """
 
     death_time: float | None
@@ -38,14 +38,15 @@ class EntanglementEvents:
 
     @classmethod
     def from_row(cls, row) -> "EntanglementEvents":
-        """From the kernel's (death, birth, revival, enhancement, max_C,
-        max_time, revival_amplitude) row; NaN times mean no event."""
-        d, b, rev, enh, mc, mt, ra = row
-        return cls(death_time=None if np.isnan(d) else float(d),
-                   birth_time=None if np.isnan(b) else float(b),
-                   revival=bool(rev), enhancement=bool(enh),
-                   max_concurrence=float(mc), max_time=float(mt),
-                   revival_amplitude=float(ra))
+        """From an events row laid out as EVENT_FIELDS; NaN times mean no
+        event, flags are 0/1."""
+        v = dict(zip(EVENT_FIELDS, map(float, row)))
+        times = {k: None if np.isnan(v[k]) else v[k] for k in ("death_time", "birth_time")}
+        flags = {k: bool(v[k]) for k in ("revival", "enhancement")}
+        return cls(**{**v, **times, **flags})
+
+
+EVENT_FIELDS = tuple(f.name for f in fields(EntanglementEvents))
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,6 @@ class Trajectory:
     concurrence: np.ndarray
     initial: XState
     coeffs: CoefficientSet
-
-    def state(self, k: int) -> XState:
-        p = self.populations[k]
-        return XState(p[0], p[1], p[2], p[3], cAS=self.cAS[k], cGE=self.cGE[k])
 
 
 def concurrence_x(state: XState) -> float:
@@ -121,8 +118,7 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
                       concurrence=C, initial=initial, coeffs=coeffs)
 
 
-def detect_events(traj: Trajectory,
-                  refine_tol: float = DEFAULT_REFINE_TOL) -> EntanglementEvents:
+def detect_events(traj: Trajectory) -> EntanglementEvents:
     """Scan a trajectory for death/birth/revival/enhancement.
 
     death_time is the first crossing below kernels.EPS_DEAD from above,
@@ -130,9 +126,10 @@ def detect_events(traj: Trajectory,
     death followed by a later birth; enhancement means the refined maximum
     exceeds the initial concurrence by more than kernels.EPS_ENH.
     Crossings are refined by bisection on the exact propagator, the
-    maximum by golden section, both to ``refine_tol`` in scaled time.
+    maximum by golden section, both to ``kernels.REFINE_TOL`` in scaled
+    time.
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
     return EntanglementEvents.from_row(kernels.events_kernel(
-        prepare(traj.initial, traj.coeffs), traj.times, refine_tol))
+        prepare(traj.initial, traj.coeffs), traj.times))

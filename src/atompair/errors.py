@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat:
-configuration/validation problems, numerical failures, and bad physical
-states are separate branches.
+The CLI maps these onto exit codes: ConfigError exits 2, every other
+package error exits 3. Keep the hierarchy flat: configuration/validation
+problems, numerical failures, and bad physical states are separate
+branches. The test oracles' own error lives with them, in tests/.
 """
 
 
@@ -16,10 +17,6 @@ class DomainError(AtompairError, ValueError):
 
 class InvalidStateError(AtompairError, ValueError):
     """A density matrix (or X-state record) violates positivity/trace rules."""
-
-
-class NonConvergenceError(AtompairError, RuntimeError):
-    """An iterative numerical scheme failed to stabilise to tolerance."""
 
 
 class DegenerateGeneratorError(AtompairError, RuntimeError):

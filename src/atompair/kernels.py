@@ -22,6 +22,7 @@ SERIES_Q_MAX = 1.0  # the small-L series assumes a*L is moderate as well
 COND_LIMIT = 1e12   # eigenvector condition number beyond which expm fallback is used
 EPS_DEAD = 1e-12    # concurrence threshold for death/birth events
 EPS_ENH = 1e-9      # enhancement margin over the initial concurrence
+REFINE_TOL = 1e-6   # scaled-time width of refined crossings and maxima
 RADICAND_SLACK = -1e-12
 
 _INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -355,9 +356,9 @@ def trajectory_kernel(traj, taus):
     return pops, C
 
 
-def _bisect_crossing(f, lo, hi, want_up, refine_tol):
+def _bisect_crossing(f, lo, hi, want_up):
     # bracket carries a sign change of f - EPS_DEAD by construction
-    while hi - lo > refine_tol:
+    while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if want_up == (f(mid) > EPS_DEAD):
             hi = mid
@@ -366,13 +367,13 @@ def _bisect_crossing(f, lo, hi, want_up, refine_tol):
     return 0.5 * (lo + hi)
 
 
-def _golden_extremum(f, lo, hi, sign, refine_tol):
+def _golden_extremum(f, lo, hi, sign, tol):
     # golden-section on sign*f; sign=+1 finds a maximum, -1 a minimum
     x1 = hi - _INVGOLD * (hi - lo)
     x2 = lo + _INVGOLD * (hi - lo)
     f1 = sign * f(x1)
     f2 = sign * f(x2)
-    while hi - lo > refine_tol:
+    while hi - lo > tol:
         if f1 < f2:
             lo = x1
             x1 = x2
@@ -389,18 +390,19 @@ def _golden_extremum(f, lo, hi, sign, refine_tol):
     return t, f(t)
 
 
-def events_kernel(traj, taus, refine_tol):
+def events_kernel(traj, taus):
     """Entanglement events along one prepared trajectory.
 
     Returns (death_time, birth_time, revival, enhancement, max_C, max_time,
-    revival_amplitude); missing times are NaN, flags are 0/1. Threshold
-    crossings are refined by bisection on the exact propagator and maxima
-    by golden section. Sampled local minima are drilled into at machine
-    depth on the unclamped concurrence, so a dip through zero far narrower
-    than the sample spacing (including exact touches at zero temperature)
-    still registers as a death/birth pair; bumps narrower than the spacing
-    remain invisible. revival_amplitude is the largest concurrence after
-    the first death, 0 when there is no death.
+    revival_amplitude), the field order of ``EntanglementEvents``; missing
+    times are NaN, flags are 0/1. Threshold crossings are refined by
+    bisection on the exact propagator and maxima by golden section, both
+    to REFINE_TOL in scaled time. Sampled local minima are drilled into at
+    machine depth on the unclamped concurrence, so a dip through zero far
+    narrower than the sample spacing (including exact touches at zero
+    temperature) still registers as a death/birth pair; bumps narrower than
+    the spacing remain invisible. revival_amplitude is the largest
+    concurrence after the first death, 0 when there is no death.
     """
     conc = functools.partial(_conc_at, traj)
     n = taus.size
@@ -413,7 +415,7 @@ def events_kernel(traj, taus, refine_tol):
     for k in range(1, n):
         now = C[k] > EPS_DEAD
         if now != above:
-            t = _bisect_crossing(conc, taus[k - 1], taus[k], now, refine_tol)
+            t = _bisect_crossing(conc, taus[k - 1], taus[k], now)
             crossings.append((t, now))
             above = now
         elif (now and k < n - 1 and C[k] <= C[k - 1] and C[k] <= C[k + 1]
@@ -425,8 +427,8 @@ def events_kernel(traj, taus, refine_tol):
             tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
                                           taus[k - 1], taus[k + 1], -1.0, dip_tol)
             if fmin <= EPS_DEAD:
-                td = _bisect_crossing(conc, taus[k - 1], tmin, False, refine_tol)
-                tb = _bisect_crossing(conc, tmin, taus[k + 1], True, refine_tol)
+                td = _bisect_crossing(conc, taus[k - 1], tmin, False)
+                tb = _bisect_crossing(conc, tmin, taus[k + 1], True)
                 crossings += [(td, False), (tb, True)]
 
     death = next((t for t, up in crossings if not up), np.nan)
@@ -436,7 +438,7 @@ def events_kernel(traj, taus, refine_tol):
     kbest = int(np.argmax(C))
     cbest = C[kbest]
     tmax, fmax = _golden_extremum(conc, taus[max(kbest - 1, 0)],
-                                  taus[min(kbest + 1, n - 1)], 1.0, refine_tol)
+                                  taus[min(kbest + 1, n - 1)], 1.0, REFINE_TOL)
     max_c = cbest
     max_t = taus[kbest]
     if fmax > max_c:
@@ -450,7 +452,7 @@ def events_kernel(traj, taus, refine_tol):
         kpost = post[np.argmax(C[post])]
         cpost = C[kpost]
         tpost, fpost = _golden_extremum(conc, max(taus[max(kpost - 1, 0)], death),
-                                        taus[min(kpost + 1, n - 1)], 1.0, refine_tol)
+                                        taus[min(kpost + 1, n - 1)], 1.0, REFINE_TOL)
         rev_amp = cpost if cpost > fpost else fpost
 
     revival = 1 if (not np.isnan(death)) and (not np.isnan(birth)) and birth > death else 0

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .coefficients import BathKind, CoefficientSet, DipoleOrientation
+from .coefficients import BathKind, DipoleOrientation, SystemParams, assemble
 from .dynamics import XState, catalogue_state, prepare
-from .entanglement import EntanglementEvents, concurrence_x
+from .entanglement import EVENT_FIELDS, EntanglementEvents, concurrence_x
 from .errors import DomainError
 
 AXIS_NAMES = ("a_over_omega", "omega_L", "p", "tau")
@@ -32,11 +32,16 @@ def time_grid(stop: float, num: int, spacing: str = "log") -> np.ndarray:
     if stop <= 0.0 or num < 2:
         raise DomainError("time grid needs stop > 0 and num >= 2")
     if spacing == "linear":
-        return np.linspace(0.0, stop, num)
-    if spacing == "log":
+        grid = np.linspace(0.0, stop, num)
+    elif spacing == "log":
         u = np.linspace(0.0, 1.0, num)
-        return stop * np.expm1(_LOG_GRID_BETA * u) / np.expm1(_LOG_GRID_BETA)
-    raise DomainError(f"unknown spacing {spacing!r}")
+        grid = stop * np.expm1(_LOG_GRID_BETA * u) / np.expm1(_LOG_GRID_BETA)
+    else:
+        raise DomainError(f"unknown spacing {spacing!r}")
+    # a stop near the float limits rounds samples together or to inf
+    if not np.all(np.diff(grid) > 0.0):
+        raise DomainError(f"{num} samples on [0, {stop}] do not increase strictly")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,9 @@ class SweepSpec:
     """One panel of a sweep: physics plus resolved grid axes.
 
     ``axes`` maps axis name to the tuple of grid values, in sweep order.
-    ``initial`` may be None only when a "p" axis selects the weight of the
-    psi1/psi2 family named by ``initial_label``.
+    The weight p of a psi1/psi2 family comes either with ``initial`` or from
+    a "p" axis, never both; ``initial`` is None exactly when a "p" axis
+    selects the weight of the family named by ``initial_label``.
     """
 
     label: str
@@ -59,7 +65,6 @@ class SweepSpec:
     event_kind: str = "revival"
     horizon_tau: float = DEFAULT_HORIZON_TAU
     horizon_samples: int = DEFAULT_HORIZON_SAMPLES
-    refine_tol: float = 1e-6
     # region maps count an event only above this concurrence scale; the
     # detector itself works at the 1e-12 threshold, which sits at the
     # propagator's noise floor and would pepper the map boundaries
@@ -101,8 +106,10 @@ class SweepSpec:
         if has_p_axis:
             if self.initial_label not in ("psi1", "psi2"):
                 raise DomainError("a p axis requires a psi1/psi2 initial family")
+            if self.initial is not None:
+                raise DomainError("give p either per state or as a p axis, not both")
         elif self.initial is None:
-            raise DomainError("initial state missing and no p axis given")
+            raise DomainError(f"{self.initial_label} needs p (or a p axis)")
 
     def axis(self, name):
         for axis_name, values in self.axes:
@@ -144,14 +151,12 @@ def _trajectories(spec, cells):
     """
     _require_axis(spec, "a_over_omega", 1)
     _require_axis(spec, "omega_L", 1)
-    d1 = spec.dipole1.as_array()
-    d2 = spec.dipole2.as_array()
     for ci, cell in enumerate(cells):
         initial = spec.resolve_initial(cell)
         for mi, mode in enumerate(spec.bath_modes):
-            coeffs = CoefficientSet(*kernels.assemble_kernel(
-                cell["a_over_omega"], cell["omega_L"], d1, d2,
-                mode is BathKind.THERMAL_AT_UNRUH, spec.atom_order == 21))
+            coeffs = assemble(SystemParams(cell["a_over_omega"], cell["omega_L"],
+                                           spec.dipole1, spec.dipole2, mode),
+                              spec.atom_order)
             yield ci, mi, prepare(initial, coeffs)
 
 
@@ -160,7 +165,6 @@ def _trajectories(spec, cells):
 
 @dataclass(frozen=True)
 class CurveResult:
-    spec: SweepSpec
     times: np.ndarray
     cells: tuple                   # tuple of {axis: value} dicts
     modes: tuple
@@ -176,7 +180,7 @@ def run_curve(spec: SweepSpec) -> CurveResult:
     pops = np.empty(conc.shape + (4,))
     for ci, mi, traj in _trajectories(spec, cells):
         pops[ci, mi], conc[ci, mi] = kernels.trajectory_kernel(traj, taus)
-    return CurveResult(spec=spec, times=taus, cells=tuple(cells),
+    return CurveResult(times=taus, cells=tuple(cells),
                        modes=spec.bath_modes, concurrence=conc, populations=pops)
 
 
@@ -185,11 +189,14 @@ def run_curve(spec: SweepSpec) -> CurveResult:
 
 @dataclass(frozen=True)
 class EventsResult:
-    spec: SweepSpec
     cells: tuple
     modes: tuple
-    table: np.ndarray   # (ncells, nmodes, 7): death, birth, revival, enh,
-                        # maxC, maxT, revival_amplitude
+    table: np.ndarray   # (ncells, nmodes, len(EVENT_FIELDS)), rows laid out
+                        # as EVENT_FIELDS
+
+    def column(self, name: str) -> np.ndarray:
+        """One field of every event row, shape (ncells, nmodes)."""
+        return self.table[..., EVENT_FIELDS.index(name)]
 
     def events(self, cell_index: int, mode_index: int) -> EntanglementEvents:
         return EntanglementEvents.from_row(self.table[cell_index, mode_index])
@@ -198,19 +205,18 @@ class EventsResult:
 def run_events(spec: SweepSpec) -> EventsResult:
     """Entanglement events for every cell and mode on the horizon grid.
 
-    Table columns 4 and 5 are the maximum concurrence over the evolution
-    and its time: the sampled maximum refined by golden section around the
-    best sample, to ``refine_tol`` in scaled time. Multi-bump trajectories
-    are assumed to be sampled finely enough for the best sample to sit on
-    the winning bump.
+    The max_concurrence and max_time columns are the maximum concurrence
+    over the evolution and its time: the sampled maximum refined by golden
+    section around the best sample, to ``kernels.REFINE_TOL`` in scaled
+    time. Multi-bump trajectories are assumed to be sampled finely enough
+    for the best sample to sit on the winning bump.
     """
     cells = spec.cells()
     taus = spec.horizon_grid()
-    table = np.empty((len(cells), len(spec.bath_modes), 7))
+    table = np.empty((len(cells), len(spec.bath_modes), len(EVENT_FIELDS)))
     for ci, mi, traj in _trajectories(spec, cells):
-        table[ci, mi] = kernels.events_kernel(traj, taus, spec.refine_tol)
-    return EventsResult(spec=spec, cells=tuple(cells), modes=spec.bath_modes,
-                        table=table)
+        table[ci, mi] = kernels.events_kernel(traj, taus)
+    return EventsResult(cells=tuple(cells), modes=spec.bath_modes, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +230,6 @@ class RegionMap:
     L_values: np.ndarray
     labels: np.ndarray    # (na, nL) int8, indexes LABEL_NAMES
     criterion: str
-
-    def label_name(self, i: int, j: int) -> str:
-        return LABEL_NAMES[self.labels[i, j]]
 
     def counts(self) -> dict:
         return {name: int((self.labels == code).sum())
@@ -249,19 +252,17 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     a_values = _require_axis(spec, "a_over_omega")
     L_values = _require_axis(spec, "omega_L")
     result = run_events(spec)
-    ai = result.spec.bath_modes.index(BathKind.ACCELERATED_VACUUM)
-    ti = result.spec.bath_modes.index(BathKind.THERMAL_AT_UNRUH)
     floor = spec.region_min_amplitude
     if spec.event_kind == "enhancement":
         c0 = np.array([concurrence_x(spec.resolve_initial(cell))
                        for cell in result.cells])
-        amp_a = np.where(result.table[:, ai, 3] > 0.5,
-                         result.table[:, ai, 4] - c0, 0.0)
-        amp_t = np.where(result.table[:, ti, 3] > 0.5,
-                         result.table[:, ti, 4] - c0, 0.0)
+        amp = np.where(result.column("enhancement") > 0.5,
+                       result.column("max_concurrence") - c0[:, None], 0.0)
     else:
-        amp_a = np.where(result.table[:, ai, 2] > 0.5, result.table[:, ai, 6], 0.0)
-        amp_t = np.where(result.table[:, ti, 2] > 0.5, result.table[:, ti, 6], 0.0)
+        amp = np.where(result.column("revival") > 0.5,
+                       result.column("revival_amplitude"), 0.0)
+    amp_a = amp[:, modes.index(BathKind.ACCELERATED_VACUUM)]
+    amp_t = amp[:, modes.index(BathKind.THERMAL_AT_UNRUH)]
     # tie-to-agreement deadband: amplitudes within 10% below the floor are
     # below the map's amplitude resolution; a mode clearly above the floor
     # drags an almost-there partner along instead of minting a one-mode

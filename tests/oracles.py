@@ -22,7 +22,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from atompair.dynamics import XState
-from atompair.errors import DomainError, NonConvergenceError
+from atompair.errors import AtompairError, DomainError
+
+
+class NonConvergenceError(AtompairError, RuntimeError):
+    """An iterative numerical scheme failed to stabilise to tolerance."""
+
 
 _AXES = (1, 2, 3)
 

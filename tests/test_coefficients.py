@@ -49,6 +49,11 @@ def test_coefficient_set_ordering():
         CoefficientSet(A1=0.2, B1=0.25, A2=0.0, B2=0.0)
     with pytest.raises(DomainError):
         CoefficientSet(A1=0.25, B1=0.0, A2=0.0, B2=0.0)
+    # what assemble returns at a/omega = 1e300 and at omega*L = 1e300
+    inf, nan = float("inf"), float("nan")
+    for values in ((inf, inf, nan, nan), (0.25, 0.25, nan, nan)):
+        with pytest.raises(DomainError, match="finite"):
+            CoefficientSet(*values)
 
 
 def test_limit_small_acceleration_large_separation():

@@ -118,6 +118,21 @@ def test_physical_validation(tmp_path):
                      ("outputs[0]", dict(MINIMAL, outputs=["picture"]))):
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(write_config(tmp_path, bad))
+    # an integer literal too long for int() is a config error, not a crash
+    text = yaml.safe_dump(dict(MINIMAL, fixed={"a_over_omega": 7, "omega_L": 1.0}))
+    big = tmp_path / "big.yaml"
+    big.write_text(text.replace("a_over_omega: 7", "a_over_omega: " + "1" * 5000),
+                   encoding="utf-8")
+    with pytest.raises(ConfigError, match="big.yaml"):
+        load_config(big)
+    # a time axis whose samples round together names its key
+    for key, bad in (
+            ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 5e-324, "num": 40}})),
+            ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 5e-324, "num": 40,
+                                                     "spacing": "linear"}})),
+            ("horizon.tau_max", dict(MINIMAL, horizon={"tau_max": 5e-324}))):
+        with pytest.raises(ConfigError, match=re.escape(key) + ": .*increase strictly"):
+            load_config(write_config(tmp_path, bad))
 
 
 def test_axis_must_be_fixed_or_grid(tmp_path):
@@ -319,6 +334,62 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert run_cli([command, "--config", cfg, "--out", out]) == 2
         assert not out.exists()
     capsys.readouterr()
+    # each p-axis rule is a config error that names the offending state
+    p_grid = dict(MINIMAL["grid"], p={"start": 0.2, "stop": 0.8, "num": 3})
+    for states, grid, message in (
+            (["A", "psi1"], MINIMAL["grid"], "needs p"),
+            (["A"], p_grid, "psi1/psi2"),
+            (["psi2", {"family": "psi1", "p": 0.3}], p_grid, "not both")):
+        cfg = write_config(tmp_path, dict(MINIMAL, initial_states=states, grid=grid),
+                           "paxis.yaml")
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "p"]) == 2
+        err = capsys.readouterr().err
+        assert f"initial_states[{len(states) - 1}]" in err and message in err
+    assert not (tmp_path / "p").exists()
+    # parameters whose coefficients overflow are a computation error
+    for fixed in ({"a_over_omega": 1e300, "omega_L": 1.0},
+                  {"a_over_omega": 1.0, "omega_L": 1e300}):
+        cfg = write_config(tmp_path, dict(MINIMAL, fixed=fixed), "huge.yaml")
+        assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "c"]) == 3
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "c"]) == 3
+        assert "coefficients must be finite" in capsys.readouterr().err
+
+
+def test_cli_sidecars_name_every_file(tmp_path):
+    """Each meta.json lists exactly the other files of its panel, with
+    their sha256, for every command."""
+    import hashlib
+    region_grid = {"a_over_omega": {"start": 0.5, "stop": 2.0, "num": 3},
+                   "omega_L": {"start": 0.5, "stop": 2.0, "num": 3}}
+    runs = (
+        ("coeffs", MINIMAL, (".csv",)),
+        ("evolve", MINIMAL, (".csv", ".events.json")),
+        ("sweep", dict(MINIMAL, initial_states=["E"],
+                       fixed={"a_over_omega": 0.6666666666666666},
+                       grid={"omega_L": {"start": 0.5, "stop": 2.0, "num": 2}},
+                       outputs=["max_concurrence", "events"]),
+         (".csv", ".events.json")),
+        ("region", dict(MINIMAL, initial_states=[{"family": "psi2", "p": 0.2}],
+                        fixed={}, grid=region_grid, outputs=["region"]),
+         (".csv",)),
+    )
+    for command, data, suffixes in runs:
+        cfg = write_config(tmp_path, dict(data, name=f"m{command}"), f"{command}.yaml")
+        out = tmp_path / command
+        assert run_cli([command, "--config", cfg, "--out", out]) == 0
+        files = {p.name for p in out.iterdir()}
+        metas = sorted(name for name in files if name.endswith(".meta.json"))
+        assert metas
+        listed = set()
+        for meta_name in metas:
+            stem = meta_name[:-len(".meta.json")]
+            meta = json.loads((out / meta_name).read_text(encoding="utf-8"))
+            assert meta["command"] == command
+            assert set(meta["files"]) == {stem + suffix for suffix in suffixes}
+            for name, digest in meta["files"].items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+            listed |= set(meta["files"])
+        assert listed | set(metas) == files
 
 
 def test_cli_computation_exit_code(tmp_path, monkeypatch):

@@ -47,6 +47,12 @@ def test_time_grid_shapes():
         time_grid(10.0, 1)
     with pytest.raises(DomainError):
         time_grid(10.0, 50, "geometric")
+    # samples that round together near the float limits are rejected
+    for spacing in ("log", "linear"):
+        with pytest.raises(DomainError, match="increase strictly"):
+            time_grid(5e-324, 40, spacing)
+    with pytest.raises(DomainError, match="increase strictly"):
+        time_grid(1e308, 40)
 
 
 def test_spec_validation():
@@ -64,6 +70,12 @@ def test_spec_validation():
         make_spec(event_kind="both")
     with pytest.raises(DomainError):
         make_spec(initial=None)  # no p axis to supply the weight
+    cell = (("a_over_omega", (0.5,)), ("omega_L", (1.0,)))
+    with pytest.raises(DomainError, match="not both"):
+        make_spec(axes=cell + (("p", (0.2, 0.8)),))  # p per state and as an axis
+    with pytest.raises(DomainError, match="psi1/psi2"):
+        make_spec(initial_label="A", initial=catalogue_state("A"),
+                  axes=cell + (("p", (0.2, 0.8)),))
 
 
 def test_run_curve_shapes_and_modes():
