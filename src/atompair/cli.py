@@ -6,8 +6,9 @@ config is validated in full before the output directory is created. Output
 tables are UTF-8 CSV with LF line endings, a fixed column order and 17
 significant digits; every table comes with a JSON metadata sidecar carrying
 the resolved parameters, package version and a sha256 checksum. Grid cells
-run one at a time; ``--threads <n>`` is still accepted (n >= 1) and changes
-nothing, so reruns of the same config are byte-identical for any value.
+run in one process, scanned in blocks of a fixed size; ``--threads <n>`` is
+still accepted (n >= 1) and changes nothing, so reruns of the same config
+are byte-identical for any value.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 computation
 error, 4 I/O error.
@@ -216,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: ./out)")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility, must be >= 1; grid "
-                            "cells run one at a time (default: 1)")
+                       help="accepted for compatibility, must be >= 1; it "
+                            "changes nothing, every run uses one process "
+                            "(default: 1)")
     return parser
 
 

@@ -125,8 +125,11 @@ def assemble(params: SystemParams, atom_order: int = 12) -> CoefficientSet:
     if atom_order not in (12, 21):
         raise DomainError(f"atom_order must be 12 or 21, got {atom_order}")
     thermal = params.bath is BathKind.THERMAL_AT_UNRUH
-    A1, B1, A2, B2 = kernels.assemble_kernel(
-        params.a_over_omega, params.omega_L,
-        params.dipole1.as_array(), params.dipole2.as_array(),
-        thermal, atom_order == 21)
+    # parameters near the float limits overflow the spectral shapes to
+    # inf/nan; CoefficientSet rejects those values, so no warning is shown
+    with np.errstate(over="ignore", invalid="ignore"):
+        A1, B1, A2, B2 = kernels.assemble_kernel(
+            params.a_over_omega, params.omega_L,
+            params.dipole1.as_array(), params.dipole2.as_array(),
+            thermal, atom_order == 21)
     return CoefficientSet(A1=A1, B1=B1, A2=A2, B2=B2)

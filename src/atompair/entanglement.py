@@ -110,12 +110,12 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
     if taus[0] != 0.0 or np.any(np.diff(taus) <= 0.0):
         raise DomainError("time grid must start at 0 and increase strictly")
     prepared = prepare(initial, coeffs)
-    pops, C = kernels.trajectory_kernel(prepared, taus)
+    pops, C = kernels.trajectory_kernel([prepared], taus)
     warn_on_fallback(prepared.cond)
     damp = np.exp(-4.0 * coeffs.A1 * taus)
-    return Trajectory(times=taus, populations=pops,
+    return Trajectory(times=taus, populations=pops[0],
                       cAS=initial.cAS * damp, cGE=initial.cGE * damp,
-                      concurrence=C, initial=initial, coeffs=coeffs)
+                      concurrence=C[0], initial=initial, coeffs=coeffs)
 
 
 def detect_events(traj: Trajectory) -> EntanglementEvents:
@@ -131,5 +131,6 @@ def detect_events(traj: Trajectory) -> EntanglementEvents:
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
-    return EntanglementEvents.from_row(kernels.events_kernel(
-        prepare(traj.initial, traj.coeffs), traj.times))
+    prepared = prepare(traj.initial, traj.coeffs)
+    _, C = kernels.trajectory_kernel([prepared], traj.times)
+    return EntanglementEvents.from_row(kernels.events_kernel(prepared, traj.times, C[0]))

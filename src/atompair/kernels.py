@@ -1,6 +1,8 @@
 """Hot numerical kernels.
 
-Scalar numpy/Python code for one cell or one trajectory at a time. The
+Populations and concurrence are sampled for a block of prepared
+trajectories at once, on arrays (``trajectory_kernel``); event refinement
+(bisection, golden section) evaluates one trajectory at one time. The
 kernels do not validate their arguments: the config parser and the public
 dataclasses (:mod:`atompair.config`, :mod:`atompair.coefficients`,
 :mod:`atompair.sweeps`) check every input before it reaches them.
@@ -343,17 +345,44 @@ def _conc_raw_at(traj, tau):
     return traj.concurrence(traj.populations(tau), tau, False)
 
 
-def trajectory_kernel(traj, taus):
-    """Populations and concurrence of a prepared trajectory along a time
-    grid. Returns (pops, C)."""
-    n = taus.size
-    pops = np.empty((n, 4))
-    C = np.empty(n)
-    for k in range(n):
-        p = traj.populations(taus[k])
-        pops[k] = p
-        C[k] = traj.concurrence(p, taus[k])
-    return pops, C
+def trajectory_kernel(trajs, taus):
+    """Populations and concurrence of a block of prepared trajectories on
+    one time grid. Returns (pops (n, t, 4), C (n, t)).
+
+    The arithmetic per sample is that of ``pops_at`` and
+    ``concurrence_kernel``, done on arrays, so every value is bitwise the
+    scalar one: eig rows stack c*exp(w tau) and apply V by one batched
+    matrix-vector product, rows on the expm fallback go through
+    ``pops_at``, tau = 0 gives p0, and a radicand below RADICAND_SLACK
+    raises ValueError.
+    """
+    pops = np.empty((len(trajs), taus.size, 4))
+    eig = [i for i, traj in enumerate(trajs) if not traj.use_expm]
+    w = np.array([trajs[i].w for i in eig]).reshape(-1, 1, 4)
+    c = np.array([trajs[i].c for i in eig]).reshape(-1, 1, 4)
+    V = np.array([trajs[i].V for i in eig]).reshape(-1, 1, 4, 4)
+    # one matrix-vector product per sample, as in pops_at: a stacked
+    # matrix-matrix product sums in another order
+    pops[eig] = (V @ (c * np.exp(w * taus[:, None]))[..., None])[..., 0].real
+    for i, traj in enumerate(trajs):
+        if traj.use_expm:
+            pops[i] = [traj.populations(tau) for tau in taus]
+    pops[:, taus == 0.0] = np.array([traj.p0 for traj in trajs])[:, None]
+
+    amp = np.exp(-4.0 * np.array([traj.A1 for traj in trajs])[:, None] * taus)
+    reAS, imAS, reGE, imGE = (
+        np.array([(t.reAS0, t.imAS0, t.reGE0, t.imGE0) for t in trajs]).T[..., None] * amp)
+    pGG, pAA, pSS, pEE = np.moveaxis(pops, -1, 0)
+    # concurrence_kernel with the clamp, line by line
+    rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
+    prod = pGG * pEE
+    rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
+    if np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK) | (rad2 < RADICAND_SLACK)):
+        raise ValueError("concurrence radicand below tolerance: state not positive")
+    K1 = np.sqrt(np.where(rad1 < 0.0, 0.0, rad1)) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
+    K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
+    C = np.where(K1 > K2, K1, K2)
+    return pops, np.where(C > 0.0, C, 0.0)
 
 
 def _bisect_crossing(f, lo, hi, want_up):
@@ -390,46 +419,47 @@ def _golden_extremum(f, lo, hi, sign, tol):
     return t, f(t)
 
 
-def events_kernel(traj, taus):
-    """Entanglement events along one prepared trajectory.
+def events_kernel(traj, taus, C):
+    """Entanglement events along one prepared trajectory, from its
+    concurrence C on the grid taus (a row of ``trajectory_kernel``).
 
     Returns (death_time, birth_time, revival, enhancement, max_C, max_time,
     revival_amplitude), the field order of ``EntanglementEvents``; missing
-    times are NaN, flags are 0/1. Threshold crossings are refined by
-    bisection on the exact propagator and maxima by golden section, both
-    to REFINE_TOL in scaled time. Sampled local minima are drilled into at
-    machine depth on the unclamped concurrence, so a dip through zero far
-    narrower than the sample spacing (including exact touches at zero
-    temperature) still registers as a death/birth pair; bumps narrower than
-    the spacing remain invisible. revival_amplitude is the largest
-    concurrence after the first death, 0 when there is no death.
+    times are NaN, flags are 0/1. The candidates are found on the row:
+    threshold crossings between neighbouring samples, and sampled local
+    minima above threshold. Crossings are refined by bisection on the exact
+    propagator and maxima by golden section, both to REFINE_TOL in scaled
+    time. Local minima are drilled into at machine depth on the unclamped
+    concurrence, so a dip through zero far narrower than the sample
+    spacing (including exact touches at zero temperature) still registers
+    as a death/birth pair; bumps narrower than the spacing remain
+    invisible. revival_amplitude is the largest concurrence after the
+    first death, 0 when there is no death.
     """
     conc = functools.partial(_conc_at, traj)
     n = taus.size
-    C = np.empty(n)
-    for k in range(n):
-        C[k] = _conc_at(traj, taus[k])
+    above = C > EPS_DEAD
+    candidate = np.zeros(n, dtype=bool)
+    candidate[1:] = above[1:] != above[:-1]
+    candidate[1:-1] |= (above[:-2] & above[1:-1] & above[2:]
+                        & (C[1:-1] <= C[:-2]) & (C[1:-1] <= C[2:]))
 
     crossings = []   # (time, upward), in chronological order
-    above = C[0] > EPS_DEAD
-    for k in range(1, n):
-        now = C[k] > EPS_DEAD
-        if now != above:
-            t = _bisect_crossing(conc, taus[k - 1], taus[k], now)
-            crossings.append((t, now))
-            above = now
-        elif (now and k < n - 1 and C[k] <= C[k - 1] and C[k] <= C[k + 1]
-              and C[k - 1] > EPS_DEAD and C[k + 1] > EPS_DEAD):
-            # local minimum above threshold: the true dip may cross between
-            # samples; certify at machine depth (a zero-temperature dip is a
-            # V touching zero over a vanishing time window)
-            dip_tol = 1e-12 * max(1.0, taus[k + 1])
-            tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
-                                          taus[k - 1], taus[k + 1], -1.0, dip_tol)
-            if fmin <= EPS_DEAD:
-                td = _bisect_crossing(conc, taus[k - 1], tmin, False)
-                tb = _bisect_crossing(conc, tmin, taus[k + 1], True)
-                crossings += [(td, False), (tb, True)]
+    for k in np.flatnonzero(candidate):
+        now = bool(above[k])
+        if now != above[k - 1]:
+            crossings.append((_bisect_crossing(conc, taus[k - 1], taus[k], now), now))
+            continue
+        # local minimum above threshold: the true dip may cross between
+        # samples; certify at machine depth (a zero-temperature dip is a
+        # V touching zero over a vanishing time window)
+        dip_tol = 1e-12 * max(1.0, taus[k + 1])
+        tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
+                                      taus[k - 1], taus[k + 1], -1.0, dip_tol)
+        if fmin <= EPS_DEAD:
+            td = _bisect_crossing(conc, taus[k - 1], tmin, False)
+            tb = _bisect_crossing(conc, tmin, taus[k + 1], True)
+            crossings += [(td, False), (tb, True)]
 
     death = next((t for t, up in crossings if not up), np.nan)
     birth = next((t for t, up in crossings if up), np.nan)

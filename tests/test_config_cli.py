@@ -309,6 +309,8 @@ def test_cli_region_output(tmp_path):
     assert sum(meta["label_counts"].values()) == 100
 
 
+# a rejected input must not print numpy warnings before its message
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_exit_codes(tmp_path, capsys):
     # configuration errors -> 2
     assert run_cli(["evolve", "--preset", "nosuch", "--out", tmp_path]) == 2
@@ -353,6 +355,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "c"]) == 3
         assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "c"]) == 3
         assert "coefficients must be finite" in capsys.readouterr().err
+    # a time grid that overflows is a configuration error
+    cfg = write_config(tmp_path, dict(MINIMAL, grid={"tau": {"stop": 1e308, "num": 40}}),
+                       "overflow.yaml")
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "g"]) == 2
+    assert "grid.tau" in capsys.readouterr().err
 
 
 def test_cli_sidecars_name_every_file(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from atompair import BathKind, DomainError, XState, catalogue_state, detect_events, compute_trajectory
+from atompair import (BathKind, CoefficientSet, DomainError, XState, catalogue_state,
+                      compute_trajectory, detect_events, kernels, sweeps)
+from atompair.dynamics import prepare
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
                              run_region_map, time_grid)
-from conftest import AXES
+from conftest import AXES, random_coeffs, random_xstate
 from oracles import refinement_boundary_cells
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
@@ -34,6 +36,7 @@ def region_spec(n=20, initial=("psi2", 0.2), kind="revival", amax=3.0, Lmax=5.0,
         event_kind=kind)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_time_grid_shapes():
     g = time_grid(10.0, 50)
     assert g[0] == 0.0 and g[-1] == 10.0
@@ -131,6 +134,85 @@ def _coeffs_for(spec, mode, a, L):
     return assemble(SystemParams(a_over_omega=a, omega_L=L, dipole1=spec.dipole1,
                                  dipole2=spec.dipole2, bath=mode),
                     spec.atom_order)
+
+
+def _scalar_scan(traj, taus):
+    """Reference for the block scan: pops_at and concurrence_kernel at each tau."""
+    pops = np.array([kernels.pops_at(traj.w, traj.V, traj.c, traj.M, traj.use_expm,
+                                      traj.p0, tau) for tau in taus])
+    C = []
+    for p, tau in zip(pops, taus):
+        amp = np.exp(-4.0 * traj.A1 * tau)
+        C.append(kernels.concurrence_kernel(
+            p[0], p[1], p[2], p[3], traj.reAS0 * amp, traj.imAS0 * amp,
+            traj.reGE0 * amp, traj.imGE0 * amp))
+    return pops, np.array(C)
+
+
+def test_block_scan_is_bitwise_scalar(rng):
+    # eig-path trajectories around one on the expm fallback (A1 = B1 = A2
+    # = B2 makes the generator defective)
+    states = [catalogue_state("psi1", 0.25), catalogue_state("psi2", 0.8),
+              catalogue_state("E"), random_xstate(rng), random_xstate(rng)]
+    block = [prepare(state, random_coeffs(rng)) for state in states]
+    block.insert(2, prepare(catalogue_state("psi1", 0.3),
+                            CoefficientSet(A1=0.25, B1=0.25, A2=0.25, B2=0.25)))
+    assert [traj.use_expm for traj in block].count(True) == 1
+    taus = time_grid(20.0, 150)
+    pops, C = kernels.trajectory_kernel(block, taus)
+    assert pops.shape == (len(block), taus.size, 4) and C.shape == (len(block), taus.size)
+    for k, traj in enumerate(block):
+        want_pops, want_C = _scalar_scan(traj, taus)
+        assert np.array_equal(pops[k], want_pops)
+        assert np.array_equal(C[k], want_C)
+
+
+def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
+    # 3 x 3 cells x 2 modes = 18 trajectories on 400 samples: a block of 16
+    # and a block of 2
+    taus = time_grid(50.0, 400)
+    cells = (("a_over_omega", (0.05, 1.23, 2.41)), ("omega_L", (0.05, 1.04, 3.02)))
+    assert (9 * 2) % (sweeps.BLOCK_SAMPLES // taus.size) != 0
+    spec = make_spec(axes=cells + (("tau", tuple(taus)),))
+    curve = run_curve(spec)
+    for ci, cell in enumerate(curve.cells):
+        for mi, mode in enumerate(spec.bath_modes):
+            traj = prepare(spec.initial, _coeffs_for(spec, mode, cell["a_over_omega"],
+                                                     cell["omega_L"]))
+            want_pops, want_C = _scalar_scan(traj, taus)
+            assert np.array_equal(curve.populations[ci, mi], want_pops)
+            assert np.array_equal(curve.concurrence[ci, mi], want_C)
+    # event rows: the same as detect_events cell by cell, dip branch included
+    dips = []
+    golden = kernels._golden_extremum
+
+    def counting(f, lo, hi, sign, tol):
+        dips.append(sign < 0)
+        return golden(f, lo, hi, sign, tol)
+
+    monkeypatch.setattr(kernels, "_golden_extremum", counting)
+    spec = make_spec(axes=cells)
+    result = run_events(spec)
+    assert any(dips)
+    for ci, cell in enumerate(result.cells):
+        for mi, mode in enumerate(spec.bath_modes):
+            cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
+            direct = detect_events(compute_trajectory(spec.initial, cs, spec.horizon_grid()))
+            assert result.events(ci, mi) == direct
+
+
+def test_block_scan_rejects_negative_radicand():
+    # A1 < B1 makes the rates into |E> negative: pEE goes below zero while
+    # pGG grows, so pGG*pEE falls below the slack
+    traj = kernels.PreparedTrajectory(0.1, 0.5, 0.0, 0.0, np.array([0.0, 0.5, 0.5, 0.0]),
+                                      0.5, 0.0, 0.0, 0.0)
+    taus = time_grid(1.0, 20)
+    with pytest.raises(ValueError) as scalar:
+        _scalar_scan(traj, taus)
+    with pytest.raises(ValueError) as block:
+        kernels.trajectory_kernel([traj], taus)
+    assert str(block.value) == str(scalar.value)
+    assert "radicand below tolerance" in str(block.value)
 
 
 def test_region_map_labels_and_counts():
