@@ -21,6 +21,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .coefficients import BathKind, SystemParams, assemble
 from .config import RunConfig, load_config, load_preset, preset_names
@@ -51,10 +53,9 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(columns, lines) -> str:
+    # lines: the data rows, each already joined with commas
+    return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 def _events_payload(spec, result):
@@ -68,13 +69,13 @@ def _events_payload(spec, result):
 
 
 def _write_outputs(config: RunConfig, out_dir, command: str, panel: str,
-                   stem: str, columns, rows, events=None, extra=None):
+                   stem: str, columns, lines, events=None, extra=None):
     """Write one panel: ``<stem>.csv``, the events payload as
     ``<stem>.events.json`` when given, and ``<stem>.meta.json``, which
     records the resolved parameters and the sha256 of the other two."""
     files = {}
     name = f"{stem}.csv"
-    files[name] = _write_text(out_dir / name, _csv(columns, rows))
+    files[name] = _write_text(out_dir / name, _csv(columns, lines))
     if events is not None:
         name = f"{stem}.events.json"
         files[name] = _write_text(out_dir / name, _json(events))
@@ -105,9 +106,9 @@ def cmd_coeffs(config: RunConfig, out_dir):
                         dipole1=d1, dipole2=d2, bath=bath)
                     for order in (12, 21):
                         cs = assemble(params, order)
-                        rows.append([pol_label, _fmt(a), _fmt(L), bath.value,
-                                     str(order), _fmt(cs.A1), _fmt(cs.B1),
-                                     _fmt(cs.A2), _fmt(cs.B2)])
+                        rows.append(",".join([pol_label, _fmt(a), _fmt(L), bath.value,
+                                              str(order), _fmt(cs.A1), _fmt(cs.B1),
+                                              _fmt(cs.A2), _fmt(cs.B2)]))
                         pretty.append([pol_label, f"{a:g}", f"{L:g}", bath.value,
                                        str(order), f"{cs.A1:.8f}", f"{cs.B1:.8f}",
                                        f"{cs.A2:.8f}", f"{cs.B2:.8f}"])
@@ -126,7 +127,7 @@ def cmd_evolve(config: RunConfig, out_dir):
     specs = config.sweep_specs("evolve")
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
-        curve = run_curve(spec)
+        curve = run_curve(spec, "events" in config.outputs)
         cell_cols = [name for name, _ in spec.cell_axes()]
         columns = list(cell_cols) + ["tau"]
         for mode in curve.modes:
@@ -134,20 +135,23 @@ def cmd_evolve(config: RunConfig, out_dir):
         for mode in curve.modes:
             for pop in _POP_NAMES:
                 columns.append(f"{pop}_{_MODE_SUFFIX[mode]}")
-        rows = []
-        for ci, cell in enumerate(curve.cells):
-            head = [_fmt(cell[name]) for name in cell_cols]
-            for kt, tau in enumerate(curve.times):
-                row = head + [_fmt(tau)]
-                for mi in range(len(curve.modes)):
-                    row.append(_fmt(curve.concurrence[ci, mi, kt]))
-                for mi in range(len(curve.modes)):
-                    row.extend(_fmt(curve.populations[ci, mi, kt, m]) for m in range(4))
-                rows.append(row)
-        events = (_events_payload(spec, run_events(spec))
-                  if "events" in config.outputs else None)
+        # per cell and time: C of each mode, then the populations of each mode
+        ncells, nmodes, ntimes = curve.concurrence.shape
+        values = np.concatenate(
+            [curve.concurrence.transpose(0, 2, 1),
+             curve.populations.transpose(0, 2, 1, 3).reshape(ncells, ntimes, 4 * nmodes)],
+            axis=2)
+        # "%.17g" % x is format(x, ".17g") for every float; one format per row
+        row_fmt = ",".join(["%.17g"] * values.shape[2])
+        taus = ["%.17g," % tau for tau in curve.times.tolist()]
+        lines = []
+        for cell, cell_values in zip(curve.cells, values):
+            head = "".join(_fmt(cell[name]) + "," for name in cell_cols)
+            lines.extend(head + tau + row_fmt % tuple(row)
+                         for tau, row in zip(taus, cell_values.tolist()))
+        events = _events_payload(spec, curve.events) if curve.events else None
         _write_outputs(config, out_dir, "evolve", panel, f"{config.name}_{panel}",
-                       columns, rows, events)
+                       columns, lines, events)
     return EXIT_OK
 
 
@@ -169,7 +173,7 @@ def cmd_sweep(config: RunConfig, out_dir):
             for mi in range(len(events.modes)):
                 row.append(_fmt(max_c[ci, mi]))
                 row.append(_fmt(max_t[ci, mi]))
-            rows.append(row)
+            rows.append(",".join(row))
         payload = _events_payload(spec, events) if "events" in config.outputs else None
         _write_outputs(config, out_dir, "sweep", panel, f"{config.name}_{panel}",
                        columns, rows, payload)
@@ -185,7 +189,7 @@ def cmd_region(config: RunConfig, out_dir):
         rows = []
         for i, a in enumerate(region.a_values):
             for j, L in enumerate(region.L_values):
-                rows.append([_fmt(a), _fmt(L), LABEL_NAMES[region.labels[i, j]]])
+                rows.append(",".join([_fmt(a), _fmt(L), LABEL_NAMES[region.labels[i, j]]]))
         counts = region.counts()
         _write_outputs(config, out_dir, "region", panel,
                        f"{config.name}_{panel}_region", columns, rows,

@@ -133,4 +133,4 @@ def detect_events(traj: Trajectory) -> EntanglementEvents:
         raise DomainError("empty trajectory")
     prepared = prepare(traj.initial, traj.coeffs)
     _, C = kernels.trajectory_kernel([prepared], traj.times)
-    return EntanglementEvents.from_row(kernels.events_kernel(prepared, traj.times, C[0]))
+    return EntanglementEvents.from_row(kernels.events_kernel([prepared], traj.times, C)[0])

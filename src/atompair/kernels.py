@@ -1,10 +1,11 @@
 """Hot numerical kernels.
 
 Populations and concurrence are sampled for a block of prepared
-trajectories at once, on arrays (``trajectory_kernel``); event refinement
-(bisection, golden section) evaluates one trajectory at one time. The
-kernels do not validate their arguments: the config parser and the public
-dataclasses (:mod:`atompair.config`, :mod:`atompair.coefficients`,
+trajectories at once, on arrays (``trajectory_kernel``), and event
+refinement (bisection, golden section) steps every flagged bracket of a
+group of trajectories at once (``events_kernel``). The kernels do not
+validate their arguments: the config parser and the public dataclasses
+(:mod:`atompair.config`, :mod:`atompair.coefficients`,
 :mod:`atompair.sweeps`) check every input before it reaches them.
 
 Units: the atomic transition frequency is fixed at 1, so ``a`` means a/omega
@@ -273,8 +274,6 @@ def pops_at(w, V, c, M, use_expm, p0, tau):
     return np.array([sum(E[m, n] * p0[n] for n in range(4)) for m in range(4)])
 
 
-
-
 def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
     """X-state concurrence max{0, K1, K2} from the eight real components.
 
@@ -328,163 +327,222 @@ class PreparedTrajectory:
     def populations(self, tau):
         return pops_at(self.w, self.V, self.c, self.M, self.use_expm, self.p0, tau)
 
-    def concurrence(self, p, tau, clamp=True):
-        """Concurrence at tau from the populations p there."""
-        amp = np.exp(-4.0 * self.A1 * tau)
-        return concurrence_kernel(p[0], p[1], p[2], p[3],
-                                  self.reAS0 * amp, self.imAS0 * amp,
-                                  self.reGE0 * amp, self.imGE0 * amp, clamp)
+
+class TrajectoryStack:
+    """A list of prepared trajectories as arrays, one row per trajectory."""
+
+    __slots__ = ("trajs", "w", "V", "c", "A1", "coherences", "p0", "use_expm")
+
+    def __init__(self, trajs):
+        self.trajs = trajs
+        self.w = np.array([t.w for t in trajs]).reshape(-1, 4)
+        self.V = np.array([t.V for t in trajs]).reshape(-1, 4, 4)
+        self.c = np.array([t.c for t in trajs]).reshape(-1, 4)
+        self.A1 = np.array([t.A1 for t in trajs], dtype=float)
+        self.coherences = np.array([(t.reAS0, t.imAS0, t.reGE0, t.imGE0)
+                                    for t in trajs]).reshape(-1, 4)
+        self.p0 = np.array([t.p0 for t in trajs]).reshape(-1, 4)
+        self.use_expm = np.array([t.use_expm for t in trajs], dtype=bool)
 
 
-def _conc_at(traj, tau):
-    return traj.concurrence(traj.populations(tau), tau)
-
-
-def _conc_raw_at(traj, tau):
-    # max(K1, K2) without the clamp at zero; negative values certify a dip
-    return traj.concurrence(traj.populations(tau), tau, False)
-
-
-def trajectory_kernel(trajs, taus):
-    """Populations and concurrence of a block of prepared trajectories on
-    one time grid. Returns (pops (n, t, 4), C (n, t)).
+def _evaluate(stack, rows, tau, clamp):
+    """Populations and concurrence of the stack rows ``rows`` (k,) at the
+    times ``tau`` (k, s). Returns (pops (k, s, 4), C (k, s)).
 
     The arithmetic per sample is that of ``pops_at`` and
     ``concurrence_kernel``, done on arrays, so every value is bitwise the
     scalar one: eig rows stack c*exp(w tau) and apply V by one batched
     matrix-vector product, rows on the expm fallback go through
-    ``pops_at``, tau = 0 gives p0, and a radicand below RADICAND_SLACK
-    raises ValueError.
+    ``pops_at``, tau = 0 gives p0, and with the clamp a radicand below
+    RADICAND_SLACK raises ValueError.
     """
-    pops = np.empty((len(trajs), taus.size, 4))
-    eig = [i for i, traj in enumerate(trajs) if not traj.use_expm]
-    w = np.array([trajs[i].w for i in eig]).reshape(-1, 1, 4)
-    c = np.array([trajs[i].c for i in eig]).reshape(-1, 1, 4)
-    V = np.array([trajs[i].V for i in eig]).reshape(-1, 1, 4, 4)
+    pops = np.empty(tau.shape + (4,))
+    expm = stack.use_expm[rows]
+    eig = ~expm
+    r = rows[eig]
     # one matrix-vector product per sample, as in pops_at: a stacked
     # matrix-matrix product sums in another order
-    pops[eig] = (V @ (c * np.exp(w * taus[:, None]))[..., None])[..., 0].real
-    for i, traj in enumerate(trajs):
-        if traj.use_expm:
-            pops[i] = [traj.populations(tau) for tau in taus]
-    pops[:, taus == 0.0] = np.array([traj.p0 for traj in trajs])[:, None]
+    y = stack.c[r, None] * np.exp(stack.w[r, None] * tau[eig][..., None])
+    pops[eig] = (stack.V[r, None] @ y[..., None])[..., 0].real
+    zi, zj = np.nonzero(tau == 0.0)
+    pops[zi, zj] = stack.p0[rows[zi]]
+    for i in np.flatnonzero(expm):
+        pops[i] = [stack.trajs[rows[i]].populations(t) for t in tau[i]]
 
-    amp = np.exp(-4.0 * np.array([traj.A1 for traj in trajs])[:, None] * taus)
-    reAS, imAS, reGE, imGE = (
-        np.array([(t.reAS0, t.imAS0, t.reGE0, t.imGE0) for t in trajs]).T[..., None] * amp)
-    pGG, pAA, pSS, pEE = np.moveaxis(pops, -1, 0)
-    # concurrence_kernel with the clamp, line by line
+    amp = np.exp(-4.0 * stack.A1[rows, None] * tau)
+    reAS, imAS, reGE, imGE = stack.coherences[rows].T[..., None] * amp
+    pGG, pAA, pSS, pEE = pops.transpose(2, 0, 1)
+    # concurrence_kernel, line by line
     rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
     prod = pGG * pEE
     rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
-    if np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK) | (rad2 < RADICAND_SLACK)):
+    if clamp and np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK)
+                        | (rad2 < RADICAND_SLACK)):
         raise ValueError("concurrence radicand below tolerance: state not positive")
     K1 = np.sqrt(np.where(rad1 < 0.0, 0.0, rad1)) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
     K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
     C = np.where(K1 > K2, K1, K2)
-    return pops, np.where(C > 0.0, C, 0.0)
+    if clamp:
+        C = np.where(C > 0.0, C, 0.0)
+    return pops, C
 
 
-def _bisect_crossing(f, lo, hi, want_up):
-    # bracket carries a sign change of f - EPS_DEAD by construction
-    while hi - lo > REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        if want_up == (f(mid) > EPS_DEAD):
-            hi = mid
-        else:
-            lo = mid
+def _conc_at(stack, rows, tau):
+    # concurrence of trajectory rows[i] at tau[i]
+    return _evaluate(stack, rows, tau[:, None], True)[1][:, 0]
+
+
+def _conc_raw_at(stack, rows, tau):
+    # max(K1, K2) without the clamp at zero; negative values certify a dip
+    return _evaluate(stack, rows, tau[:, None], False)[1][:, 0]
+
+
+def trajectory_kernel(trajs, taus):
+    """Populations and concurrence of a block of prepared trajectories on
+    one time grid. Returns (pops (n, t, 4), C (n, t)), every value bitwise
+    equal to ``pops_at`` and ``concurrence_kernel`` at that sample."""
+    n = len(trajs)
+    return _evaluate(TrajectoryStack(trajs), np.arange(n),
+                     np.broadcast_to(taus, (n, taus.size)), True)
+
+
+def _bisect_crossing(f, rows, lo, hi, want_up):
+    # bracket i of trajectory rows[i] carries a sign change of f - EPS_DEAD
+    # by construction; every bracket halves until it is REFINE_TOL wide
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    active = np.flatnonzero(hi - lo > REFINE_TOL)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        to_hi = want_up[active] == (f(rows[active], mid) > EPS_DEAD)
+        hi[active] = np.where(to_hi, mid, hi[active])
+        lo[active] = np.where(to_hi, lo[active], mid)
+        active = active[hi[active] - lo[active] > REFINE_TOL]
     return 0.5 * (lo + hi)
 
 
-def _golden_extremum(f, lo, hi, sign, tol):
-    # golden-section on sign*f; sign=+1 finds a maximum, -1 a minimum
+def _golden_extremum(f, rows, lo, hi, sign, tol):
+    # golden-section on sign*f; sign=+1 finds maxima, -1 minima. Bracket i
+    # of trajectory rows[i] shrinks until it is tol[i] wide
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    tol = np.broadcast_to(tol, lo.shape)
     x1 = hi - _INVGOLD * (hi - lo)
     x2 = lo + _INVGOLD * (hi - lo)
-    f1 = sign * f(x1)
-    f2 = sign * f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo = x1
-            x1 = x2
-            f1 = f2
-            x2 = lo + _INVGOLD * (hi - lo)
-            f2 = sign * f(x2)
-        else:
-            hi = x2
-            x2 = x1
-            f2 = f1
-            x1 = hi - _INVGOLD * (hi - lo)
-            f1 = sign * f(x1)
+    f1 = sign * f(rows, x1)
+    f2 = sign * f(rows, x2)
+    a = np.flatnonzero(hi - lo > tol)    # the brackets still shrinking
+    while a.size:
+        up = f1[a] < f2[a]
+        lo[a] = np.where(up, x1[a], lo[a])
+        hi[a] = np.where(up, hi[a], x2[a])
+        # the new point: x2 when the bracket moved up, x1 when it moved down
+        x = np.where(up, lo[a] + _INVGOLD * (hi[a] - lo[a]),
+                     hi[a] - _INVGOLD * (hi[a] - lo[a]))
+        fx = sign * f(rows[a], x)
+        x1[a], x2[a] = np.where(up, x2[a], x), np.where(up, x, x1[a])
+        f1[a], f2[a] = np.where(up, f2[a], fx), np.where(up, fx, f1[a])
+        a = a[hi[a] - lo[a] > tol[a]]
     t = 0.5 * (lo + hi)
-    return t, f(t)
+    return t, f(rows, t)
 
 
-def events_kernel(traj, taus, C):
-    """Entanglement events along one prepared trajectory, from its
-    concurrence C on the grid taus (a row of ``trajectory_kernel``).
+def _first_per_row(rows, times, n):
+    # times[i] belongs to trajectory rows[i], entries in candidate order;
+    # the first non-NaN time of each trajectory, NaN where there is none
+    first = np.full(n, np.nan)
+    has = ~np.isnan(times)
+    found, index = np.unique(rows[has], return_index=True)
+    first[found] = times[has][index]
+    return first
 
-    Returns (death_time, birth_time, revival, enhancement, max_C, max_time,
-    revival_amplitude), the field order of ``EntanglementEvents``; missing
-    times are NaN, flags are 0/1. The candidates are found on the row:
-    threshold crossings between neighbouring samples, and sampled local
-    minima above threshold. Crossings are refined by bisection on the exact
-    propagator and maxima by golden section, both to REFINE_TOL in scaled
-    time. Local minima are drilled into at machine depth on the unclamped
-    concurrence, so a dip through zero far narrower than the sample
-    spacing (including exact touches at zero temperature) still registers
-    as a death/birth pair; bumps narrower than the spacing remain
-    invisible. revival_amplitude is the largest concurrence after the
-    first death, 0 when there is no death.
+
+def events_kernel(trajs, taus, C):
+    """Entanglement events of a group of prepared trajectories, from their
+    concurrence C (n, t) on the grid taus (rows of ``trajectory_kernel``).
+
+    Returns an (n, 7) array, one row per trajectory in the field order of
+    ``EntanglementEvents``: (death_time, birth_time, revival, enhancement,
+    max_C, max_time, revival_amplitude); missing times are NaN, flags are
+    0/1. The candidates are found on the rows: threshold crossings between
+    neighbouring samples, and sampled local minima above threshold.
+    Crossings are refined by bisection on the exact propagator and maxima
+    by golden section, both to REFINE_TOL in scaled time. Local minima are
+    drilled into at machine depth on the unclamped concurrence, so a dip
+    through zero far narrower than the sample spacing (including exact
+    touches at zero temperature) still registers as a death/birth pair;
+    bumps narrower than the spacing remain invisible. death_time and
+    birth_time are the first downward and upward crossings in time, a dip
+    counting as a downward then an upward one. revival_amplitude is the
+    largest concurrence after the first death, 0 when there is no death.
+
+    Every bracket of the group is refined in the same array pass, so each
+    bisection or golden-section step is one evaluation call for the whole
+    group; the steps that need earlier results (bisecting certified dips,
+    the maximum after the death) run after them. Each bracket takes the
+    steps the one-trajectory scalar search takes, so rows are bitwise
+    equal to it.
     """
-    conc = functools.partial(_conc_at, traj)
+    stack = TrajectoryStack(trajs)
+    conc = functools.partial(_conc_at, stack)
     n = taus.size
+    rows = np.arange(len(trajs))
     above = C > EPS_DEAD
-    candidate = np.zeros(n, dtype=bool)
-    candidate[1:] = above[1:] != above[:-1]
-    candidate[1:-1] |= (above[:-2] & above[1:-1] & above[2:]
-                        & (C[1:-1] <= C[:-2]) & (C[1:-1] <= C[2:]))
+    crossing = np.zeros(C.shape, dtype=bool)
+    crossing[:, 1:] = above[:, 1:] != above[:, :-1]
+    dip = np.zeros(C.shape, dtype=bool)
+    dip[:, 1:-1] = (above[:, :-2] & above[:, 1:-1] & above[:, 2:]
+                    & (C[:, 1:-1] <= C[:, :-2]) & (C[:, 1:-1] <= C[:, 2:]))
 
-    crossings = []   # (time, upward), in chronological order
-    for k in np.flatnonzero(candidate):
-        now = bool(above[k])
-        if now != above[k - 1]:
-            crossings.append((_bisect_crossing(conc, taus[k - 1], taus[k], now), now))
-            continue
-        # local minimum above threshold: the true dip may cross between
-        # samples; certify at machine depth (a zero-temperature dip is a
-        # V touching zero over a vanishing time window)
-        dip_tol = 1e-12 * max(1.0, taus[k + 1])
-        tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
-                                      taus[k - 1], taus[k + 1], -1.0, dip_tol)
-        if fmin <= EPS_DEAD:
-            td = _bisect_crossing(conc, taus[k - 1], tmin, False)
-            tb = _bisect_crossing(conc, tmin, taus[k + 1], True)
-            crossings += [(td, False), (tb, True)]
-
-    death = next((t for t, up in crossings if not up), np.nan)
-    birth = next((t for t, up in crossings if up), np.nan)
-
+    # threshold crossings between samples
+    rc, kc = np.nonzero(crossing)
+    upward = above[rc, kc]
+    tc = _bisect_crossing(conc, rc, taus[kc - 1], taus[kc], upward)
+    # local minima above threshold: the true dip may cross between samples;
+    # certify at machine depth (a zero-temperature dip is a V touching zero
+    # over a vanishing time window)
+    rd, kd = np.nonzero(dip)
+    tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, stack), rd,
+                                  taus[kd - 1], taus[kd + 1], -1.0,
+                                  1e-12 * np.maximum(1.0, taus[kd + 1]))
     # golden-section refinement of the sampled maximum (first best sample)
-    kbest = int(np.argmax(C))
-    cbest = C[kbest]
-    tmax, fmax = _golden_extremum(conc, taus[max(kbest - 1, 0)],
-                                  taus[min(kbest + 1, n - 1)], 1.0, REFINE_TOL)
-    max_c = cbest
-    max_t = taus[kbest]
-    if fmax > max_c:
-        max_c = fmax
-        max_t = tmax
+    kbest = np.argmax(C, axis=1)
+    tmax, fmax = _golden_extremum(conc, rows, taus[np.maximum(kbest - 1, 0)],
+                                  taus[np.minimum(kbest + 1, n - 1)], 1.0, REFINE_TOL)
 
-    # largest concurrence after the first death
-    rev_amp = 0.0
-    post = np.flatnonzero(taus > death)   # empty when there is no death
-    if post.size and C[post].max() > 0.0:
-        kpost = post[np.argmax(C[post])]
-        cpost = C[kpost]
-        tpost, fpost = _golden_extremum(conc, max(taus[max(kpost - 1, 0)], death),
-                                        taus[min(kpost + 1, n - 1)], 1.0, REFINE_TOL)
-        rev_amp = cpost if cpost > fpost else fpost
+    # a certified dip is a death and a birth, bisected on either side
+    certified = fmin <= EPS_DEAD
+    rd, kd, tmin = rd[certified], kd[certified], tmin[certified]
+    ndip = rd.size
+    tdip = _bisect_crossing(conc, np.concatenate([rd, rd]),
+                            np.concatenate([taus[kd - 1], tmin]),
+                            np.concatenate([tmin, taus[kd + 1]]),
+                            np.repeat([False, True], ndip))
 
-    revival = 1 if (not np.isnan(death)) and (not np.isnan(birth)) and birth > death else 0
-    enhancement = 1 if max_c > C[0] + EPS_ENH else 0
-    return death, birth, revival, enhancement, max_c, max_t, rev_amp
+    # first death and first birth in time: candidates sorted by (row, sample)
+    cand_rows = np.concatenate([rc, rd])
+    order = np.lexsort((np.concatenate([kc, kd]), cand_rows))
+    down_t = np.concatenate([np.where(upward, np.nan, tc), tdip[:ndip]])
+    up_t = np.concatenate([np.where(upward, tc, np.nan), tdip[ndip:]])
+    death = _first_per_row(cand_rows[order], down_t[order], rows.size)
+    birth = _first_per_row(cand_rows[order], up_t[order], rows.size)
+
+    cbest = C[rows, kbest]
+    better = fmax > cbest
+    max_c = np.where(better, fmax, cbest)
+    max_t = np.where(better, tmax, taus[kbest])
+
+    # largest concurrence after the first death (no samples without one)
+    after = np.where(taus > death[:, None], C, -np.inf)
+    revived = np.flatnonzero(after.max(axis=1) > 0.0)
+    kpost = np.argmax(after[revived], axis=1)
+    cpost = C[revived, kpost]
+    _, fpost = _golden_extremum(conc, revived,
+                                np.maximum(taus[np.maximum(kpost - 1, 0)], death[revived]),
+                                taus[np.minimum(kpost + 1, n - 1)], 1.0, REFINE_TOL)
+    rev_amp = np.zeros(rows.size)
+    rev_amp[revived] = np.where(cpost > fpost, cpost, fpost)
+
+    revival = ~np.isnan(death) & ~np.isnan(birth) & (birth > death)
+    enhancement = max_c > C[:, 0] + EPS_ENH
+    return np.column_stack([death, birth, revival, enhancement, max_c, max_t, rev_amp])

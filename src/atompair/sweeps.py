@@ -3,11 +3,12 @@
 A SweepSpec fixes the physics of a panel (initial state, polarisations,
 bath modes) and the grid axes. Every run_* function goes through one
 serial generator, ``_trajectories``, that prepares the exact trajectory of
-each (cell, bath mode) in a fixed order and hands them out in blocks of a
-fixed size. Curves sample each block on the tau axis; event runs scan it
-on the horizon grid in one array pass and then refine each trajectory's
-flagged brackets in turn. The block size depends only on the grid length,
-so outputs are bit-identical from run to run.
+each (cell, bath mode) in a fixed order and hands them out in groups of a
+fixed size. Each group is scanned on arrays in blocks of a fixed size:
+curves sample it on the tau axis, event runs on the horizon grid, and the
+flagged brackets of the whole group are then refined together in one
+array pass (``kernels.events_kernel``). Block and group sizes depend only
+on the grid lengths, so outputs are bit-identical from run to run.
 """
 
 import itertools
@@ -31,6 +32,11 @@ _LOG_GRID_BETA = 6.0
 # default horizon grid. Larger blocks scan no faster and only grow the
 # temporaries: an 800-trajectory block adds about 50 MB of peak RSS.
 BLOCK_SAMPLES = 16 * DEFAULT_HORIZON_SAMPLES
+# trajectories x horizon samples refined as one group: 128 trajectories on
+# the default horizon grid. Each refinement step is one array evaluation
+# for the whole group, and groups of 16 spend most of it in numpy's
+# per-call overhead; a group keeps only its concurrence rows (0.4 MB).
+REFINE_SAMPLES = 128 * DEFAULT_HORIZON_SAMPLES
 
 
 def time_grid(stop: float, num: int, spacing: str = "log") -> np.ndarray:
@@ -153,59 +159,43 @@ def _require_axis(spec, name, minimum=2):
     return values
 
 
-def _trajectories(spec, cells, nsamples):
-    """Yield blocks of prepared trajectories, one per (cell, bath mode) in
+def _trajectories(spec, cells):
+    """Yield groups of prepared trajectories, one per (cell, bath mode) in
     order, modes innermost.
 
-    A block holds BLOCK_SAMPLES // nsamples trajectories (at least one;
-    the last block may hold fewer). Every cell carries every non-time
-    axis, single-valued ones included.
+    A group holds REFINE_SAMPLES // spec.horizon_samples trajectories (at
+    least one; the last group may hold fewer). Every cell carries every
+    non-time axis, single-valued ones included.
     """
     _require_axis(spec, "a_over_omega", 1)
     _require_axis(spec, "omega_L", 1)
-    size = max(1, BLOCK_SAMPLES // nsamples)
-    block = []
+    size = max(1, REFINE_SAMPLES // spec.horizon_samples)
+    group = []
     for cell in cells:
         initial = spec.resolve_initial(cell)
         for mode in spec.bath_modes:
             coeffs = assemble(SystemParams(cell["a_over_omega"], cell["omega_L"],
                                            spec.dipole1, spec.dipole2, mode),
                               spec.atom_order)
-            block.append(prepare(initial, coeffs))
-            if len(block) == size:
-                yield block
-                block = []
-    if block:
-        yield block
+            group.append(prepare(initial, coeffs))
+            if len(group) == size:
+                yield group
+                group = []
+    if group:
+        yield group
 
 
-# ---------------------------------------------------------------------------
-# curves
-
-@dataclass(frozen=True)
-class CurveResult:
-    times: np.ndarray
-    cells: tuple                   # tuple of {axis: value} dicts
-    modes: tuple
-    concurrence: np.ndarray        # (ncells, nmodes, ntimes)
-    populations: np.ndarray        # (ncells, nmodes, ntimes, 4)
+def _scan(group, taus):
+    """Yield (pops, C) of a group on taus, BLOCK_SAMPLES samples at a time."""
+    size = max(1, BLOCK_SAMPLES // taus.size)
+    for start in range(0, len(group), size):
+        yield kernels.trajectory_kernel(group[start:start + size], taus)
 
 
-def run_curve(spec: SweepSpec) -> CurveResult:
-    """Concurrence and populations on the tau axis for every cell and mode."""
-    taus = _require_axis(spec, "tau")
-    cells = spec.cells()
-    shape = (len(cells), len(spec.bath_modes), taus.size)
-    conc = np.empty((shape[0] * shape[1], taus.size))
-    pops = np.empty(conc.shape + (4,))
-    start = 0
-    for block in _trajectories(spec, cells, taus.size):
-        stop = start + len(block)
-        pops[start:stop], conc[start:stop] = kernels.trajectory_kernel(block, taus)
-        start = stop
-    return CurveResult(times=taus, cells=tuple(cells), modes=spec.bath_modes,
-                       concurrence=conc.reshape(shape),
-                       populations=pops.reshape(shape + (4,)))
+def _event_rows(group, taus):
+    """Events rows of a group: scanned in blocks, refined together."""
+    C = np.concatenate([conc for _, conc in _scan(group, taus)])
+    return kernels.events_kernel(group, taus, C)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +216,68 @@ class EventsResult:
         return EntanglementEvents.from_row(self.table[cell_index, mode_index])
 
 
+def _events_result(spec, cells, rows):
+    table = np.concatenate(rows).reshape(len(cells), len(spec.bath_modes), len(EVENT_FIELDS))
+    return EventsResult(cells=tuple(cells), modes=spec.bath_modes, table=table)
+
+
 def run_events(spec: SweepSpec) -> EventsResult:
     """Entanglement events for every cell and mode on the horizon grid.
 
-    The max_concurrence and max_time columns are the maximum concurrence
-    over the evolution and its time: the sampled maximum refined by golden
-    section around the best sample, to ``kernels.REFINE_TOL`` in scaled
-    time. Multi-bump trajectories are assumed to be sampled finely enough
-    for the best sample to sit on the winning bump.
+    Trajectories are scanned in blocks of BLOCK_SAMPLES samples and
+    refined in groups of REFINE_SAMPLES horizon samples, every flagged
+    bracket of a group in one array pass. The max_concurrence and max_time
+    columns are the maximum concurrence over the evolution and its time:
+    the sampled maximum refined by golden section around the best sample,
+    to ``kernels.REFINE_TOL`` in scaled time. Multi-bump trajectories are
+    assumed to be sampled finely enough for the best sample to sit on the
+    winning bump.
     """
     cells = spec.cells()
     taus = spec.horizon_grid()
+    return _events_result(spec, cells, [_event_rows(group, taus)
+                                         for group in _trajectories(spec, cells)])
+
+
+# ---------------------------------------------------------------------------
+# curves
+
+@dataclass(frozen=True)
+class CurveResult:
+    times: np.ndarray
+    cells: tuple                   # tuple of {axis: value} dicts
+    modes: tuple
+    concurrence: np.ndarray        # (ncells, nmodes, ntimes)
+    populations: np.ndarray        # (ncells, nmodes, ntimes, 4)
+    events: EventsResult | None = None
+
+
+def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
+    """Concurrence and populations on the tau axis for every cell and mode.
+
+    With ``events`` the result also carries ``run_events(spec)``, computed
+    from the same prepared trajectories, so each generator is decomposed
+    once for both grids.
+    """
+    taus = _require_axis(spec, "tau")
+    horizon = spec.horizon_grid()
+    cells = spec.cells()
+    shape = (len(cells), len(spec.bath_modes), taus.size)
+    conc = np.empty((shape[0] * shape[1], taus.size))
+    pops = np.empty(conc.shape + (4,))
     rows = []
-    for block in _trajectories(spec, cells, taus.size):
-        _, conc = kernels.trajectory_kernel(block, taus)
-        rows += [kernels.events_kernel(traj, taus, C) for traj, C in zip(block, conc)]
-    table = np.array(rows).reshape(len(cells), len(spec.bath_modes), len(EVENT_FIELDS))
-    return EventsResult(cells=tuple(cells), modes=spec.bath_modes, table=table)
+    start = 0
+    for group in _trajectories(spec, cells):
+        for block_pops, block_conc in _scan(group, taus):
+            stop = start + len(block_conc)
+            pops[start:stop], conc[start:stop] = block_pops, block_conc
+            start = stop
+        if events:
+            rows.append(_event_rows(group, horizon))
+    return CurveResult(times=taus, cells=tuple(cells), modes=spec.bath_modes,
+                       concurrence=conc.reshape(shape),
+                       populations=pops.reshape(shape + (4,)),
+                       events=_events_result(spec, cells, rows) if events else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,21 @@ it:
   ``atompair.concurrence_wootters`` and of the positivity checks;
 - ``refinement_boundary_cells`` compares a coarse region map with its
   grid-doubled refinement;
+- ``events_kernel`` is the one-trajectory scalar event refinement, one
+  bisection or golden-section evaluation at a time, that the grouped
+  ``atompair.kernels.events_kernel`` must match bit for bit;
 - ``read_table`` reparses the CSV tables the CLI writes.
 
 Arguments are dimensionless: lam and a in units of the transition
 frequency, L in its inverse.
 """
 
+import functools
+
 import numpy as np
 from scipy.integrate import quad
 
+from atompair import kernels
 from atompair.dynamics import XState
 from atompair.errors import AtompairError, DomainError
 
@@ -192,3 +198,131 @@ def read_table(path):
     lines = text.rstrip("\n").split("\n")
     columns = lines[0].split(",")
     return columns, [line.split(",") for line in lines[1:]]
+
+
+# ---------------------------------------------------------------------------
+# scalar event refinement: one trajectory, one evaluation at a time
+
+EPS_DEAD = kernels.EPS_DEAD
+EPS_ENH = kernels.EPS_ENH
+REFINE_TOL = kernels.REFINE_TOL
+_INVGOLD = kernels._INVGOLD
+
+
+def _conc_at(traj, tau, clamp=True):
+    # pops_at and concurrence_kernel at one time of a PreparedTrajectory
+    p = traj.populations(tau)
+    amp = np.exp(-4.0 * traj.A1 * tau)
+    return kernels.concurrence_kernel(p[0], p[1], p[2], p[3],
+                                      traj.reAS0 * amp, traj.imAS0 * amp,
+                                      traj.reGE0 * amp, traj.imGE0 * amp, clamp)
+
+
+def _conc_raw_at(traj, tau):
+    # max(K1, K2) without the clamp at zero; negative values certify a dip
+    return _conc_at(traj, tau, False)
+
+
+def _bisect_crossing(f, lo, hi, want_up):
+    # bracket carries a sign change of f - EPS_DEAD by construction
+    while hi - lo > REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if want_up == (f(mid) > EPS_DEAD):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _golden_extremum(f, lo, hi, sign, tol):
+    # golden-section on sign*f; sign=+1 finds a maximum, -1 a minimum
+    x1 = hi - _INVGOLD * (hi - lo)
+    x2 = lo + _INVGOLD * (hi - lo)
+    f1 = sign * f(x1)
+    f2 = sign * f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo = x1
+            x1 = x2
+            f1 = f2
+            x2 = lo + _INVGOLD * (hi - lo)
+            f2 = sign * f(x2)
+        else:
+            hi = x2
+            x2 = x1
+            f2 = f1
+            x1 = hi - _INVGOLD * (hi - lo)
+            f1 = sign * f(x1)
+    t = 0.5 * (lo + hi)
+    return t, f(t)
+
+
+def events_kernel(traj, taus, C):
+    """Entanglement events along one prepared trajectory, from its
+    concurrence C on the grid taus (a row of ``trajectory_kernel``).
+
+    Returns (death_time, birth_time, revival, enhancement, max_C, max_time,
+    revival_amplitude), the field order of ``EntanglementEvents``; missing
+    times are NaN, flags are 0/1. The candidates are found on the row:
+    threshold crossings between neighbouring samples, and sampled local
+    minima above threshold. Crossings are refined by bisection on the exact
+    propagator and maxima by golden section, both to REFINE_TOL in scaled
+    time. Local minima are drilled into at machine depth on the unclamped
+    concurrence, so a dip through zero far narrower than the sample
+    spacing (including exact touches at zero temperature) still registers
+    as a death/birth pair; bumps narrower than the spacing remain
+    invisible. revival_amplitude is the largest concurrence after the
+    first death, 0 when there is no death.
+    """
+    conc = functools.partial(_conc_at, traj)
+    n = taus.size
+    above = C > EPS_DEAD
+    candidate = np.zeros(n, dtype=bool)
+    candidate[1:] = above[1:] != above[:-1]
+    candidate[1:-1] |= (above[:-2] & above[1:-1] & above[2:]
+                        & (C[1:-1] <= C[:-2]) & (C[1:-1] <= C[2:]))
+
+    crossings = []   # (time, upward), in chronological order
+    for k in np.flatnonzero(candidate):
+        now = bool(above[k])
+        if now != above[k - 1]:
+            crossings.append((_bisect_crossing(conc, taus[k - 1], taus[k], now), now))
+            continue
+        # local minimum above threshold: the true dip may cross between
+        # samples; certify at machine depth (a zero-temperature dip is a
+        # V touching zero over a vanishing time window)
+        dip_tol = 1e-12 * max(1.0, taus[k + 1])
+        tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
+                                      taus[k - 1], taus[k + 1], -1.0, dip_tol)
+        if fmin <= EPS_DEAD:
+            td = _bisect_crossing(conc, taus[k - 1], tmin, False)
+            tb = _bisect_crossing(conc, tmin, taus[k + 1], True)
+            crossings += [(td, False), (tb, True)]
+
+    death = next((t for t, up in crossings if not up), np.nan)
+    birth = next((t for t, up in crossings if up), np.nan)
+
+    # golden-section refinement of the sampled maximum (first best sample)
+    kbest = int(np.argmax(C))
+    cbest = C[kbest]
+    tmax, fmax = _golden_extremum(conc, taus[max(kbest - 1, 0)],
+                                  taus[min(kbest + 1, n - 1)], 1.0, REFINE_TOL)
+    max_c = cbest
+    max_t = taus[kbest]
+    if fmax > max_c:
+        max_c = fmax
+        max_t = tmax
+
+    # largest concurrence after the first death
+    rev_amp = 0.0
+    post = np.flatnonzero(taus > death)   # empty when there is no death
+    if post.size and C[post].max() > 0.0:
+        kpost = post[np.argmax(C[post])]
+        cpost = C[kpost]
+        tpost, fpost = _golden_extremum(conc, max(taus[max(kpost - 1, 0)], death),
+                                        taus[min(kpost + 1, n - 1)], 1.0, REFINE_TOL)
+        rev_amp = cpost if cpost > fpost else fpost
+
+    revival = 1 if (not np.isnan(death)) and (not np.isnan(birth)) and birth > death else 0
+    enhancement = 1 if max_c > C[0] + EPS_ENH else 0
+    return death, birth, revival, enhancement, max_c, max_t, rev_amp

@@ -270,9 +270,9 @@ def test_cli_sweep_runs_events_once(tmp_path, monkeypatch):
     original = kernels.events_kernel
     seen = []
 
-    def counting(*args):
-        seen.append(1)
-        return original(*args)
+    def counting(trajs, taus, C):
+        seen.append(len(trajs))
+        return original(trajs, taus, C)
 
     monkeypatch.setattr(kernels, "events_kernel", counting)
     data = dict(MINIMAL, name="once", initial_states=["E"],
@@ -289,6 +289,22 @@ def test_cli_sweep_runs_events_once(tmp_path, monkeypatch):
         acc = cell["modes"]["accelerated"]
         assert float(row[columns.index("max_C_accelerated")]) == acc["max_concurrence"]
         assert float(row[columns.index("tau_max_accelerated")]) == acc["max_time"]
+
+
+def test_cli_evolve_decomposes_each_generator_once(tmp_path, monkeypatch):
+    # the curve and the events of a trajectory share one preparation
+    from atompair import kernels
+    original = kernels.eig_decompose
+    seen = []
+
+    def counting(M):
+        seen.append(1)
+        return original(M)
+
+    monkeypatch.setattr(kernels, "eig_decompose", counting)
+    assert run_cli(["evolve", "--preset", "fig7", "--out", tmp_path / "o"]) == 0
+    assert sum(seen) == 2 * 2  # initial states x bath modes
+    assert len(list((tmp_path / "o").glob("*.events.json"))) == 2
 
 
 def test_cli_region_output(tmp_path):

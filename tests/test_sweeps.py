@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from atompair import (BathKind, CoefficientSet, DomainError, XState, catalogue_state,
-                      compute_trajectory, detect_events, kernels, sweeps)
+import oracles
+from atompair import (BathKind, CoefficientSet, DomainError, SystemParams, XState, assemble,
+                      catalogue_state, compute_trajectory, detect_events, kernels, sweeps)
 from atompair.dynamics import prepare
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
                              run_region_map, time_grid)
@@ -186,9 +187,9 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     dips = []
     golden = kernels._golden_extremum
 
-    def counting(f, lo, hi, sign, tol):
-        dips.append(sign < 0)
-        return golden(f, lo, hi, sign, tol)
+    def counting(f, rows, lo, hi, sign, tol):
+        dips.append(sign < 0 and len(rows) > 0)
+        return golden(f, rows, lo, hi, sign, tol)
 
     monkeypatch.setattr(kernels, "_golden_extremum", counting)
     spec = make_spec(axes=cells)
@@ -213,6 +214,84 @@ def test_block_scan_rejects_negative_radicand():
         kernels.trajectory_kernel([traj], taus)
     assert str(block.value) == str(scalar.value)
     assert "radicand below tolerance" in str(block.value)
+
+
+def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
+    # one group through every branch of the scalar oracle: random X states
+    # (dips that stay above threshold, rows with no death), the expm
+    # fallback, psi1(1/4) dips certified at machine depth and far below
+    # zero, and best samples at index 0
+    trajs = [prepare(random_xstate(rng), random_coeffs(rng)) for _ in range(200)]
+    trajs.append(prepare(catalogue_state("psi1", 0.3),
+                         CoefficientSet(A1=0.25, B1=0.25, A2=0.25, B2=0.25)))
+    for a, L in ((0.05, 0.05), (0.5, 0.05), (2.41, 1.04)):
+        for mode in (AV, TH):
+            trajs.append(prepare(catalogue_state("psi1", 0.25), assemble(
+                SystemParams(a, L, AXES["z"], AXES["z"], mode))))
+    taus = time_grid(50.0, 400)
+    _, C = kernels.trajectory_kernel(trajs, taus)
+
+    dips = []
+    golden = oracles._golden_extremum
+
+    def recording(f, lo, hi, sign, tol):
+        t, value = golden(f, lo, hi, sign, tol)
+        if sign < 0:
+            dips.append(value)
+        return t, value
+
+    monkeypatch.setattr(oracles, "_golden_extremum", recording)
+    want = np.array([oracles.events_kernel(traj, taus, row) for traj, row in zip(trajs, C)],
+                    dtype=float)
+    assert np.array_equal(kernels.events_kernel(trajs, taus, C), want, equal_nan=True)
+    assert [traj.use_expm for traj in trajs].count(True) == 1
+    assert min(dips) <= kernels.EPS_DEAD < max(dips)
+    assert np.isnan(want[:, 0]).any() and (want[:, 2] == 1).any()
+    assert (np.argmax(C, axis=1) == 0).any()
+
+    # a one-sample grid: every evaluation is at tau = 0, where pops are p0
+    one = np.zeros(1)
+    group = trajs[-8:]
+    _, C = kernels.trajectory_kernel(group, one)
+    want = np.array([oracles.events_kernel(traj, one, row) for traj, row in zip(group, C)],
+                    dtype=float)
+    assert np.array_equal(kernels.events_kernel(group, one, C), want, equal_nan=True)
+
+
+def test_grouped_refinement_rejects_negative_radicand():
+    # the trajectory of test_block_scan_rejects_negative_radicand behind a
+    # made-up row whose best sample is the last: the golden section around
+    # it evaluates where pGG*pEE is below the slack
+    bad = kernels.PreparedTrajectory(0.1, 0.5, 0.0, 0.0, np.array([0.0, 0.5, 0.5, 0.0]),
+                                     0.5, 0.0, 0.0, 0.0)
+    good = prepare(catalogue_state("psi1", 0.25),
+                   CoefficientSet(A1=0.5, B1=0.4, A2=0.1, B2=0.08))
+    taus = time_grid(1.0, 20)
+    row = np.linspace(0.1, 1.0, taus.size)
+    with pytest.raises(ValueError) as scalar:
+        oracles.events_kernel(bad, taus, row)
+    with pytest.raises(ValueError) as grouped:
+        kernels.events_kernel([good, bad], taus, np.array([row, row]))
+    assert str(grouped.value) == str(scalar.value)
+    assert "radicand below tolerance" in str(grouped.value)
+
+
+def test_events_same_for_any_refinement_group(monkeypatch):
+    # 18 trajectories: one group by default, groups of 16 and 2, or 18
+    # groups of one; evolve's events come from the curve's trajectories
+    taus = time_grid(10.0, 60)
+    spec = make_spec(axes=(("a_over_omega", (0.05, 1.23, 2.41)),
+                           ("omega_L", (0.05, 1.04, 3.02)), ("tau", tuple(taus))))
+    assert run_curve(spec).events is None
+    want = run_events(spec).table
+    assert sweeps.REFINE_SAMPLES // spec.horizon_samples > want.shape[0] * want.shape[1]
+    for size in (1, 16, None):
+        if size is not None:
+            monkeypatch.setattr(sweeps, "REFINE_SAMPLES", size * spec.horizon_samples)
+        assert np.array_equal(run_events(spec).table, want, equal_nan=True)
+        curve = run_curve(spec, events=True)
+        assert np.array_equal(curve.events.table, want, equal_nan=True)
+        assert np.array_equal(curve.concurrence, run_curve(spec).concurrence)
 
 
 def test_region_map_labels_and_counts():
