@@ -239,10 +239,7 @@ def eig_decompose(M):
     Mc = M.astype(np.complex128)
     w, V = np.linalg.eig(Mc)
     Vinv = np.linalg.inv(V)
-    # Frobenius norms, summed in row-major order
-    nv = sum(abs(x) ** 2 for x in V.flat)
-    ni = sum(abs(x) ** 2 for x in Vinv.flat)
-    cond = np.sqrt(nv) * np.sqrt(ni)
+    cond = np.linalg.norm(V) * np.linalg.norm(Vinv)   # Frobenius norms
     return w, V, Vinv, cond
 
 

@@ -15,7 +15,9 @@ it:
 - ``events_kernel`` is the one-trajectory scalar event refinement, one
   bisection or golden-section evaluation at a time, that the grouped
   ``atompair.kernels.events_kernel`` must match bit for bit;
-- ``read_table`` reparses the CSV tables the CLI writes.
+- ``read_table`` reparses the CSV tables the CLI writes, and
+  ``format_rows`` is the row-at-a-time formatting that the array formatter
+  ``atompair.cli.format_rows`` must match byte for byte.
 
 Arguments are dimensionless: lam and a in units of the transition
 frequency, L in its inverse.
@@ -198,6 +200,12 @@ def read_table(path):
     lines = text.rstrip("\n").split("\n")
     columns = lines[0].split(",")
     return columns, [line.split(",") for line in lines[1:]]
+
+
+def format_rows(values) -> bytes:
+    """CSV body of an (m, k) float table, one Python format per row."""
+    row_fmt = ",".join(["%.17g"] * values.shape[1])
+    return "".join(row_fmt % tuple(row) + "\n" for row in values.tolist()).encode()
 
 
 # ---------------------------------------------------------------------------
