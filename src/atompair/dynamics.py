@@ -109,32 +109,37 @@ def build_generator(coeffs: CoefficientSet) -> np.ndarray:
     return M
 
 
-def warn_on_fallback(cond: float):
-    """Warn when the generator's eigenvectors force the expm fallback."""
-    if kernels.needs_expm(cond):
+def warn_on_fallback(stack: kernels.TrajectoryStack):
+    """Warn when the generator's eigenvectors force the expm fallback
+    (one-row stack)."""
+    if stack.use_expm[0]:
         warnings.warn(
             "population generator eigenvectors are ill-conditioned "
-            f"(cond ~ {cond:.3g}); using matrix-exponential fallback",
+            f"(cond ~ {stack.cond[0]:.3g}); using matrix-exponential fallback",
             RuntimeWarning, stacklevel=3)
 
 
-def prepare(initial: XState, coeffs: CoefficientSet) -> kernels.PreparedTrajectory:
-    """One-time setup of the exact evolution of ``initial`` under ``coeffs``:
-    generator, eigendecomposition and expm-fallback flag. No validation and
-    no fallback warning; callers do both where they need them."""
-    return kernels.PreparedTrajectory(
-        coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2, initial.populations(),
-        initial.cAS.real, initial.cAS.imag, initial.cGE.real, initial.cGE.imag)
+def prepare(pairs) -> kernels.TrajectoryStack:
+    """The exact evolution of a list of (XState, CoefficientSet) pairs, one
+    stack row per pair in order: generator, eigendecomposition and expm-fallback
+    flag. No validation and no fallback warning; callers do both where they
+    need them."""
+    coeffs = [(cs.A1, cs.B1, cs.A2, cs.B2) for _, cs in pairs]
+    p0 = [state.populations() for state, _ in pairs]
+    coherences = [(state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag)
+                  for state, _ in pairs]
+    return kernels.TrajectoryStack(np.array(coeffs), np.array(p0), np.array(coherences))
 
 
 def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:
     """Exact state at time tau (units of the inverse emission rate)."""
     initial.validate()
-    if tau < 0.0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
-    traj = prepare(initial, coeffs)
-    warn_on_fallback(traj.cond)
-    p = traj.populations(float(tau))
+    if not 0.0 <= tau < np.inf:
+        raise DomainError(f"tau must be finite and >= 0, got {tau}")
+    stack = prepare([(initial, coeffs)])
+    warn_on_fallback(stack)
+    p = kernels.pops_at(stack.w[0], stack.V[0], stack.c[0], stack.M[0], stack.use_expm[0],
+                        stack.p0[0], float(tau))
     damp = np.exp(-4.0 * coeffs.A1 * tau)
     return XState(p[0], p[1], p[2], p[3],
                   cAS=initial.cAS * damp, cGE=initial.cGE * damp)

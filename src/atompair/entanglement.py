@@ -81,6 +81,9 @@ def concurrence_wootters(rho: np.ndarray) -> float:
 
     Test oracle only: eigenvalues of rho * (sy x sy) rho* (sy x sy),
     descending square roots l1 >= ... >= l4, C = max(0, l1 - l2 - l3 - l4).
+    The eigenvalues are taken from the Hermitian form sqrt(rho) rho_tilde
+    sqrt(rho), which has the same spectrum: the general eigensolver does
+    not converge on some valid X states with ~1e-50 coherences.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -89,13 +92,15 @@ def concurrence_wootters(rho: np.ndarray) -> float:
         raise InvalidStateError("density matrix is not hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise InvalidStateError(f"density matrix trace is {np.trace(rho)}")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
+    d, U = np.linalg.eigh(rho)
+    if d.min() < -1e-9:
         raise InvalidStateError("density matrix is not positive semidefinite")
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     flip = np.kron(sy, sy)
     rho_tilde = flip @ rho.conj() @ flip
-    lam = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(lam.real, 0.0, None))
+    root = (U * np.sqrt(np.clip(d, 0.0, None))) @ U.conj().T
+    lam = np.linalg.eigvalsh(root @ rho_tilde @ root)
+    lam = np.sqrt(np.clip(lam, 0.0, None))
     lam[::-1].sort()
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
@@ -105,13 +110,13 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
     """Evolve and attach the concurrence series."""
     initial.validate()
     taus = np.asarray(taus, dtype=float)
-    if taus.size == 0:
-        raise DomainError("empty time grid")
-    if taus[0] != 0.0 or np.any(np.diff(taus) <= 0.0):
-        raise DomainError("time grid must start at 0 and increase strictly")
-    prepared = prepare(initial, coeffs)
-    pops, C = kernels.trajectory_kernel([prepared], taus)
-    warn_on_fallback(prepared.cond)
+    if taus.ndim != 1 or taus.size == 0:
+        raise DomainError("time grid must be a non-empty 1-d array")
+    if taus[0] != 0.0 or not np.all(np.isfinite(taus)) or np.any(np.diff(taus) <= 0.0):
+        raise DomainError("time grid must be finite, start at 0 and increase strictly")
+    stack = prepare([(initial, coeffs)])
+    pops, C = kernels.trajectory_kernel(stack, np.arange(1), taus)
+    warn_on_fallback(stack)
     damp = np.exp(-4.0 * coeffs.A1 * taus)
     return Trajectory(times=taus, populations=pops[0],
                       cAS=initial.cAS * damp, cGE=initial.cGE * damp,
@@ -131,6 +136,6 @@ def detect_events(traj: Trajectory) -> EntanglementEvents:
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
-    prepared = prepare(traj.initial, traj.coeffs)
-    _, C = kernels.trajectory_kernel([prepared], traj.times)
-    return EntanglementEvents.from_row(kernels.events_kernel([prepared], traj.times, C)[0])
+    stack = prepare([(traj.initial, traj.coeffs)])
+    _, C = kernels.trajectory_kernel(stack, np.arange(1), traj.times)
+    return EntanglementEvents.from_row(kernels.events_kernel(stack, traj.times, C)[0])

@@ -1,7 +1,7 @@
 """Hot numerical kernels.
 
-Populations and concurrence are sampled for a block of prepared
-trajectories at once, on arrays (``trajectory_kernel``), and event
+Populations and concurrence are sampled for a block of rows of a
+``TrajectoryStack`` at once, on arrays (``trajectory_kernel``), and event
 refinement (bisection, golden section) steps every flagged bracket of a
 group of trajectories at once (``events_kernel``). The kernels do not
 validate their arguments: the config parser and the public dataclasses
@@ -210,24 +210,25 @@ def assemble_kernel(a, L, d1, d2, thermal, order21):
 
 
 def generator_kernel(A1, B1, A2, B2):
-    """Population rate matrix M, d/dtau (pGG,pAA,pSS,pEE) = M p.
+    """Population rate matrix M, d/dtau (pGG,pAA,pSS,pEE) = M p; for
+    arrays of coefficients, one matrix per element, shape (..., 4, 4).
 
     Diagonals are assembled as minus their column's off-diagonal sum, which
     the rate equations satisfy identically; this makes the column sums (and
     hence trace preservation) exact in floating point, with the diagonals
     matching the -4(...) closed forms to roundoff.
     """
-    M = np.zeros((4, 4))
-    M[0, 1] = 2.0 * (A1 + B1 - A2 - B2)
-    M[0, 2] = 2.0 * (A1 + B1 + A2 + B2)
-    M[1, 0] = 2.0 * (A1 - B1 - A2 + B2)
-    M[1, 3] = 2.0 * (A1 + B1 - A2 - B2)
-    M[2, 0] = 2.0 * (A1 - B1 + A2 - B2)
-    M[2, 3] = 2.0 * (A1 + B1 + A2 + B2)
-    M[3, 1] = 2.0 * (A1 - B1 - A2 + B2)
-    M[3, 2] = 2.0 * (A1 - B1 + A2 - B2)
+    M = np.zeros(np.shape(A1) + (4, 4))
+    M[..., 0, 1] = 2.0 * (A1 + B1 - A2 - B2)
+    M[..., 0, 2] = 2.0 * (A1 + B1 + A2 + B2)
+    M[..., 1, 0] = 2.0 * (A1 - B1 - A2 + B2)
+    M[..., 1, 3] = 2.0 * (A1 + B1 - A2 - B2)
+    M[..., 2, 0] = 2.0 * (A1 - B1 + A2 - B2)
+    M[..., 2, 3] = 2.0 * (A1 + B1 + A2 + B2)
+    M[..., 3, 1] = 2.0 * (A1 - B1 - A2 + B2)
+    M[..., 3, 2] = 2.0 * (A1 - B1 + A2 - B2)
     for k in range(4):
-        M[k, k] = -sum(M[r, k] for r in range(4) if r != k)
+        M[..., k, k] = -sum(M[..., r, k] for r in range(4) if r != k)
     return M
 
 
@@ -297,49 +298,34 @@ def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
     return C
 
 
-def needs_expm(cond):
-    """Whether the eigenvector condition number calls for the expm fallback."""
-    return (not np.isfinite(cond)) or cond > COND_LIMIT
+class TrajectoryStack:
+    """Exact evolution of n initial X states, one row per trajectory.
 
-
-class PreparedTrajectory:
-    """Exact evolution of one initial X state under one coefficient set.
-
-    Setup is done once: generator, eigendecomposition, expm-fallback flag
-    and c = Vinv p0. The coherences decay as exp(-4 A1 tau).
+    ``coeffs`` (n, 4) holds the rows (A1, B1, A2, B2), ``p0`` (n, 4) the
+    initial populations and ``coherences`` (n, 4) the initial (reAS, imAS,
+    reGE, imGE). Setup is done once per row: generator M, eigendecomposition
+    (w, V and the condition estimate cond), the expm-fallback flag (cond not
+    finite or above COND_LIMIT) and c = Vinv p0. The coherences decay as
+    exp(-4 A1 tau).
     """
 
-    __slots__ = ("A1", "M", "w", "V", "c", "cond", "use_expm", "p0",
-                 "reAS0", "imAS0", "reGE0", "imGE0")
+    __slots__ = ("M", "w", "V", "c", "cond", "use_expm", "A1", "coherences", "p0")
 
-    def __init__(self, A1, B1, A2, B2, p0, reAS0, imAS0, reGE0, imGE0):
-        self.A1 = A1
-        self.M = generator_kernel(A1, B1, A2, B2)
-        self.w, self.V, Vinv, self.cond = eig_decompose(self.M)
-        self.use_expm = needs_expm(self.cond)
-        self.c = Vinv @ p0.astype(np.complex128)
+    def __init__(self, coeffs, p0, coherences):
+        n = len(coeffs)
+        self.M = generator_kernel(*coeffs.T)
+        self.w = np.empty((n, 4), dtype=np.complex128)
+        self.V = np.empty((n, 4, 4), dtype=np.complex128)
+        Vinv = np.empty((n, 4, 4), dtype=np.complex128)
+        self.cond = np.empty(n)
+        for i in range(n):
+            self.w[i], self.V[i], Vinv[i], self.cond[i] = eig_decompose(self.M[i])
+        self.use_expm = ~np.isfinite(self.cond) | (self.cond > COND_LIMIT)
+        # one matrix-vector product per row, bitwise Vinv @ p0 of that row
+        self.c = (Vinv @ p0.astype(np.complex128)[..., None])[..., 0]
+        self.A1 = coeffs[:, 0]
+        self.coherences = coherences
         self.p0 = p0
-        self.reAS0, self.imAS0, self.reGE0, self.imGE0 = reAS0, imAS0, reGE0, imGE0
-
-    def populations(self, tau):
-        return pops_at(self.w, self.V, self.c, self.M, self.use_expm, self.p0, tau)
-
-
-class TrajectoryStack:
-    """A list of prepared trajectories as arrays, one row per trajectory."""
-
-    __slots__ = ("trajs", "w", "V", "c", "A1", "coherences", "p0", "use_expm")
-
-    def __init__(self, trajs):
-        self.trajs = trajs
-        self.w = np.array([t.w for t in trajs]).reshape(-1, 4)
-        self.V = np.array([t.V for t in trajs]).reshape(-1, 4, 4)
-        self.c = np.array([t.c for t in trajs]).reshape(-1, 4)
-        self.A1 = np.array([t.A1 for t in trajs], dtype=float)
-        self.coherences = np.array([(t.reAS0, t.imAS0, t.reGE0, t.imGE0)
-                                    for t in trajs]).reshape(-1, 4)
-        self.p0 = np.array([t.p0 for t in trajs]).reshape(-1, 4)
-        self.use_expm = np.array([t.use_expm for t in trajs], dtype=bool)
 
 
 def _evaluate(stack, rows, tau, clamp):
@@ -363,8 +349,9 @@ def _evaluate(stack, rows, tau, clamp):
     pops[eig] = (stack.V[r, None] @ y[..., None])[..., 0].real
     zi, zj = np.nonzero(tau == 0.0)
     pops[zi, zj] = stack.p0[rows[zi]]
-    for i in np.flatnonzero(expm):
-        pops[i] = [stack.trajs[rows[i]].populations(t) for t in tau[i]]
+    for i, r in zip(np.flatnonzero(expm), rows[expm]):
+        pops[i] = [pops_at(stack.w[r], stack.V[r], stack.c[r], stack.M[r], True,
+                           stack.p0[r], t) for t in tau[i]]
 
     amp = np.exp(-4.0 * stack.A1[rows, None] * tau)
     reAS, imAS, reGE, imGE = stack.coherences[rows].T[..., None] * amp
@@ -394,13 +381,11 @@ def _conc_raw_at(stack, rows, tau):
     return _evaluate(stack, rows, tau[:, None], False)[1][:, 0]
 
 
-def trajectory_kernel(trajs, taus):
-    """Populations and concurrence of a block of prepared trajectories on
-    one time grid. Returns (pops (n, t, 4), C (n, t)), every value bitwise
+def trajectory_kernel(stack, rows, taus):
+    """Populations and concurrence of the stack rows ``rows`` (k,) on one
+    time grid. Returns (pops (k, t, 4), C (k, t)), every value bitwise
     equal to ``pops_at`` and ``concurrence_kernel`` at that sample."""
-    n = len(trajs)
-    return _evaluate(TrajectoryStack(trajs), np.arange(n),
-                     np.broadcast_to(taus, (n, taus.size)), True)
+    return _evaluate(stack, rows, np.broadcast_to(taus, (rows.size, taus.size)), True)
 
 
 def _bisect_crossing(f, rows, lo, hi, want_up):
@@ -454,8 +439,8 @@ def _first_per_row(rows, times, n):
     return first
 
 
-def events_kernel(trajs, taus, C):
-    """Entanglement events of a group of prepared trajectories, from their
+def events_kernel(stack, taus, C):
+    """Entanglement events of every row of a trajectory stack, from their
     concurrence C (n, t) on the grid taus (rows of ``trajectory_kernel``).
 
     Returns an (n, 7) array, one row per trajectory in the field order of
@@ -480,10 +465,9 @@ def events_kernel(trajs, taus, C):
     steps the one-trajectory scalar search takes, so rows are bitwise
     equal to it.
     """
-    stack = TrajectoryStack(trajs)
     conc = functools.partial(_conc_at, stack)
     n = taus.size
-    rows = np.arange(len(trajs))
+    rows = np.arange(len(C))
     above = C > EPS_DEAD
     crossing = np.zeros(C.shape, dtype=bool)
     crossing[:, 1:] = above[:, 1:] != above[:, :-1]

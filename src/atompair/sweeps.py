@@ -2,13 +2,14 @@
 
 A SweepSpec fixes the physics of a panel (initial state, polarisations,
 bath modes) and the grid axes. Every run_* function goes through one
-serial generator, ``_trajectories``, that prepares the exact trajectory of
-each (cell, bath mode) in a fixed order and hands them out in groups of a
-fixed size. Each group is scanned on arrays in blocks of a fixed size:
-curves sample it on the tau axis, event runs on the horizon grid, and the
-flagged brackets of the whole group are then refined together in one
-array pass (``kernels.events_kernel``). Block and group sizes depend only
-on the grid lengths, so outputs are bit-identical from run to run.
+serial generator, ``_trajectories``, that sets up the exact trajectory of
+each (cell, bath mode) in a fixed order, one ``kernels.TrajectoryStack``
+per group of a fixed size. Each group is scanned on arrays in blocks of a
+fixed size: curves sample it on the tau axis, event runs on the horizon
+grid, and the flagged brackets of the whole group are then refined
+together in one array pass (``kernels.events_kernel``). Block and group
+sizes depend only on the grid lengths, so outputs are bit-identical from
+run to run.
 """
 
 import itertools
@@ -160,8 +161,8 @@ def _require_axis(spec, name, minimum=2):
 
 
 def _trajectories(spec, cells):
-    """Yield groups of prepared trajectories, one per (cell, bath mode) in
-    order, modes innermost.
+    """Yield one TrajectoryStack per group of (cell, bath mode) pairs, rows
+    in order, modes innermost.
 
     A group holds REFINE_SAMPLES // spec.horizon_samples trajectories (at
     least one; the last group may hold fewer). Every cell carries every
@@ -177,25 +178,26 @@ def _trajectories(spec, cells):
             coeffs = assemble(SystemParams(cell["a_over_omega"], cell["omega_L"],
                                            spec.dipole1, spec.dipole2, mode),
                               spec.atom_order)
-            group.append(prepare(initial, coeffs))
+            group.append((initial, coeffs))
             if len(group) == size:
-                yield group
+                yield prepare(group)
                 group = []
     if group:
-        yield group
+        yield prepare(group)
 
 
-def _scan(group, taus):
-    """Yield (pops, C) of a group on taus, BLOCK_SAMPLES samples at a time."""
+def _scan(stack, taus):
+    """Yield (pops, C) of a stack on taus, BLOCK_SAMPLES samples at a time."""
     size = max(1, BLOCK_SAMPLES // taus.size)
-    for start in range(0, len(group), size):
-        yield kernels.trajectory_kernel(group[start:start + size], taus)
+    n = len(stack.p0)
+    for start in range(0, n, size):
+        yield kernels.trajectory_kernel(stack, np.arange(start, min(start + size, n)), taus)
 
 
-def _event_rows(group, taus):
-    """Events rows of a group: scanned in blocks, refined together."""
-    C = np.concatenate([conc for _, conc in _scan(group, taus)])
-    return kernels.events_kernel(group, taus, C)
+def _event_rows(stack, taus):
+    """Events rows of a stack: scanned in blocks, refined together."""
+    C = np.concatenate([conc for _, conc in _scan(stack, taus)])
+    return kernels.events_kernel(stack, taus, C)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +237,8 @@ def run_events(spec: SweepSpec) -> EventsResult:
     """
     cells = spec.cells()
     taus = spec.horizon_grid()
-    return _events_result(spec, cells, [_event_rows(group, taus)
-                                         for group in _trajectories(spec, cells)])
+    return _events_result(spec, cells, [_event_rows(stack, taus)
+                                         for stack in _trajectories(spec, cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +258,7 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
     """Concurrence and populations on the tau axis for every cell and mode.
 
     With ``events`` the result also carries ``run_events(spec)``, computed
-    from the same prepared trajectories, so each generator is decomposed
+    from the same trajectory stacks, so each generator is decomposed
     once for both grids.
     """
     taus = _require_axis(spec, "tau")
@@ -267,13 +269,13 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
     pops = np.empty(conc.shape + (4,))
     rows = []
     start = 0
-    for group in _trajectories(spec, cells):
-        for block_pops, block_conc in _scan(group, taus):
+    for stack in _trajectories(spec, cells):
+        for block_pops, block_conc in _scan(stack, taus):
             stop = start + len(block_conc)
             pops[start:stop], conc[start:stop] = block_pops, block_conc
             start = stop
         if events:
-            rows.append(_event_rows(group, horizon))
+            rows.append(_event_rows(stack, horizon))
     return CurveResult(times=taus, cells=tuple(cells), modes=spec.bath_modes,
                        concurrence=conc.reshape(shape),
                        populations=pops.reshape(shape + (4,)),

@@ -12,9 +12,10 @@ it:
   ``atompair.concurrence_wootters`` and of the positivity checks;
 - ``refinement_boundary_cells`` compares a coarse region map with its
   grid-doubled refinement;
-- ``events_kernel`` is the one-trajectory scalar event refinement, one
-  bisection or golden-section evaluation at a time, that the grouped
-  ``atompair.kernels.events_kernel`` must match bit for bit;
+- ``events_kernel`` is the one-trajectory scalar event refinement of one
+  row of a ``TrajectoryStack``, one bisection or golden-section evaluation
+  at a time, that the grouped ``atompair.kernels.events_kernel`` must
+  match bit for bit on every row;
 - ``read_table`` reparses the CSV tables the CLI writes, and
   ``format_rows`` is the row-at-a-time formatting that the array formatter
   ``atompair.cli.format_rows`` must match byte for byte.
@@ -217,18 +218,17 @@ REFINE_TOL = kernels.REFINE_TOL
 _INVGOLD = kernels._INVGOLD
 
 
-def _conc_at(traj, tau, clamp=True):
-    # pops_at and concurrence_kernel at one time of a PreparedTrajectory
-    p = traj.populations(tau)
-    amp = np.exp(-4.0 * traj.A1 * tau)
-    return kernels.concurrence_kernel(p[0], p[1], p[2], p[3],
-                                      traj.reAS0 * amp, traj.imAS0 * amp,
-                                      traj.reGE0 * amp, traj.imGE0 * amp, clamp)
+def _conc_at(stack, i, tau, clamp=True):
+    # pops_at and concurrence_kernel at one time of row i of a TrajectoryStack
+    p = kernels.pops_at(stack.w[i], stack.V[i], stack.c[i], stack.M[i], stack.use_expm[i],
+                        stack.p0[i], tau)
+    reAS, imAS, reGE, imGE = stack.coherences[i] * np.exp(-4.0 * stack.A1[i] * tau)
+    return kernels.concurrence_kernel(p[0], p[1], p[2], p[3], reAS, imAS, reGE, imGE, clamp)
 
 
-def _conc_raw_at(traj, tau):
+def _conc_raw_at(stack, i, tau):
     # max(K1, K2) without the clamp at zero; negative values certify a dip
-    return _conc_at(traj, tau, False)
+    return _conc_at(stack, i, tau, False)
 
 
 def _bisect_crossing(f, lo, hi, want_up):
@@ -265,8 +265,8 @@ def _golden_extremum(f, lo, hi, sign, tol):
     return t, f(t)
 
 
-def events_kernel(traj, taus, C):
-    """Entanglement events along one prepared trajectory, from its
+def events_kernel(stack, i, taus, C):
+    """Entanglement events along row i of a trajectory stack, from its
     concurrence C on the grid taus (a row of ``trajectory_kernel``).
 
     Returns (death_time, birth_time, revival, enhancement, max_C, max_time,
@@ -282,7 +282,7 @@ def events_kernel(traj, taus, C):
     invisible. revival_amplitude is the largest concurrence after the
     first death, 0 when there is no death.
     """
-    conc = functools.partial(_conc_at, traj)
+    conc = functools.partial(_conc_at, stack, i)
     n = taus.size
     above = C > EPS_DEAD
     candidate = np.zeros(n, dtype=bool)
@@ -300,7 +300,7 @@ def events_kernel(traj, taus, C):
         # samples; certify at machine depth (a zero-temperature dip is a
         # V touching zero over a vanishing time window)
         dip_tol = 1e-12 * max(1.0, taus[k + 1])
-        tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, traj),
+        tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, stack, i),
                                       taus[k - 1], taus[k + 1], -1.0, dip_tol)
         if fmin <= EPS_DEAD:
             td = _bisect_crossing(conc, taus[k - 1], tmin, False)

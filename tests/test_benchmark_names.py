@@ -30,4 +30,10 @@ def test_tracer_layer_functions_resolve():
                           for name in modules.get(func, []))]
     assert not missing, f"functions the traced benchmark needs are gone: {missing}"
     # the cond metrics compare against the expm threshold
-    assert isinstance(importlib.import_module("atompair.kernels").COND_LIMIT, float)
+    kernels = importlib.import_module("atompair.kernels")
+    assert isinstance(kernels.COND_LIMIT, float)
+    # and read the cond of one generator as float(result[-1]): a stacked
+    # eig_decompose returning a cond array would break every traced run
+    M = kernels.generator_kernel(0.3, 0.25, 0.1, 0.08)
+    assert M.shape == (4, 4)
+    assert float(kernels.eig_decompose(M)[-1]) > 1.0

@@ -270,9 +270,9 @@ def test_cli_sweep_runs_events_once(tmp_path, monkeypatch):
     original = kernels.events_kernel
     seen = []
 
-    def counting(trajs, taus, C):
-        seen.append(len(trajs))
-        return original(trajs, taus, C)
+    def counting(stack, taus, C):
+        seen.append(len(C))
+        return original(stack, taus, C)
 
     monkeypatch.setattr(kernels, "events_kernel", counting)
     data = dict(MINIMAL, name="once", initial_states=["E"],

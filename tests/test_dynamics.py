@@ -102,6 +102,14 @@ def test_evolve_rejects_negative_time():
         evolve(catalogue_state("A"), VACUUM, -0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_evolve_rejects_non_finite_time(tau):
+    # rejected before any arithmetic, so no RuntimeWarning either
+    with pytest.raises(DomainError):
+        evolve(catalogue_state("psi1", 0.25), VACUUM, tau)
+
+
 def test_coherence_decay_rate(rng):
     cs = random_coeffs(rng)
     state = catalogue_state("psi2", 0.4)

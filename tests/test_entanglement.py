@@ -67,6 +67,16 @@ def test_wootters_rejects_bad_matrices():
         concurrence_wootters(rho)  # not hermitian
 
 
+def test_wootters_converges_on_tiny_coherence():
+    # a valid X state on which the general eigensolver of rho * rho_tilde
+    # did not converge (LinAlgError); the GE coherence is 1.1e-50
+    rho = np.diag([0.93331946048232806, 0.032765142687769838,
+                   0.032765142687769838, 0.0011502541421295526])
+    rho[0, 3] = rho[3, 0] = 1.1080457301151020e-50
+    rho[1, 2] = rho[2, 1] = -3.4694469519536142e-18
+    assert concurrence_wootters(rho) == 0.0
+
+
 def test_wootters_matches_x_form(rng):
     for _ in range(1000):
         state = random_xstate(rng)
@@ -84,6 +94,12 @@ def test_trajectory_requires_sane_grid():
         compute_trajectory(state, cs, np.array([0.5, 1.0]))
     with pytest.raises(DomainError):
         compute_trajectory(state, cs, np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(DomainError):
+        compute_trajectory(state, cs, np.array([0.0, np.nan, 2.0]))
+    with pytest.raises(DomainError):
+        compute_trajectory(state, cs, np.array([0.0, 1.0, np.inf]))
+    with pytest.raises(DomainError):
+        compute_trajectory(state, cs, 1.0)   # a scalar, not a grid
 
 
 def test_detect_events_decaying_bell_state():

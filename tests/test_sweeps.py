@@ -137,33 +137,63 @@ def _coeffs_for(spec, mode, a, L):
                     spec.atom_order)
 
 
-def _scalar_scan(traj, taus):
-    """Reference for the block scan: pops_at and concurrence_kernel at each tau."""
-    pops = np.array([kernels.pops_at(traj.w, traj.V, traj.c, traj.M, traj.use_expm,
-                                      traj.p0, tau) for tau in taus])
+def _scalar_scan(stack, i, taus):
+    """Reference for the block scan: pops_at and concurrence_kernel at each
+    tau, for row i of the stack."""
+    pops = np.array([kernels.pops_at(stack.w[i], stack.V[i], stack.c[i], stack.M[i],
+                                      stack.use_expm[i], stack.p0[i], tau) for tau in taus])
     C = []
     for p, tau in zip(pops, taus):
-        amp = np.exp(-4.0 * traj.A1 * tau)
+        amp = np.exp(-4.0 * stack.A1[i] * tau)
+        reAS, imAS, reGE, imGE = stack.coherences[i]
         C.append(kernels.concurrence_kernel(
-            p[0], p[1], p[2], p[3], traj.reAS0 * amp, traj.imAS0 * amp,
-            traj.reGE0 * amp, traj.imGE0 * amp))
+            p[0], p[1], p[2], p[3], reAS * amp, imAS * amp, reGE * amp, imGE * amp))
     return pops, np.array(C)
 
 
+def _raw_stack(*rows):
+    # a stack from (coeffs, p0, coherences) rows, bypassing every check
+    coeffs, p0, coherences = (np.array(column, dtype=float) for column in zip(*rows))
+    return kernels.TrajectoryStack(coeffs, p0, coherences)
+
+
+# A1 < B1 makes the rates into |E> negative: pEE goes below zero while pGG
+# grows, so pGG*pEE falls below the slack
+NEGATIVE_RADICAND_ROW = ((0.1, 0.5, 0.0, 0.0), (0.0, 0.5, 0.5, 0.0), (0.5, 0.0, 0.0, 0.0))
+
+# A1 = B1 = A2 = B2 makes the generator defective: the expm fallback
+FALLBACK_PAIR = (catalogue_state("psi1", 0.3),
+                 CoefficientSet(A1=0.25, B1=0.25, A2=0.25, B2=0.25))
+
+
+def test_stack_setup_is_bitwise_per_row(rng):
+    pairs = [(random_xstate(rng), random_coeffs(rng)) for _ in range(20)]
+    pairs.insert(7, FALLBACK_PAIR)
+    stack = prepare(pairs)
+    assert stack.use_expm.tolist() == [i == 7 for i in range(len(pairs))]
+    for i, (state, cs) in enumerate(pairs):
+        M = kernels.generator_kernel(cs.A1, cs.B1, cs.A2, cs.B2)
+        w, V, Vinv, cond = kernels.eig_decompose(M)
+        assert np.array_equal(stack.M[i], M)
+        assert np.array_equal(stack.w[i], w) and np.array_equal(stack.V[i], V)
+        assert np.array_equal(stack.c[i], Vinv @ state.populations().astype(np.complex128))
+        assert np.array_equal(stack.cond[i], cond, equal_nan=True)
+        assert stack.use_expm[i] == ((not np.isfinite(cond)) or cond > kernels.COND_LIMIT)
+
+
 def test_block_scan_is_bitwise_scalar(rng):
-    # eig-path trajectories around one on the expm fallback (A1 = B1 = A2
-    # = B2 makes the generator defective)
+    # eig-path trajectories around one on the expm fallback
     states = [catalogue_state("psi1", 0.25), catalogue_state("psi2", 0.8),
               catalogue_state("E"), random_xstate(rng), random_xstate(rng)]
-    block = [prepare(state, random_coeffs(rng)) for state in states]
-    block.insert(2, prepare(catalogue_state("psi1", 0.3),
-                            CoefficientSet(A1=0.25, B1=0.25, A2=0.25, B2=0.25)))
-    assert [traj.use_expm for traj in block].count(True) == 1
+    pairs = [(state, random_coeffs(rng)) for state in states]
+    pairs.insert(2, FALLBACK_PAIR)
+    block = prepare(pairs)
+    assert block.use_expm.tolist().count(True) == 1
     taus = time_grid(20.0, 150)
-    pops, C = kernels.trajectory_kernel(block, taus)
-    assert pops.shape == (len(block), taus.size, 4) and C.shape == (len(block), taus.size)
-    for k, traj in enumerate(block):
-        want_pops, want_C = _scalar_scan(traj, taus)
+    pops, C = kernels.trajectory_kernel(block, np.arange(len(pairs)), taus)
+    assert pops.shape == (len(pairs), taus.size, 4) and C.shape == (len(pairs), taus.size)
+    for k in range(len(pairs)):
+        want_pops, want_C = _scalar_scan(block, k, taus)
         assert np.array_equal(pops[k], want_pops)
         assert np.array_equal(C[k], want_C)
 
@@ -178,9 +208,9 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     curve = run_curve(spec)
     for ci, cell in enumerate(curve.cells):
         for mi, mode in enumerate(spec.bath_modes):
-            traj = prepare(spec.initial, _coeffs_for(spec, mode, cell["a_over_omega"],
-                                                     cell["omega_L"]))
-            want_pops, want_C = _scalar_scan(traj, taus)
+            traj = prepare([(spec.initial, _coeffs_for(spec, mode, cell["a_over_omega"],
+                                                       cell["omega_L"]))])
+            want_pops, want_C = _scalar_scan(traj, 0, taus)
             assert np.array_equal(curve.populations[ci, mi], want_pops)
             assert np.array_equal(curve.concurrence[ci, mi], want_C)
     # event rows: the same as detect_events cell by cell, dip branch included
@@ -203,15 +233,12 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
 
 
 def test_block_scan_rejects_negative_radicand():
-    # A1 < B1 makes the rates into |E> negative: pEE goes below zero while
-    # pGG grows, so pGG*pEE falls below the slack
-    traj = kernels.PreparedTrajectory(0.1, 0.5, 0.0, 0.0, np.array([0.0, 0.5, 0.5, 0.0]),
-                                      0.5, 0.0, 0.0, 0.0)
+    traj = _raw_stack(NEGATIVE_RADICAND_ROW)
     taus = time_grid(1.0, 20)
     with pytest.raises(ValueError) as scalar:
-        _scalar_scan(traj, taus)
+        _scalar_scan(traj, 0, taus)
     with pytest.raises(ValueError) as block:
-        kernels.trajectory_kernel([traj], taus)
+        kernels.trajectory_kernel(traj, np.arange(1), taus)
     assert str(block.value) == str(scalar.value)
     assert "radicand below tolerance" in str(block.value)
 
@@ -221,15 +248,16 @@ def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
     # (dips that stay above threshold, rows with no death), the expm
     # fallback, psi1(1/4) dips certified at machine depth and far below
     # zero, and best samples at index 0
-    trajs = [prepare(random_xstate(rng), random_coeffs(rng)) for _ in range(200)]
-    trajs.append(prepare(catalogue_state("psi1", 0.3),
-                         CoefficientSet(A1=0.25, B1=0.25, A2=0.25, B2=0.25)))
+    pairs = [(random_xstate(rng), random_coeffs(rng)) for _ in range(200)]
+    pairs.append(FALLBACK_PAIR)
     for a, L in ((0.05, 0.05), (0.5, 0.05), (2.41, 1.04)):
         for mode in (AV, TH):
-            trajs.append(prepare(catalogue_state("psi1", 0.25), assemble(
+            pairs.append((catalogue_state("psi1", 0.25), assemble(
                 SystemParams(a, L, AXES["z"], AXES["z"], mode))))
+    trajs = prepare(pairs)
+    rows = np.arange(len(pairs))
     taus = time_grid(50.0, 400)
-    _, C = kernels.trajectory_kernel(trajs, taus)
+    _, C = kernels.trajectory_kernel(trajs, rows, taus)
 
     dips = []
     golden = oracles._golden_extremum
@@ -241,37 +269,35 @@ def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
         return t, value
 
     monkeypatch.setattr(oracles, "_golden_extremum", recording)
-    want = np.array([oracles.events_kernel(traj, taus, row) for traj, row in zip(trajs, C)],
-                    dtype=float)
+    want = np.array([oracles.events_kernel(trajs, i, taus, C[i]) for i in rows], dtype=float)
     assert np.array_equal(kernels.events_kernel(trajs, taus, C), want, equal_nan=True)
-    assert [traj.use_expm for traj in trajs].count(True) == 1
+    assert trajs.use_expm.tolist().count(True) == 1
     assert min(dips) <= kernels.EPS_DEAD < max(dips)
     assert np.isnan(want[:, 0]).any() and (want[:, 2] == 1).any()
     assert (np.argmax(C, axis=1) == 0).any()
 
     # a one-sample grid: every evaluation is at tau = 0, where pops are p0
     one = np.zeros(1)
-    group = trajs[-8:]
-    _, C = kernels.trajectory_kernel(group, one)
-    want = np.array([oracles.events_kernel(traj, one, row) for traj, row in zip(group, C)],
+    group = prepare(pairs[-8:])
+    _, C = kernels.trajectory_kernel(group, np.arange(8), one)
+    want = np.array([oracles.events_kernel(group, i, one, C[i]) for i in range(8)],
                     dtype=float)
     assert np.array_equal(kernels.events_kernel(group, one, C), want, equal_nan=True)
 
 
 def test_grouped_refinement_rejects_negative_radicand():
-    # the trajectory of test_block_scan_rejects_negative_radicand behind a
-    # made-up row whose best sample is the last: the golden section around
-    # it evaluates where pGG*pEE is below the slack
-    bad = kernels.PreparedTrajectory(0.1, 0.5, 0.0, 0.0, np.array([0.0, 0.5, 0.5, 0.0]),
-                                     0.5, 0.0, 0.0, 0.0)
-    good = prepare(catalogue_state("psi1", 0.25),
-                   CoefficientSet(A1=0.5, B1=0.4, A2=0.1, B2=0.08))
+    # the trajectory of test_block_scan_rejects_negative_radicand, behind
+    # psi1(1/4) under a valid coefficient set, with a made-up row whose best
+    # sample is the last: the golden section around it evaluates where
+    # pGG*pEE is below the slack
+    psi1 = ((0.5, 0.4, 0.1, 0.08), (0.0, 0.25, 0.75, 0.0), (np.sqrt(0.1875), 0.0, 0.0, 0.0))
+    group = _raw_stack(psi1, NEGATIVE_RADICAND_ROW)
     taus = time_grid(1.0, 20)
     row = np.linspace(0.1, 1.0, taus.size)
     with pytest.raises(ValueError) as scalar:
-        oracles.events_kernel(bad, taus, row)
+        oracles.events_kernel(group, 1, taus, row)
     with pytest.raises(ValueError) as grouped:
-        kernels.events_kernel([good, bad], taus, np.array([row, row]))
+        kernels.events_kernel(group, taus, np.array([row, row]))
     assert str(grouped.value) == str(scalar.value)
     assert "radicand below tolerance" in str(grouped.value)
 
