@@ -45,7 +45,7 @@ class DipoleOrientation:
         comps = tuple(float(c) for c in self.components)
         object.__setattr__(self, "components", comps)
         norm2 = sum(c * c for c in comps)
-        if abs(norm2 - 1.0) > _UNIT_NORM_TOL:
+        if not abs(norm2 - 1.0) <= _UNIT_NORM_TOL:   # NaN fails too
             raise DomainError(f"dipole orientation must have unit norm, |d|^2 = {norm2}")
 
     @classmethod
@@ -63,8 +63,8 @@ class DipoleOrientation:
         # divide by the largest component first, so that |d|^2 neither
         # overflows nor underflows
         scale = float(np.abs(arr).max())
-        if scale == 0.0:
-            raise DomainError("cannot normalise a zero dipole vector")
+        if not 0.0 < scale < np.inf:
+            raise DomainError(f"dipole vector must be finite and nonzero, got {vec!r}")
         arr = arr / scale
         return cls(tuple(arr / float(np.linalg.norm(arr))))
 
@@ -83,10 +83,10 @@ class SystemParams:
     bath: BathKind
 
     def __post_init__(self):
-        if self.a_over_omega < 0.0:
-            raise DomainError(f"a_over_omega must be >= 0, got {self.a_over_omega}")
-        if self.omega_L <= 0.0:
-            raise DomainError(f"omega_L must be > 0, got {self.omega_L}")
+        if not 0.0 <= self.a_over_omega < np.inf:
+            raise DomainError(f"a_over_omega must be finite and >= 0, got {self.a_over_omega}")
+        if not 0.0 < self.omega_L < np.inf:
+            raise DomainError(f"omega_L must be finite and > 0, got {self.omega_L}")
         if not isinstance(self.bath, BathKind):
             raise DomainError(f"bath must be a BathKind, got {self.bath!r}")
 

@@ -46,16 +46,16 @@ class XState:
 
     def validate(self) -> "XState":
         """Check trace, positivity of populations and the two 2x2 blocks."""
-        if abs(self.trace - 1.0) > TRACE_TOL:
+        if not abs(self.trace - 1.0) <= TRACE_TOL:   # "not within": NaN fails each check
             raise InvalidStateError(f"trace deviates from 1 by {self.trace - 1.0}")
         for name, p in (("pGG", self.pGG), ("pAA", self.pAA),
                         ("pSS", self.pSS), ("pEE", self.pEE)):
-            if p < POSITIVITY_SLACK:
+            if not p >= POSITIVITY_SLACK:
                 raise InvalidStateError(f"population {name} = {p} below tolerance")
         # X-state positivity reduces to the two 2x2 blocks
-        if abs(self.cAS) ** 2 > self.pAA * self.pSS + 1e-12:
+        if not abs(self.cAS) ** 2 <= self.pAA * self.pSS + 1e-12:
             raise InvalidStateError("coherence |cAS|^2 exceeds pAA*pSS")
-        if abs(self.cGE) ** 2 > self.pGG * self.pEE + 1e-12:
+        if not abs(self.cGE) ** 2 <= self.pGG * self.pEE + 1e-12:
             raise InvalidStateError("coherence |cGE|^2 exceeds pGG*pEE")
         return self
 
@@ -138,8 +138,8 @@ def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:
         raise DomainError(f"tau must be finite and >= 0, got {tau}")
     stack = prepare([(initial, coeffs)])
     warn_on_fallback(stack)
-    p = kernels.pops_at(stack.w[0], stack.V[0], stack.c[0], stack.M[0], stack.use_expm[0],
-                        stack.p0[0], float(tau))
+    # unclamped: a state valid only within XState's slack never raises here
+    p = kernels._evaluate(stack, np.arange(1), np.array([[float(tau)]]), False)[0][0, 0]
     damp = np.exp(-4.0 * coeffs.A1 * tau)
     return XState(p[0], p[1], p[2], p[3],
                   cAS=initial.cAS * damp, cGE=initial.cGE * damp)

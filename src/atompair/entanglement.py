@@ -69,9 +69,9 @@ def concurrence_x(state: XState) -> float:
     more negative signals a positivity violation upstream and raises.
     """
     try:
-        return kernels.concurrence_kernel(
+        return float(kernels.concurrence_kernel(
             state.pGG, state.pAA, state.pSS, state.pEE,
-            state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag)
+            state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag))
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from None
 
@@ -88,9 +88,9 @@ def concurrence_wootters(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"density matrix must be 4x4, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    if not np.abs(rho - rho.conj().T).max() <= 1e-10:   # NaN fails too
         raise InvalidStateError("density matrix is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
         raise InvalidStateError(f"density matrix trace is {np.trace(rho)}")
     d, U = np.linalg.eigh(rho)
     if d.min() < -1e-9:
@@ -132,10 +132,11 @@ def detect_events(traj: Trajectory) -> EntanglementEvents:
     exceeds the initial concurrence by more than kernels.EPS_ENH.
     Crossings are refined by bisection on the exact propagator, the
     maximum by golden section, both to ``kernels.REFINE_TOL`` in scaled
-    time.
+    time. The scan reads ``traj.concurrence``, which ``compute_trajectory``
+    samples with the kernel the refinement evaluates.
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
     stack = prepare([(traj.initial, traj.coeffs)])
-    _, C = kernels.trajectory_kernel(stack, np.arange(1), traj.times)
-    return EntanglementEvents.from_row(kernels.events_kernel(stack, traj.times, C)[0])
+    return EntanglementEvents.from_row(
+        kernels.events_kernel(stack, traj.times, traj.concurrence[None])[0])

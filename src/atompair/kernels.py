@@ -43,11 +43,7 @@ _INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
 # The static-bath shapes are the a -> 0 limits of the accelerated ones.
 
 def coth_kernel(x):
-    # caller guarantees x > 0
-    if x > 20.0:
-        return 1.0 + 2.0 * np.exp(-2.0 * x)
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
+    # caller guarantees x > 0; above x = 20 the result rounds to exactly 1.0
     return 1.0 / np.tanh(x)
 
 
@@ -262,39 +258,33 @@ def expm_kernel(A):
     return E
 
 
-def pops_at(w, V, c, M, use_expm, p0, tau):
-    """Populations at one time from the prepared decomposition (c = Vinv p0)."""
-    if tau == 0.0:
-        return p0.copy()
-    if not use_expm:
-        return (V @ (c * np.exp(w * tau))).real
+def pops_at(M, p0, tau):
+    """Populations at one time tau > 0 by the matrix exponential of the
+    generator M: the fallback of rows whose eigenvectors are ill-conditioned."""
     E = expm_kernel(M * tau)
     return np.array([sum(E[m, n] * p0[n] for n in range(4)) for m in range(4)])
 
 
 def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
-    """X-state concurrence max{0, K1, K2} from the eight real components.
+    """X-state concurrence max{0, K1, K2} from the eight real components,
+    elementwise on scalars or broadcastable arrays.
 
     With ``clamp=False`` it returns max(K1, K2) without the clamp at zero
     (negative values certify a dip) and zeroes negative radicands silently;
-    with the clamp a radicand below RADICAND_SLACK raises ValueError.
+    with the clamp a radicand below RADICAND_SLACK anywhere raises
+    ValueError. ``tests/oracles.py`` holds the one-sample reference calls.
     """
     rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
     prod = pGG * pEE
     rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
-    if clamp and (rad1 < RADICAND_SLACK or prod < RADICAND_SLACK or rad2 < RADICAND_SLACK):
+    if clamp and np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK)
+                        | (rad2 < RADICAND_SLACK)):
         raise ValueError("concurrence radicand below tolerance: state not positive")
-    if rad1 < 0.0:
-        rad1 = 0.0
-    if prod < 0.0:
-        prod = 0.0
-    if rad2 < 0.0:
-        rad2 = 0.0
-    K1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
-    K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(rad2)
-    C = K1 if K1 > K2 else K2
+    K1 = np.sqrt(np.where(rad1 < 0.0, 0.0, rad1)) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
+    K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
+    C = np.where(K1 > K2, K1, K2)
     if clamp:
-        return C if C > 0.0 else 0.0
+        C = np.where(C > 0.0, C, 0.0)
     return C
 
 
@@ -332,43 +322,29 @@ def _evaluate(stack, rows, tau, clamp):
     """Populations and concurrence of the stack rows ``rows`` (k,) at the
     times ``tau`` (k, s). Returns (pops (k, s, 4), C (k, s)).
 
-    The arithmetic per sample is that of ``pops_at`` and
-    ``concurrence_kernel``, done on arrays, so every value is bitwise the
-    scalar one: eig rows stack c*exp(w tau) and apply V by one batched
-    matrix-vector product, rows on the expm fallback go through
-    ``pops_at``, tau = 0 gives p0, and with the clamp a radicand below
-    RADICAND_SLACK raises ValueError.
+    The one implementation of the state at a time: eig rows stack
+    c*exp(w tau) and apply V by one batched matrix-vector product, rows on
+    the expm fallback go through ``pops_at``, tau = 0 gives p0, and the
+    concurrence is ``concurrence_kernel`` on the arrays (with the clamp a
+    radicand below RADICAND_SLACK raises ValueError). Every value is
+    bitwise the one-sample scalar reference in ``tests/oracles.py``.
     """
     pops = np.empty(tau.shape + (4,))
     expm = stack.use_expm[rows]
     eig = ~expm
     r = rows[eig]
-    # one matrix-vector product per sample, as in pops_at: a stacked
-    # matrix-matrix product sums in another order
+    # one matrix-vector product per sample, as the scalar V @ (c exp(w tau)):
+    # a stacked matrix-matrix product sums in another order
     y = stack.c[r, None] * np.exp(stack.w[r, None] * tau[eig][..., None])
     pops[eig] = (stack.V[r, None] @ y[..., None])[..., 0].real
+    for i, r in zip(np.flatnonzero(expm), rows[expm]):
+        pops[i] = [pops_at(stack.M[r], stack.p0[r], t) for t in tau[i]]
     zi, zj = np.nonzero(tau == 0.0)
     pops[zi, zj] = stack.p0[rows[zi]]
-    for i, r in zip(np.flatnonzero(expm), rows[expm]):
-        pops[i] = [pops_at(stack.w[r], stack.V[r], stack.c[r], stack.M[r], True,
-                           stack.p0[r], t) for t in tau[i]]
 
     amp = np.exp(-4.0 * stack.A1[rows, None] * tau)
     reAS, imAS, reGE, imGE = stack.coherences[rows].T[..., None] * amp
-    pGG, pAA, pSS, pEE = pops.transpose(2, 0, 1)
-    # concurrence_kernel, line by line
-    rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
-    prod = pGG * pEE
-    rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
-    if clamp and np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK)
-                        | (rad2 < RADICAND_SLACK)):
-        raise ValueError("concurrence radicand below tolerance: state not positive")
-    K1 = np.sqrt(np.where(rad1 < 0.0, 0.0, rad1)) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
-    K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
-    C = np.where(K1 > K2, K1, K2)
-    if clamp:
-        C = np.where(C > 0.0, C, 0.0)
-    return pops, C
+    return pops, concurrence_kernel(*pops.transpose(2, 0, 1), reAS, imAS, reGE, imGE, clamp)
 
 
 def _conc_at(stack, rows, tau):
@@ -384,7 +360,7 @@ def _conc_raw_at(stack, rows, tau):
 def trajectory_kernel(stack, rows, taus):
     """Populations and concurrence of the stack rows ``rows`` (k,) on one
     time grid. Returns (pops (k, t, 4), C (k, t)), every value bitwise
-    equal to ``pops_at`` and ``concurrence_kernel`` at that sample."""
+    equal to the one-sample reference in ``tests/oracles.py``."""
     return _evaluate(stack, rows, np.broadcast_to(taus, (rows.size, taus.size)), True)
 
 
@@ -429,16 +405,6 @@ def _golden_extremum(f, rows, lo, hi, sign, tol):
     return t, f(rows, t)
 
 
-def _first_per_row(rows, times, n):
-    # times[i] belongs to trajectory rows[i], entries in candidate order;
-    # the first non-NaN time of each trajectory, NaN where there is none
-    first = np.full(n, np.nan)
-    has = ~np.isnan(times)
-    found, index = np.unique(rows[has], return_index=True)
-    first[found] = times[has][index]
-    return first
-
-
 def events_kernel(stack, taus, C):
     """Entanglement events of every row of a trajectory stack, from their
     concurrence C (n, t) on the grid taus (rows of ``trajectory_kernel``).
@@ -454,8 +420,9 @@ def events_kernel(stack, taus, C):
     through zero far narrower than the sample spacing (including exact
     touches at zero temperature) still registers as a death/birth pair;
     bumps narrower than the spacing remain invisible. death_time and
-    birth_time are the first downward and upward crossings in time, a dip
-    counting as a downward then an upward one. revival_amplitude is the
+    birth_time are the earliest refined downward and upward crossings of
+    the row (the minimum over its candidates), a dip counting as a
+    downward then an upward one. revival_amplitude is the
     largest concurrence after the first death, 0 when there is no death.
 
     Every bracket of the group is refined in the same array pass, so each
@@ -500,13 +467,13 @@ def events_kernel(stack, taus, C):
                             np.concatenate([tmin, taus[kd + 1]]),
                             np.repeat([False, True], ndip))
 
-    # first death and first birth in time: candidates sorted by (row, sample)
+    # first death and first birth in time: the earliest candidate of each
+    # row, NaN where there is none (fmin skips the NaN of the other direction)
     cand_rows = np.concatenate([rc, rd])
-    order = np.lexsort((np.concatenate([kc, kd]), cand_rows))
-    down_t = np.concatenate([np.where(upward, np.nan, tc), tdip[:ndip]])
-    up_t = np.concatenate([np.where(upward, tc, np.nan), tdip[ndip:]])
-    death = _first_per_row(cand_rows[order], down_t[order], rows.size)
-    birth = _first_per_row(cand_rows[order], up_t[order], rows.size)
+    death = np.full(rows.size, np.nan)
+    birth = np.full(rows.size, np.nan)
+    np.fmin.at(death, cand_rows, np.concatenate([np.where(upward, np.nan, tc), tdip[:ndip]]))
+    np.fmin.at(birth, cand_rows, np.concatenate([np.where(upward, tc, np.nan), tdip[ndip:]]))
 
     cbest = C[rows, kbest]
     better = fmax > cbest

@@ -106,6 +106,8 @@ class SweepSpec:
             if len(values) < 1:
                 raise DomainError(f"axis {name!r} is empty")
             arr = np.asarray(values, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"axis {name!r} values must be finite")
             if name == "tau":
                 if len(values) < 2 or arr[0] != 0.0 or np.any(np.diff(arr) <= 0):
                     raise DomainError("tau axis must start at 0 and increase strictly")
@@ -140,8 +142,6 @@ class SweepSpec:
         """Cartesian product over the non-time axes, in axis order."""
         names = [n for n, _ in self.cell_axes()]
         grids = [v for _, v in self.cell_axes()]
-        if not names:
-            return [{}]
         return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
 
     def resolve_initial(self, cell) -> XState:

@@ -12,6 +12,11 @@ it:
   ``atompair.concurrence_wootters`` and of the positivity checks;
 - ``refinement_boundary_cells`` compares a coarse region map with its
   grid-doubled refinement;
+- ``pops_at`` is the state of one row of a ``TrajectoryStack`` at one
+  time, by the scalar eig formula V @ (c exp(w tau)), the expm fallback
+  or p0 at tau = 0, and ``_conc_at`` adds ``concurrence_kernel`` on one
+  sample: the reference that ``atompair.kernels._evaluate`` must match bit
+  for bit at every sample;
 - ``events_kernel`` is the one-trajectory scalar event refinement of one
   row of a ``TrajectoryStack``, one bisection or golden-section evaluation
   at a time, that the grouped ``atompair.kernels.events_kernel`` must
@@ -218,12 +223,21 @@ REFINE_TOL = kernels.REFINE_TOL
 _INVGOLD = kernels._INVGOLD
 
 
+def pops_at(stack, i, tau):
+    """Populations of row i of a TrajectoryStack at one time."""
+    if tau == 0.0:
+        return stack.p0[i].copy()
+    if stack.use_expm[i]:
+        return kernels.pops_at(stack.M[i], stack.p0[i], tau)
+    return (stack.V[i] @ (stack.c[i] * np.exp(stack.w[i] * tau))).real
+
+
 def _conc_at(stack, i, tau, clamp=True):
     # pops_at and concurrence_kernel at one time of row i of a TrajectoryStack
-    p = kernels.pops_at(stack.w[i], stack.V[i], stack.c[i], stack.M[i], stack.use_expm[i],
-                        stack.p0[i], tau)
+    p = pops_at(stack, i, tau)
     reAS, imAS, reGE, imGE = stack.coherences[i] * np.exp(-4.0 * stack.A1[i] * tau)
-    return kernels.concurrence_kernel(p[0], p[1], p[2], p[3], reAS, imAS, reGE, imGE, clamp)
+    return float(kernels.concurrence_kernel(p[0], p[1], p[2], p[3],
+                                            reAS, imAS, reGE, imGE, clamp))
 
 
 def _conc_raw_at(stack, i, tau):
@@ -290,7 +304,7 @@ def events_kernel(stack, i, taus, C):
     candidate[1:-1] |= (above[:-2] & above[1:-1] & above[2:]
                         & (C[1:-1] <= C[:-2]) & (C[1:-1] <= C[2:]))
 
-    crossings = []   # (time, upward), in chronological order
+    crossings = []   # (time, upward)
     for k in np.flatnonzero(candidate):
         now = bool(above[k])
         if now != above[k - 1]:
@@ -307,8 +321,8 @@ def events_kernel(stack, i, taus, C):
             tb = _bisect_crossing(conc, tmin, taus[k + 1], True)
             crossings += [(td, False), (tb, True)]
 
-    death = next((t for t, up in crossings if not up), np.nan)
-    birth = next((t for t, up in crossings if up), np.nan)
+    death = min((t for t, up in crossings if not up), default=np.nan)
+    birth = min((t for t, up in crossings if up), default=np.nan)
 
     # golden-section refinement of the sampled maximum (first best sample)
     kbest = int(np.argmax(C))

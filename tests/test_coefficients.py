@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ def test_dipole_validation():
     with pytest.raises(DomainError):
         DipoleOrientation.normalized([0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
+        DipoleOrientation((float("nan"), 0.0, 0.0))
+    for vec in ([float("inf"), 0.0, 0.0], [float("nan"), 1.0, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected before any division
+            with pytest.raises(DomainError, match="finite"):
+                DipoleOrientation.normalized(vec)
+    with pytest.raises(DomainError):
         DipoleOrientation.from_axis("w")
 
 
@@ -42,6 +51,9 @@ def test_system_params_validation():
         make_params(-0.1, 1.0)
     with pytest.raises(DomainError):
         make_params(1.0, 0.0)
+    for a, L in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            make_params(a, L)
 
 
 def test_coefficient_set_ordering():

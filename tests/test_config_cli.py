@@ -371,11 +371,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "c"]) == 3
         assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "c"]) == 3
         assert "coefficients must be finite" in capsys.readouterr().err
-    # a time grid that overflows is a configuration error
-    cfg = write_config(tmp_path, dict(MINIMAL, grid={"tau": {"stop": 1e308, "num": 40}}),
-                       "overflow.yaml")
-    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "g"]) == 2
-    assert "grid.tau" in capsys.readouterr().err
+    # a time grid that overflows, or that time_grid rejects, is a
+    # configuration error naming its key
+    for key, bad in (("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 1e308, "num": 40}})),
+                     ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": -1, "num": 40}})),
+                     ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 5.0,
+                                                          "spacing": "cubic"}})),
+                     ("horizon.tau_max", dict(MINIMAL, horizon={"tau_max": -2}))):
+        cfg = write_config(tmp_path, bad, "grid.yaml")
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "g"]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_sidecars_name_every_file(tmp_path):

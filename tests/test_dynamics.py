@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ def test_xstate_validation():
         XState(0.5, 0.0, 0.0, 0.5, cAS=0.3).validate()  # coherence outside block
     with pytest.raises(InvalidStateError):
         XState(0.5, 0.0, 0.0, 0.5, cGE=0.6).validate()
+    nan = float("nan")
+    for state in (XState(nan, 0.5, 0.5, 0.0), XState(0.0, 0.5, 0.5, 0.0, cAS=nan),
+                  XState(0.5, 0.0, 0.0, 0.5, cGE=complex(0.0, float("inf")))):
+        with pytest.raises(InvalidStateError):   # NaN fails every comparison
+            state.validate()
 
 
 def test_generator_vacuum_structure():
@@ -233,10 +240,24 @@ def test_expm_path_matches_eigendecomposition(rng):
     p0 = random_xstate(rng).populations()
     c = Vinv @ p0.astype(np.complex128)
     for tau in (0.3, 2.0, 11.0):
-        via_eig = kernels.pops_at(w, V, c, M, False, p0, tau)
-        via_expm = kernels.pops_at(w, V, c, M, True, p0, tau)
+        via_eig = (V @ (c * np.exp(w * tau))).real
+        via_expm = kernels.pops_at(M, p0, tau)
         assert np.abs(via_eig - via_expm).max() < 1e-12
 
+
+
+def test_evolve_is_one_row_of_the_stack(rng):
+    # evolve takes its populations from the kernel that samples trajectories,
+    # on the eig path and on the expm fallback alike
+    taus = np.linspace(0.0, 6.0, 13)
+    state = random_xstate(rng)
+    for cs in (random_coeffs(rng), CoefficientSet(0.25, 0.25, 0.25, 0.25)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the fallback warns
+            traj = compute_trajectory(state, cs, taus)
+            evolved = [evolve(state, cs, float(tau)).populations() for tau in taus]
+        np.testing.assert_array_equal(evolved, traj.populations)
+        np.testing.assert_array_equal(evolved[0], state.populations())
 
 
 def test_fallback_warns_and_stays_exact():

@@ -3,7 +3,7 @@ import pytest
 
 from atompair import (BathKind, DomainError, InvalidStateError, SystemParams,
                       XState, assemble, catalogue_state, compute_trajectory,
-                      concurrence_wootters, concurrence_x, detect_events)
+                      concurrence_wootters, concurrence_x, detect_events, kernels)
 from atompair.sweeps import time_grid
 from conftest import AXES, random_coeffs, random_xstate
 from oracles import basis_transform
@@ -45,6 +45,27 @@ def test_concurrence_invalid_state_raises():
     assert concurrence_x(XState(-1e-13, 0.5, 0.5, 1e-13)) >= 0.0
 
 
+def test_concurrence_kernel_is_elementwise(rng):
+    # one formula for a single state and for arrays of samples: each element
+    # of an array call is the call on that element alone
+    def components(state):
+        return [state.pGG, state.pAA, state.pSS, state.pEE,
+                state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag]
+
+    valid = [components(random_xstate(rng)) for _ in range(40)]
+    valid.append(components(XState(-1e-13, 0.5, 0.5, 1e-13)))   # within the slack
+    valid.append([np.nan] * 8)
+    anything = rng.uniform(-0.5, 1.0, size=(40, 8))   # negative radicands too
+    for comps, clamp in ((valid, True), (valid, False), (anything, False)):
+        comps = np.array(comps).T
+        single = [kernels.concurrence_kernel(*column, clamp=clamp) for column in comps.T]
+        np.testing.assert_array_equal(kernels.concurrence_kernel(*comps, clamp=clamp), single)
+    bad = np.array(valid[:-1]).T
+    bad[[0, 3], 17] = [-1e-4, 0.5]   # pGG*pEE below the slack at one sample
+    with pytest.raises(ValueError, match="radicand"):
+        kernels.concurrence_kernel(*bad)
+
+
 def test_concurrence_in_unit_interval(rng):
     for _ in range(200):
         c = concurrence_x(random_xstate(rng))
@@ -65,6 +86,8 @@ def test_wootters_rejects_bad_matrices():
     rho[0, 1] = 0.2
     with pytest.raises(InvalidStateError):
         concurrence_wootters(rho)  # not hermitian
+    with pytest.raises(InvalidStateError):
+        concurrence_wootters(np.full((4, 4), np.nan))   # NaN fails every check
 
 
 def test_wootters_converges_on_tiny_coherence():

@@ -66,6 +66,9 @@ def test_spec_validation():
         make_spec(axes=(("omega_L", (0.0, 1.0)),))
     with pytest.raises(DomainError):
         make_spec(axes=(("p", (0.0, 0.5)),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            make_spec(axes=(("a_over_omega", (0.5, bad)), ("omega_L", (1.0,))))
     with pytest.raises(DomainError):
         make_spec(axes=(("nope", (1.0,)),))
     with pytest.raises(DomainError):
@@ -140,8 +143,7 @@ def _coeffs_for(spec, mode, a, L):
 def _scalar_scan(stack, i, taus):
     """Reference for the block scan: pops_at and concurrence_kernel at each
     tau, for row i of the stack."""
-    pops = np.array([kernels.pops_at(stack.w[i], stack.V[i], stack.c[i], stack.M[i],
-                                      stack.use_expm[i], stack.p0[i], tau) for tau in taus])
+    pops = np.array([oracles.pops_at(stack, i, tau) for tau in taus])
     C = []
     for p, tau in zip(pops, taus):
         amp = np.exp(-4.0 * stack.A1[i] * tau)
