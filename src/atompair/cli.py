@@ -19,7 +19,6 @@ error, 4 I/O error.
 """
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -254,7 +253,7 @@ def _cell_table(cells, names):
 def _events_payload(spec, result):
     cells = []
     for ci, cell in enumerate(result.cells):
-        modes = {_MODE_SUFFIX[mode]: dataclasses.asdict(result.events(ci, mi))
+        modes = {_MODE_SUFFIX[mode]: vars(result.events(ci, mi))
                  for mi, mode in enumerate(result.modes)}
         cells.append({"cell": {k: float(v) for k, v in cell.items()},
                       "modes": modes})

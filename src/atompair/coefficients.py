@@ -6,6 +6,8 @@ yielding the four Kossakowski coefficients (A1, B1) for each atom alone and
 (A2, B2) for the cross-atom channel. Everything is expressed in units of
 the single-atom spontaneous emission rate, with the transition frequency
 fixed at 1, so inputs are the dimensionless ratios a/omega and omega*L.
+Sweeps call the same ``kernels.assemble_kernel`` on whole groups of cells;
+``check_coefficients`` is the one validity check of both paths.
 """
 
 import enum
@@ -106,12 +108,22 @@ class CoefficientSet:
     B2: float
 
     def __post_init__(self):
-        values = (self.A1, self.B1, self.A2, self.B2)
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"coefficients must be finite, got {[float(v) for v in values]}")
-        if not (self.A1 >= self.B1 > 0.0):
-            raise DomainError(
-                f"coefficient ordering A1 >= B1 > 0 violated: A1={self.A1}, B1={self.B1}")
+        check_coefficients(np.array([[self.A1, self.B1, self.A2, self.B2]]))
+
+
+def check_coefficients(rows):
+    """Raise DomainError unless every row (A1, B1, A2, B2) of the (n, 4)
+    array ``rows`` is finite with A1 >= B1 > 0; the message names the first
+    offending row. The one check of CoefficientSet and of a sweep group."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        values = rows[np.argmin(finite)]
+        raise DomainError(f"coefficients must be finite, got {[float(v) for v in values]}")
+    A1, B1 = rows[:, 0], rows[:, 1]
+    ordered = (A1 >= B1) & (B1 > 0.0)
+    if not ordered.all():
+        k = np.argmin(ordered)
+        raise DomainError(f"coefficient ordering A1 >= B1 > 0 violated: A1={A1[k]}, B1={B1[k]}")
 
 
 def assemble(params: SystemParams, atom_order: int = 12) -> CoefficientSet:
@@ -124,12 +136,8 @@ def assemble(params: SystemParams, atom_order: int = 12) -> CoefficientSet:
     """
     if atom_order not in (12, 21):
         raise DomainError(f"atom_order must be 12 or 21, got {atom_order}")
-    thermal = params.bath is BathKind.THERMAL_AT_UNRUH
-    # parameters near the float limits overflow the spectral shapes to
-    # inf/nan; CoefficientSet rejects those values, so no warning is shown
-    with np.errstate(over="ignore", invalid="ignore"):
-        A1, B1, A2, B2 = kernels.assemble_kernel(
-            params.a_over_omega, params.omega_L,
-            params.dipole1.as_array(), params.dipole2.as_array(),
-            thermal, atom_order == 21)
-    return CoefficientSet(A1=A1, B1=B1, A2=A2, B2=B2)
+    A1, B1, A2, B2 = kernels.assemble_kernel(
+        params.a_over_omega, params.omega_L,
+        params.dipole1.as_array(), params.dipole2.as_array(),
+        params.bath is BathKind.THERMAL_AT_UNRUH, atom_order == 21)
+    return CoefficientSet(A1=float(A1), B1=float(B1), A2=float(A2), B2=float(B2))

@@ -119,16 +119,22 @@ def warn_on_fallback(stack: kernels.TrajectoryStack):
             RuntimeWarning, stacklevel=3)
 
 
+def state_rows(states):
+    """Initial populations (n, 4) and coherences (n, 4), as (reAS, imAS,
+    reGE, imGE), of a list of XStates: the state rows of a TrajectoryStack."""
+    p0 = np.array([state.populations() for state in states])
+    coherences = np.array([(state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag)
+                           for state in states])
+    return p0, coherences
+
+
 def prepare(pairs) -> kernels.TrajectoryStack:
     """The exact evolution of a list of (XState, CoefficientSet) pairs, one
     stack row per pair in order: generator, eigendecomposition and expm-fallback
     flag. No validation and no fallback warning; callers do both where they
     need them."""
     coeffs = [(cs.A1, cs.B1, cs.A2, cs.B2) for _, cs in pairs]
-    p0 = [state.populations() for state, _ in pairs]
-    coherences = [(state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag)
-                  for state, _ in pairs]
-    return kernels.TrajectoryStack(np.array(coeffs), np.array(p0), np.array(coherences))
+    return kernels.TrajectoryStack(np.array(coeffs), *state_rows([state for state, _ in pairs]))
 
 
 def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:

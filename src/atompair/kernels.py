@@ -54,17 +54,17 @@ def f11_kernel(lam, a):
 def f12_thermal_kernel(i, j, lam, L):
     """Static-bath cross-correlation shape, component (i, j), 1-based axes."""
     r = lam * L
+    r2 = r * r
+    # the cube is r * r * r: array r ** 3 rounds differently from Python's
     if i == j and i < 3:
-        if r < SMALL_R:
-            r2 = r * r
-            return 1.0 - r2 / 5.0 + 3.0 * r2 * r2 / 280.0 - r2 * r2 * r2 / 3780.0
-        return (3.0 * r * np.cos(r) - 3.0 * np.sin(r) + 3.0 * r * r * np.sin(r)) / (2.0 * r ** 3)
-    if i == 3 and j == 3:
-        if r < SMALL_R:
-            r2 = r * r
-            return 1.0 - r2 / 10.0 + r2 * r2 / 280.0 - r2 * r2 * r2 / 15120.0
-        return 3.0 * (np.sin(r) - r * np.cos(r)) / r ** 3
-    return 0.0
+        series = 1.0 - r2 / 5.0 + 3.0 * r2 * r2 / 280.0 - r2 * r2 * r2 / 3780.0
+        closed = (3.0 * r * np.cos(r) - 3.0 * np.sin(r) + 3.0 * r * r * np.sin(r)) / (2.0 * (r * r * r))
+    elif i == 3 and j == 3:
+        series = 1.0 - r2 / 10.0 + r2 * r2 / 280.0 - r2 * r2 * r2 / 15120.0
+        closed = 3.0 * (np.sin(r) - r * np.cos(r)) / (r * r * r)
+    else:
+        return 0.0
+    return np.where(r < SMALL_R, series, closed)
 
 
 def _f12_closed(i, j, lam, a, L):
@@ -146,63 +146,63 @@ def f12_kernel(i, j, lam, a, L, order21):
     (3,1) value is minus the (1,3) one, and the swapped atom order flips
     both of those signs once more.
     """
-    if a < SMALL_A:
-        # 0/0 loss in (2 lam / a) asinh(aL/2); the static shapes agree to O(a^2)
-        return f12_thermal_kernel(i, j, lam, L)
     diag = i == j and 1 <= i <= 3
     skew = (i == 1 and j == 3) or (i == 3 and j == 1)
     if not (diag or skew):
         return 0.0
-    ci = i
-    cj = j
-    sign = 1.0
+    ci, cj, sign = i, j, 1.0
     if skew:
-        ci = 1
-        cj = 3
+        ci, cj = 1, 3
         if i == 3:
             sign = -sign
         if order21:
             sign = -sign
-    if lam * L < SMALL_R and a * L < SERIES_Q_MAX:
-        return sign * _f12_series(ci, cj, lam, a, L)
-    return sign * _f12_closed(ci, cj, lam, a, L)
+    series = (lam * L < SMALL_R) & (a * L < SERIES_Q_MAX)
+    f = sign * np.where(series, _f12_series(ci, cj, lam, a, L), _f12_closed(ci, cj, lam, a, L))
+    # below SMALL_A: 0/0 loss in (2 lam / a) asinh(aL/2); the static shapes agree to O(a^2)
+    return np.where(a < SMALL_A, f12_thermal_kernel(i, j, lam, L), f)
 
 
 # ---------------------------------------------------------------------------
 # dissipator coefficients (units of the spontaneous emission rate)
 
 def assemble_kernel(a, L, d1, d2, thermal, order21):
-    """Kossakowski coefficients (A1, B1, A2, B2) for one bath mode.
+    """Kossakowski coefficients (A1, B1, A2, B2) for one bath mode, four
+    arrays of the broadcast shape of ``a`` and ``L`` (arrays or scalars).
 
     ``d1``/``d2`` are unit 3-vectors; ``thermal`` selects the static bath at
     the matching Unruh temperature (shape functions frozen at their a -> 0
-    limits, Planck factor kept).
+    limits, Planck factor kept). Every branch is evaluated on the whole
+    array and ``np.where`` picks one per element, in the scalar operation
+    order (cubes as r * r * r: array ``r ** 3`` rounds unlike Python's), so
+    each element is bitwise the scalar reference in ``tests/oracles.py``.
+    Branches not taken and parameters near the float limits overflow to
+    inf/nan without a warning; the coefficient check rejects non-finite rows.
     """
+    a = np.asarray(a, dtype=float)
     lam = 1.0
-    if thermal:
-        g11 = 1.0
-        c11 = f12_thermal_kernel(1, 1, lam, L)
-        c22 = c11
-        c33 = f12_thermal_kernel(3, 3, lam, L)
-        c13 = 0.0
-    else:
-        g11 = f11_kernel(lam, a)
-        c11 = f12_kernel(1, 1, lam, a, L, order21)
-        c22 = f12_kernel(2, 2, lam, a, L, order21)
-        c33 = f12_kernel(3, 3, lam, a, L, order21)
-        c13 = f12_kernel(1, 3, lam, a, L, order21)
-    # contraction over the five nonzero components; f_31 = -f_13
-    F = (c11 * d1[0] * d2[0] + c22 * d1[1] * d2[1] + c33 * d1[2] * d2[2]
-         + c13 * (d1[0] * d2[2] - d1[2] * d2[0]))
-    if a > 0.0:
-        cth = coth_kernel(np.pi / a)
-    else:
-        cth = 1.0
-    A1 = 0.25 * g11 * cth
-    B1 = 0.25 * g11
-    A2 = 0.25 * F * cth
-    B2 = 0.25 * F
-    return A1, B1, A2, B2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if thermal:
+            g11 = 1.0
+            c11 = f12_thermal_kernel(1, 1, lam, L)
+            c22 = c11
+            c33 = f12_thermal_kernel(3, 3, lam, L)
+            c13 = 0.0
+        else:
+            g11 = f11_kernel(lam, a)
+            c11 = f12_kernel(1, 1, lam, a, L, order21)
+            c22 = f12_kernel(2, 2, lam, a, L, order21)
+            c33 = f12_kernel(3, 3, lam, a, L, order21)
+            c13 = f12_kernel(1, 3, lam, a, L, order21)
+        # contraction over the five nonzero components; f_31 = -f_13
+        F = (c11 * d1[0] * d2[0] + c22 * d1[1] * d2[1] + c33 * d1[2] * d2[2]
+             + c13 * (d1[0] * d2[2] - d1[2] * d2[0]))
+        cth = np.where(a > 0.0, coth_kernel(np.pi / a), 1.0)
+        A1 = 0.25 * g11 * cth
+        B1 = 0.25 * g11
+        A2 = 0.25 * F * cth
+        B2 = 0.25 * F
+    return np.broadcast_arrays(A1, B1, A2, B2)
 
 
 def generator_kernel(A1, B1, A2, B2):

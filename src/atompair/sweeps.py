@@ -2,9 +2,9 @@
 
 A SweepSpec fixes the physics of a panel (initial state, polarisations,
 bath modes) and the grid axes. Every run_* function goes through one
-serial generator, ``_trajectories``, that sets up the exact trajectory of
-each (cell, bath mode) in a fixed order, one ``kernels.TrajectoryStack``
-per group of a fixed size. Each group is scanned on arrays in blocks of a
+serial generator, ``_trajectories``, that sets up a group of cells of a
+fixed size on arrays, every (cell, bath mode) in a fixed order, as one
+``kernels.TrajectoryStack``. Each group is scanned on arrays in blocks of a
 fixed size: curves sample it on the tau axis, event runs on the horizon
 grid, and the flagged brackets of the whole group are then refined
 together in one array pass (``kernels.events_kernel``). Block and group
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .coefficients import BathKind, DipoleOrientation, SystemParams, assemble
-from .dynamics import XState, catalogue_state, prepare
+from .coefficients import BathKind, DipoleOrientation, check_coefficients
+from .dynamics import XState, catalogue_state, state_rows
 from .entanglement import EVENT_FIELDS, EntanglementEvents, concurrence_x
 from .errors import DomainError
 
@@ -30,14 +30,16 @@ DEFAULT_HORIZON_TAU = 50.0
 DEFAULT_HORIZON_SAMPLES = 400
 _LOG_GRID_BETA = 6.0
 # trajectories x samples scanned as one block: 16 trajectories on the
-# default horizon grid. Larger blocks scan no faster and only grow the
-# temporaries: an 800-trajectory block adds about 50 MB of peak RSS.
+# default horizon grid. Each call evaluates every sample of the block, so
+# numpy's per-call overhead is already small; larger blocks scan no faster
+# and only grow the temporaries (800 trajectories add about 50 MB of RSS).
 BLOCK_SAMPLES = 16 * DEFAULT_HORIZON_SAMPLES
-# trajectories x horizon samples refined as one group: 128 trajectories on
-# the default horizon grid. Each refinement step is one array evaluation
-# for the whole group, and groups of 16 spend most of it in numpy's
-# per-call overhead; a group keeps only its concurrence rows (0.4 MB).
-REFINE_SAMPLES = 128 * DEFAULT_HORIZON_SAMPLES
+# trajectories x horizon samples refined as one group: 512 on the default
+# horizon grid. A refinement step evaluates one sample per bracket, so
+# small groups pay numpy's per-call overhead: against 128, 512 halves the
+# refinement time of sweep fig4 (375 -> 112 calls) for 4 MB more peak RSS
+# (39.8 -> 43.8 MB); a group keeps only its concurrence rows (1.6 MB).
+REFINE_SAMPLES = 512 * DEFAULT_HORIZON_SAMPLES
 
 
 def time_grid(stop: float, num: int, spacing: str = "log") -> np.ndarray:
@@ -161,29 +163,28 @@ def _require_axis(spec, name, minimum=2):
 
 
 def _trajectories(spec, cells):
-    """Yield one TrajectoryStack per group of (cell, bath mode) pairs, rows
-    in order, modes innermost.
-
-    A group holds REFINE_SAMPLES // spec.horizon_samples trajectories (at
-    least one; the last group may hold fewer). Every cell carries every
-    non-time axis, single-valued ones included.
+    """Yield one TrajectoryStack per group of cells, rows in order, bath
+    modes innermost: REFINE_SAMPLES // spec.horizon_samples // len(modes)
+    cells a group (at least one; the last may hold fewer), set up by one
+    ``kernels.assemble_kernel`` call per mode on the group's (a, L) arrays
+    and one ``check_coefficients``. Every cell carries every non-time axis.
     """
     _require_axis(spec, "a_over_omega", 1)
     _require_axis(spec, "omega_L", 1)
-    size = max(1, REFINE_SAMPLES // spec.horizon_samples)
-    group = []
-    for cell in cells:
-        initial = spec.resolve_initial(cell)
-        for mode in spec.bath_modes:
-            coeffs = assemble(SystemParams(cell["a_over_omega"], cell["omega_L"],
-                                           spec.dipole1, spec.dipole2, mode),
-                              spec.atom_order)
-            group.append((initial, coeffs))
-            if len(group) == size:
-                yield prepare(group)
-                group = []
-    if group:
-        yield prepare(group)
+    nmodes = len(spec.bath_modes)
+    size = max(1, REFINE_SAMPLES // spec.horizon_samples // nmodes)
+    d1, d2 = spec.dipole1.as_array(), spec.dipole2.as_array()
+    for start in range(0, len(cells), size):
+        group = cells[start:start + size]
+        a = np.array([cell["a_over_omega"] for cell in group])
+        L = np.array([cell["omega_L"] for cell in group])
+        coeffs = np.stack([np.stack(kernels.assemble_kernel(
+            a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH, spec.atom_order == 21), axis=1)
+            for mode in spec.bath_modes], axis=1).reshape(-1, 4)
+        check_coefficients(coeffs)
+        p0, coherences = state_rows([spec.resolve_initial(cell) for cell in group])
+        yield kernels.TrajectoryStack(coeffs, np.repeat(p0, nmodes, axis=0),
+                                      np.repeat(coherences, nmodes, axis=0))
 
 
 def _scan(stack, taus):

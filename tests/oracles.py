@@ -7,6 +7,10 @@ it:
   direct numerical Fourier transform of the proper-time Wightman functions
   (``_correlation``), so every closed form in ``atompair.kernels`` is
   checked against an independent derivation;
+- ``assemble_kernel`` and the spectral shapes it calls are the scalar
+  kernels, one (a, L) at a time with Python ``if`` branches (cubes as
+  r * r * r), that the array ``atompair.kernels.assemble_kernel`` must
+  match bit for bit on every element;
 - ``basis_transform`` expands an X state into the full 4x4 density matrix
   in the product basis, the input of the spin-flip concurrence oracle
   ``atompair.concurrence_wootters`` and of the positivity checks;
@@ -156,6 +160,177 @@ def fourier_oracle(i: int, j: int, lam: float, a: float, L: float = 1.0,
         raise NonConvergenceError(
             f"oracle extrapolation did not stabilise: {reference} vs {result}")
     return result
+
+
+# ---------------------------------------------------------------------------
+# scalar spectral shapes and coefficients: one (a, L) at a time
+
+SMALL_A = kernels.SMALL_A
+SMALL_R = kernels.SMALL_R
+SERIES_Q_MAX = kernels.SERIES_Q_MAX
+
+
+def coth_kernel(x):
+    # caller guarantees x > 0; above x = 20 the result rounds to exactly 1.0
+    return 1.0 / np.tanh(x)
+
+
+def f11_kernel(lam, a):
+    return 1.0 + (a * a) / (lam * lam)
+
+
+def f12_thermal_kernel(i, j, lam, L):
+    """Static-bath cross-correlation shape, component (i, j), 1-based axes."""
+    r = lam * L
+    if i == j and i < 3:
+        if r < SMALL_R:
+            r2 = r * r
+            return 1.0 - r2 / 5.0 + 3.0 * r2 * r2 / 280.0 - r2 * r2 * r2 / 3780.0
+        return (3.0 * r * np.cos(r) - 3.0 * np.sin(r) + 3.0 * r * r * np.sin(r)) / (2.0 * (r * r * r))
+    if i == 3 and j == 3:
+        if r < SMALL_R:
+            r2 = r * r
+            return 1.0 - r2 / 10.0 + r2 * r2 / 280.0 - r2 * r2 * r2 / 15120.0
+        return 3.0 * (np.sin(r) - r * np.cos(r)) / (r * r * r)
+    return 0.0
+
+
+def _f12_closed(i, j, lam, a, L):
+    # canonical nonzero components (1,1), (2,2), (3,3), (1,3); no switching
+    q = a * L
+    r = lam * L
+    q2 = q * q
+    r2 = r * r
+    R2 = 4.0 + q2
+    R = np.sqrt(R2)
+    R5 = R2 * R2 * R
+    r3 = r * r2
+    s = (2.0 * lam / a) * np.arcsinh(0.5 * q)
+    cs = np.cos(s)
+    sn = np.sin(s)
+    if i == 1 and j == 1:
+        return 12.0 / (r3 * R5) * (
+            2.0 * r * (1.0 + q2) * R * cs
+            - (4.0 - 4.0 * r2 + q2 * (2.0 - r2 + q2)) * sn)
+    if i == 2 and j == 2:
+        return 3.0 / (r3 * R2 * R) * (
+            r * (2.0 + q2) * R * cs
+            + (-4.0 + 4.0 * r2 + q2 * r2) * sn)
+    if i == 3 and j == 3:
+        return -3.0 / (r3 * R5) * (
+            r * (16.0 + 2.0 * q2 + q2 * q2) * R * cs
+            + (-32.0 + q2 * q2 * r2 + 4.0 * q2 * (r2 - 5.0)) * sn)
+    # (1, 3)
+    return -6.0 * q / (r3 * R5) * (
+        r * (q2 - 2.0) * R * cs
+        + (4.0 + 4.0 * r2 + q2 * (4.0 + r2)) * sn)
+
+
+def _f12_series(i, j, lam, a, L):
+    # 6th-order expansion about L = 0 of the canonical components
+    l2 = lam * lam
+    l4 = l2 * l2
+    l6 = l4 * l2
+    a2 = a * a
+    a4 = a2 * a2
+    a6 = a4 * a2
+    a8 = a4 * a4
+    L2 = L * L
+    if i == 1 and j == 1:
+        c0 = 1.0 + a2 / l2
+        c2 = -(4.0 * a4 / (5.0 * l2) + a2 + l2 / 5.0)
+        c4 = 27.0 * a6 / (70.0 * l2) + 21.0 * a4 / 40.0 + 3.0 * a2 * l2 / 20.0 + 3.0 * l4 / 280.0
+        c6 = -(16.0 * a8 / (105.0 * l2) + 41.0 * a6 / 189.0 + 13.0 * a4 * l2 / 180.0
+               + a2 * l4 / 126.0 + l6 / 3780.0)
+        return c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
+    if i == 2 and j == 2:
+        c0 = 1.0 + a2 / l2
+        c2 = -(3.0 * a4 / (10.0 * l2) + 0.5 * a2 + l2 / 5.0)
+        c4 = 3.0 * a6 / (35.0 * l2) + 3.0 * a4 / 20.0 + 3.0 * a2 * l2 / 40.0 + 3.0 * l4 / 280.0
+        c6 = -(a8 / (42.0 * l2) + 317.0 * a6 / 7560.0 + a4 * l2 / 45.0
+               + 11.0 * a2 * l4 / 2520.0 + l6 / 3780.0)
+        return c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
+    if i == 3 and j == 3:
+        c0 = 1.0 + a2 / l2
+        c2 = -(9.0 * a4 / (10.0 * l2) + a2 + l2 / 10.0)
+        c4 = 3.0 * a6 / (7.0 * l2) + 11.0 * a4 / 20.0 + a2 * l2 / 8.0 + l4 / 280.0
+        c6 = -(a8 / (6.0 * l2) + 1733.0 * a6 / 7560.0 + 49.0 * a4 * l2 / 720.0
+               + a2 * l4 / 180.0 + l6 / 15120.0)
+        return c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
+    # (1, 3): odd in L
+    a3 = a2 * a
+    a5 = a4 * a
+    a7 = a6 * a
+    c1 = -(a3 / l2 + a)
+    c3 = 3.0 * a5 / (5.0 * l2) + 0.75 * a3 + 3.0 * a * l2 / 20.0
+    c5 = -(9.0 * a7 / (35.0 * l2) + 7.0 * a5 / 20.0 + a3 * l2 / 10.0 + a * l4 / 140.0)
+    return L * (c1 + L2 * (c3 + L2 * c5))
+
+
+def f12_kernel(i, j, lam, a, L, order21):
+    """Accelerated cross-correlation shape f_ij; order21 selects the swapped pair.
+
+    Components outside (1,1), (2,2), (3,3), (1,3), (3,1) are zero. The
+    (3,1) value is minus the (1,3) one, and the swapped atom order flips
+    both of those signs once more.
+    """
+    if a < SMALL_A:
+        # 0/0 loss in (2 lam / a) asinh(aL/2); the static shapes agree to O(a^2)
+        return f12_thermal_kernel(i, j, lam, L)
+    diag = i == j and 1 <= i <= 3
+    skew = (i == 1 and j == 3) or (i == 3 and j == 1)
+    if not (diag or skew):
+        return 0.0
+    ci = i
+    cj = j
+    sign = 1.0
+    if skew:
+        ci = 1
+        cj = 3
+        if i == 3:
+            sign = -sign
+        if order21:
+            sign = -sign
+    if lam * L < SMALL_R and a * L < SERIES_Q_MAX:
+        return sign * _f12_series(ci, cj, lam, a, L)
+    return sign * _f12_closed(ci, cj, lam, a, L)
+
+
+# ---------------------------------------------------------------------------
+# dissipator coefficients (units of the spontaneous emission rate)
+
+def assemble_kernel(a, L, d1, d2, thermal, order21):
+    """Kossakowski coefficients (A1, B1, A2, B2) for one bath mode.
+
+    ``d1``/``d2`` are unit 3-vectors; ``thermal`` selects the static bath at
+    the matching Unruh temperature (shape functions frozen at their a -> 0
+    limits, Planck factor kept).
+    """
+    lam = 1.0
+    if thermal:
+        g11 = 1.0
+        c11 = f12_thermal_kernel(1, 1, lam, L)
+        c22 = c11
+        c33 = f12_thermal_kernel(3, 3, lam, L)
+        c13 = 0.0
+    else:
+        g11 = f11_kernel(lam, a)
+        c11 = f12_kernel(1, 1, lam, a, L, order21)
+        c22 = f12_kernel(2, 2, lam, a, L, order21)
+        c33 = f12_kernel(3, 3, lam, a, L, order21)
+        c13 = f12_kernel(1, 3, lam, a, L, order21)
+    # contraction over the five nonzero components; f_31 = -f_13
+    F = (c11 * d1[0] * d2[0] + c22 * d1[1] * d2[1] + c33 * d1[2] * d2[2]
+         + c13 * (d1[0] * d2[2] - d1[2] * d2[0]))
+    if a > 0.0:
+        cth = coth_kernel(np.pi / a)
+    else:
+        cth = 1.0
+    A1 = 0.25 * g11 * cth
+    B1 = 0.25 * g11
+    A2 = 0.25 * F * cth
+    B2 = 0.25 * F
+    return A1, B1, A2, B2
 
 
 # ---------------------------------------------------------------------------

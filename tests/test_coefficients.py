@@ -5,8 +5,10 @@ import pytest
 
 from atompair import (BathKind, CoefficientSet, DipoleOrientation, DomainError,
                       SystemParams, assemble)
+from atompair import kernels
 from atompair.kernels import coth_kernel, f11_kernel
 from conftest import AXES, random_params
+import oracles
 
 
 def make_params(a, L, d1="z", d2="z", bath=BathKind.ACCELERATED_VACUUM):
@@ -18,6 +20,33 @@ def test_coth_stable_values():
     assert coth_kernel(20.0) == pytest.approx(1.0 + 2.0 * np.exp(-40.0), rel=1e-15)
     assert coth_kernel(1.0) == pytest.approx(1.3130352854993313, abs=1e-12)
     assert coth_kernel(1e-8) == pytest.approx(1e8, rel=1e-9)
+
+
+def test_array_kernel_matches_scalar_reference():
+    """Array assemble_kernel is bitwise the scalar reference on every
+    element, on a grid straddling a = 0, SMALL_A, SMALL_R and SERIES_Q_MAX."""
+    small_a, small_r = kernels.SMALL_A, kernels.SMALL_R
+    q_edge = kernels.SERIES_Q_MAX / 2.5e-3
+    a_values = [0.0, 1e-9, 0.5 * small_a, np.nextafter(small_a, 0.0), small_a,
+                np.nextafter(small_a, 1.0), 1e-3, 0.3, 1.0, 2.7, 40.0,
+                np.nextafter(q_edge, 0.0), q_edge, np.nextafter(q_edge, np.inf), 1e3]
+    L_values = [1e-5, 1e-3, 2.5e-3, np.nextafter(small_r, 0.0), small_r,
+                np.nextafter(small_r, 1.0), 0.05, 1.0, 3.3, 25.0]
+    rng = np.random.default_rng(5)
+    a_values += list(10.0 ** rng.uniform(-4.0, 3.0, 16))
+    L_values += list(10.0 ** rng.uniform(-5.0, 1.5, 16))
+    a, L = (g.ravel() for g in np.meshgrid(a_values, L_values))
+    dipoles = [(AXES[d1], AXES[d2]) for d1 in "xyz" for d2 in "xyz"]
+    dipoles += [(DipoleOrientation.normalized(rng.normal(size=3)),
+                 DipoleOrientation.normalized(rng.normal(size=3))) for _ in range(3)]
+    for d1, d2 in dipoles:
+        for thermal in (False, True):
+            for order21 in (False, True):
+                args = (d1.as_array(), d2.as_array(), thermal, order21)
+                got = np.array(kernels.assemble_kernel(a, L, *args)).T
+                want = np.array([oracles.assemble_kernel(ak, Lk, *args)
+                                 for ak, Lk in zip(a.tolist(), L.tolist())])
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_dipole_validation():

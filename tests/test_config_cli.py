@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,22 @@ def test_cli_exit_codes(tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MINIMAL, fixed=fixed), "huge.yaml")
         assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "c"]) == 3
         assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "c"]) == 3
+        assert "coefficients must be finite" in capsys.readouterr().err
+    # the same through the group set-up of sweep and region, with no warning
+    huge = {"start": 1e299, "stop": 1e300, "num": 2}
+    small = {"start": 0.5, "stop": 2.0, "num": 2}
+    for command, fixed, grid in (
+            ("sweep", {"a_over_omega": 1e300}, {"omega_L": small}),
+            ("sweep", {"a_over_omega": 1.0}, {"omega_L": huge}),
+            ("region", {}, {"a_over_omega": huge, "omega_L": small}),
+            ("region", {}, {"a_over_omega": small, "omega_L": huge})):
+        outputs = ["region"] if command == "region" else ["max_concurrence", "events"]
+        cfg = write_config(tmp_path, dict(MINIMAL, initial_states=["E"], fixed=fixed,
+                                          grid=grid, outputs=outputs), "huge.yaml")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli([command, "--config", cfg, "--out", tmp_path / "h"]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "coefficients must be finite" in capsys.readouterr().err
     # a time grid that overflows, or that time_grid rejects, is a
     # configuration error naming its key

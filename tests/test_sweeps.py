@@ -305,8 +305,9 @@ def test_grouped_refinement_rejects_negative_radicand():
 
 
 def test_events_same_for_any_refinement_group(monkeypatch):
-    # 18 trajectories: one group by default, groups of 16 and 2, or 18
-    # groups of one; evolve's events come from the curve's trajectories
+    # 9 cells of 2 modes: one group by default, groups of 16 and 2
+    # trajectories, or 9 groups of one cell; evolve's events come from the
+    # curve's trajectories
     taus = time_grid(10.0, 60)
     spec = make_spec(axes=(("a_over_omega", (0.05, 1.23, 2.41)),
                            ("omega_L", (0.05, 1.04, 3.02)), ("tau", tuple(taus))))
