@@ -3,7 +3,8 @@
 Runs each preset through ``atompair.cli.main`` into a temporary directory:
 ``evolve`` for the presets with curves, ``sweep`` for those with a
 max-concurrence output, ``region`` for the region maps (on a 24x24 grid,
-through a generated config) and ``coeffs`` for fig4. Prints one
+through a generated config) and ``coeffs`` for fig4, plus ``sweep`` over a
+generated p axis, which no preset has. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -31,6 +32,15 @@ from atompair.config import load_preset, preset_names  # noqa: E402
 
 REGION_NUM = 24
 COMMANDS = {"curve": "evolve", "max_concurrence": "sweep", "region": "region"}
+# the psi1/psi2 weight as a grid axis, resolved per cell
+P_AXIS_SWEEP = {
+    "name": "paxis",
+    "initial_states": ["psi1", "psi2"],
+    "polarizations": [["z", "z"], ["z", "x"]],
+    "fixed": {"a_over_omega": 0.6666666666666666, "omega_L": 1.0},
+    "grid": {"p": {"start": 0.05, "stop": 0.95, "num": 19}},
+    "outputs": ["max_concurrence", "events"],
+}
 
 
 def _runs(tmp):
@@ -48,6 +58,9 @@ def _runs(tmp):
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{name}", [command, "--config", str(config)]
     yield "coeffs-fig4", ["coeffs", "--preset", "fig4"]
+    config = tmp / "paxis.yaml"
+    config.write_text(yaml.safe_dump(P_AXIS_SWEEP), encoding="utf-8")
+    yield "sweep-paxis", ["sweep", "--config", str(config)]
 
 
 def main():

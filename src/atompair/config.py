@@ -32,7 +32,9 @@ Schema (defaults in parentheses):
       tau_max: 50.0                 # (50.0) event-detection window
       samples: 400                  # (400)
 
-Each axis must appear in exactly one of ``fixed``/``grid``.
+Each axis must appear in exactly one of ``fixed``/``grid``. YAML 1.1
+reads an exponent without a decimal point (``1e-4``) as text, so write
+``1.0e-4``.
 """
 
 import math
@@ -44,7 +46,6 @@ import numpy as np
 import yaml
 
 from .coefficients import BathKind, DipoleOrientation
-from .dynamics import XState, catalogue_state
 from .errors import ConfigError, DomainError
 from .sweeps import (DEFAULT_HORIZON_SAMPLES, DEFAULT_HORIZON_TAU, SweepSpec,
                      time_grid)
@@ -93,33 +94,12 @@ def _expect_int(source, path, value, minimum):
 
 
 @dataclass(frozen=True)
-class InitialStateSpec:
-    """One entry of initial_states: a named state or a psi family."""
-
-    family: str
-    p: float | None = None
-
-    @property
-    def label(self) -> str:
-        if self.p is None:
-            return self.family
-        return f"{self.family}-{self.p:g}"
-
-    def resolve(self) -> XState | None:
-        if self.family in _STATE_NAMES:
-            return catalogue_state(self.family)
-        if self.p is None:
-            return None  # weight supplied by a p grid axis
-        return catalogue_state(self.family, self.p)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration (schema documented in the module)."""
 
     name: str
     source: str
-    initial_states: tuple
+    initial_states: tuple      # ((family, p or None), ...)
     polarizations: tuple       # ((DipoleOrientation, DipoleOrientation, label), ...)
     bath_modes: tuple
     atom_order: int
@@ -130,7 +110,6 @@ class RunConfig:
     event_min_amplitude: float
     horizon_tau: float
     horizon_samples: int
-    title: str = ""
     raw: dict = field(default_factory=dict, repr=False)
 
     def axis_values(self, axis: str):
@@ -151,14 +130,14 @@ class RunConfig:
         if command == "evolve":
             axes.append(("tau", self.grid["tau"]))
         specs = []
-        for k, ini in enumerate(self.initial_states):
+        for k, (family, p) in enumerate(self.initial_states):
+            state_label = family if p is None else f"{family}-{p:g}"
             for d1, d2, pol_label in self.polarizations:
-                label = f"{ini.label}_{pol_label}"
+                label = f"{state_label}_{pol_label}"
                 try:
                     spec = SweepSpec(
                         label=f"{self.name}_{label}",
-                        initial_label=ini.family,
-                        initial=ini.resolve(),
+                        initial_label=family, p=p,
                         dipole1=d1, dipole2=d2,
                         bath_modes=self.bath_modes,
                         axes=tuple(axes),
@@ -204,10 +183,8 @@ class RunConfig:
 
 def _parse_initial_state(source, path, entry):
     if isinstance(entry, str):
-        if entry in _STATE_NAMES:
-            return InitialStateSpec(family=entry)
-        if entry in ("psi1", "psi2"):
-            return InitialStateSpec(family=entry)  # p comes from a grid axis
+        if entry in _STATE_NAMES + ("psi1", "psi2"):
+            return entry, None  # a psi family takes p from a grid axis
         _fail(source, path, f"unknown state {entry!r}; use G/A/S/E or psi1/psi2")
     if isinstance(entry, dict):
         _expect_mapping(source, path, entry, ("family", "p"))
@@ -216,11 +193,11 @@ def _parse_initial_state(source, path, entry):
             _fail(source, f"{path}.family", f"must be psi1 or psi2, got {family!r}")
         p = entry.get("p")
         if p is None:
-            return InitialStateSpec(family=family)
+            return family, None
         p = _expect_number(source, f"{path}.p", p)
         if not 0.0 < p < 1.0:
             _fail(source, f"{path}.p", f"must lie in (0, 1), got {p}")
-        return InitialStateSpec(family=family, p=p)
+        return family, p
     _fail(source, path, f"expected a state name or mapping, got {entry!r}")
 
 
@@ -288,8 +265,7 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     name = data.get("name")
     if not isinstance(name, str) or not _NAME_RE.match(name):
         _fail(source, "name", f"required, filename-safe string; got {name!r}")
-    title = data.get("title", "")
-    if not isinstance(title, str):
+    if not isinstance(data.get("title", ""), str):   # kept in meta.json through raw
         _fail(source, "title", "must be a string")
 
     state_entries = data.get("initial_states")
@@ -386,7 +362,7 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         _fail(source, "horizon.tau_max", str(exc))
 
     return RunConfig(
-        name=name, source=source, title=title,
+        name=name, source=source,
         initial_states=initial_states,
         polarizations=tuple(polarizations),
         bath_modes=tuple(modes),

@@ -8,6 +8,7 @@ exponential as fallback when the eigenvector matrix is ill-conditioned.
 All times are in units of the inverse spontaneous emission rate.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -84,8 +85,10 @@ _CATALOGUE = {
 }
 
 
+@functools.cache
 def catalogue_state(name: str, p: float | None = None) -> XState:
-    """Resolve a named initial state; psi1/psi2 take the weight p."""
+    """Resolve a named initial state; psi1/psi2 take the weight p. Cached:
+    XState is frozen, so equal arguments share one instance."""
     if name in _CATALOGUE:
         if p is not None:
             raise DomainError(f"state {name!r} takes no parameter p")

@@ -7,7 +7,7 @@ death, (delayed or revived) birth, revival and enhancement, refining every
 threshold crossing by bisection on the exact propagator.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,20 +60,20 @@ class Trajectory:
     concurrence: np.ndarray
     initial: XState
     coeffs: CoefficientSet
+    # the one-row stack the samples came from; detect_events refines on it
+    stack: kernels.TrajectoryStack = field(compare=False, repr=False)
 
 
 def concurrence_x(state: XState) -> float:
     """Concurrence of an X state, max{0, K1, K2}.
 
     Radicands within -1e-12 of zero are clamped (roundoff slack); anything
-    more negative signals a positivity violation upstream and raises.
+    more negative signals a positivity violation upstream and raises
+    InvalidStateError.
     """
-    try:
-        return float(kernels.concurrence_kernel(
-            state.pGG, state.pAA, state.pSS, state.pEE,
-            state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag))
-    except ValueError as exc:
-        raise InvalidStateError(str(exc)) from None
+    return float(kernels.concurrence_kernel(
+        state.pGG, state.pAA, state.pSS, state.pEE,
+        state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag))
 
 
 def concurrence_wootters(rho: np.ndarray) -> float:
@@ -120,7 +120,7 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
     damp = np.exp(-4.0 * coeffs.A1 * taus)
     return Trajectory(times=taus, populations=pops[0],
                       cAS=initial.cAS * damp, cGE=initial.cGE * damp,
-                      concurrence=C[0], initial=initial, coeffs=coeffs)
+                      concurrence=C[0], initial=initial, coeffs=coeffs, stack=stack)
 
 
 def detect_events(traj: Trajectory) -> EntanglementEvents:
@@ -133,10 +133,9 @@ def detect_events(traj: Trajectory) -> EntanglementEvents:
     Crossings are refined by bisection on the exact propagator, the
     maximum by golden section, both to ``kernels.REFINE_TOL`` in scaled
     time. The scan reads ``traj.concurrence``, which ``compute_trajectory``
-    samples with the kernel the refinement evaluates.
+    samples from ``traj.stack``, the stack the refinement evaluates.
     """
     if traj.times.size == 0:
         raise DomainError("empty trajectory")
-    stack = prepare([(traj.initial, traj.coeffs)])
     return EntanglementEvents.from_row(
-        kernels.events_kernel(stack, traj.times, traj.concurrence[None])[0])
+        kernels.events_kernel(traj.stack, traj.times, traj.concurrence[None])[0])

@@ -17,6 +17,8 @@ import functools
 
 import numpy as np
 
+from .errors import InvalidStateError
+
 # switch points of the series fallbacks
 SMALL_A = 1e-4      # below this the accelerated spectral shapes equal the static ones to O(a^2)
 SMALL_R = 3e-3      # lambda*L below this: closed forms cancel catastrophically, use series
@@ -171,8 +173,8 @@ def assemble_kernel(a, L, d1, d2, thermal, order21):
     arrays of the broadcast shape of ``a`` and ``L`` (arrays or scalars).
 
     ``d1``/``d2`` are unit 3-vectors; ``thermal`` selects the static bath at
-    the matching Unruh temperature (shape functions frozen at their a -> 0
-    limits, Planck factor kept). Every branch is evaluated on the whole
+    the matching Unruh temperature (shape functions taken at a = 0, the
+    Planck factor at a). Every branch is evaluated on the whole
     array and ``np.where`` picks one per element, in the scalar operation
     order (cubes as r * r * r: array ``r ** 3`` rounds unlike Python's), so
     each element is bitwise the scalar reference in ``tests/oracles.py``.
@@ -180,20 +182,14 @@ def assemble_kernel(a, L, d1, d2, thermal, order21):
     inf/nan without a warning; the coefficient check rejects non-finite rows.
     """
     a = np.asarray(a, dtype=float)
+    shape_a = np.zeros_like(a) if thermal else a
     lam = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if thermal:
-            g11 = 1.0
-            c11 = f12_thermal_kernel(1, 1, lam, L)
-            c22 = c11
-            c33 = f12_thermal_kernel(3, 3, lam, L)
-            c13 = 0.0
-        else:
-            g11 = f11_kernel(lam, a)
-            c11 = f12_kernel(1, 1, lam, a, L, order21)
-            c22 = f12_kernel(2, 2, lam, a, L, order21)
-            c33 = f12_kernel(3, 3, lam, a, L, order21)
-            c13 = f12_kernel(1, 3, lam, a, L, order21)
+        g11 = f11_kernel(lam, shape_a)
+        c11 = f12_kernel(1, 1, lam, shape_a, L, order21)
+        c22 = f12_kernel(2, 2, lam, shape_a, L, order21)
+        c33 = f12_kernel(3, 3, lam, shape_a, L, order21)
+        c13 = f12_kernel(1, 3, lam, shape_a, L, order21)
         # contraction over the five nonzero components; f_31 = -f_13
         F = (c11 * d1[0] * d2[0] + c22 * d1[1] * d2[1] + c33 * d1[2] * d2[2]
              + c13 * (d1[0] * d2[2] - d1[2] * d2[0]))
@@ -272,14 +268,14 @@ def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
     With ``clamp=False`` it returns max(K1, K2) without the clamp at zero
     (negative values certify a dip) and zeroes negative radicands silently;
     with the clamp a radicand below RADICAND_SLACK anywhere raises
-    ValueError. ``tests/oracles.py`` holds the one-sample reference calls.
+    InvalidStateError. ``tests/oracles.py`` holds the one-sample reference calls.
     """
     rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
     prod = pGG * pEE
     rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
     if clamp and np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK)
                         | (rad2 < RADICAND_SLACK)):
-        raise ValueError("concurrence radicand below tolerance: state not positive")
+        raise InvalidStateError("concurrence radicand below tolerance: state not positive")
     K1 = np.sqrt(np.where(rad1 < 0.0, 0.0, rad1)) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
     K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
     C = np.where(K1 > K2, K1, K2)
@@ -326,7 +322,7 @@ def _evaluate(stack, rows, tau, clamp):
     c*exp(w tau) and apply V by one batched matrix-vector product, rows on
     the expm fallback go through ``pops_at``, tau = 0 gives p0, and the
     concurrence is ``concurrence_kernel`` on the arrays (with the clamp a
-    radicand below RADICAND_SLACK raises ValueError). Every value is
+    radicand below RADICAND_SLACK raises InvalidStateError). Every value is
     bitwise the one-sample scalar reference in ``tests/oracles.py``.
     """
     pops = np.empty(tau.shape + (4,))

@@ -67,14 +67,13 @@ class SweepSpec:
     """One panel of a sweep: physics plus resolved grid axes.
 
     ``axes`` maps axis name to the tuple of grid values, in sweep order.
-    The weight p of a psi1/psi2 family comes either with ``initial`` or from
-    a "p" axis, never both; ``initial`` is None exactly when a "p" axis
-    selects the weight of the family named by ``initial_label``.
+    ``initial_label`` names a catalogue state; the weight of a psi1/psi2
+    family comes either as ``p`` or from a "p" axis, never both.
     """
 
     label: str
     initial_label: str
-    initial: XState | None
+    p: float | None
     dipole1: DipoleOrientation
     dipole2: DipoleOrientation
     bath_modes: tuple
@@ -126,10 +125,12 @@ class SweepSpec:
         if has_p_axis:
             if self.initial_label not in ("psi1", "psi2"):
                 raise DomainError("a p axis requires a psi1/psi2 initial family")
-            if self.initial is not None:
+            if self.p is not None:
                 raise DomainError("give p either per state or as a p axis, not both")
-        elif self.initial is None:
+        elif self.p is None and self.initial_label in ("psi1", "psi2"):
             raise DomainError(f"{self.initial_label} needs p (or a p axis)")
+        else:
+            self.resolve_initial({})   # an unknown label fails here
 
     def axis(self, name):
         for axis_name, values in self.axes:
@@ -147,9 +148,7 @@ class SweepSpec:
         return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
 
     def resolve_initial(self, cell) -> XState:
-        if "p" in cell:
-            return catalogue_state(self.initial_label, float(cell["p"]))
-        return self.initial
+        return catalogue_state(self.initial_label, float(cell["p"]) if "p" in cell else self.p)
 
     def horizon_grid(self) -> np.ndarray:
         return time_grid(self.horizon_tau, self.horizon_samples, "log")

@@ -388,6 +388,19 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert run_cli([command, "--config", cfg, "--out", tmp_path / "h"]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "coefficients must be finite" in capsys.readouterr().err
+    # a sampled state that is not positive (at this ill-conditioned small
+    # omega_L) is a computation error, not a traceback
+    thin = dict(MINIMAL, initial_states=["E"], bath_modes=["thermal"],
+                fixed={"a_over_omega": 0.3, "omega_L": 1.0e-4},
+                grid={"tau": {"stop": 50.0, "num": 400}})
+    swept = dict(thin, fixed={"a_over_omega": 0.3},
+                 grid={"omega_L": {"start": 1.0e-4, "stop": 2.0e-4, "num": 2}},
+                 outputs=["max_concurrence", "events"])
+    for command, data in (("evolve", thin), ("sweep", swept)):
+        cfg = write_config(tmp_path, data, "thin.yaml")
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "t"]) == 3
+        err = capsys.readouterr().err
+        assert "computation error" in err and "Traceback" not in err
     # a time grid that overflows, or that time_grid rejects, is a
     # configuration error naming its key
     for key, bad in (("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 1e308, "num": 40}})),

@@ -136,6 +136,23 @@ def test_detect_events_decaying_bell_state():
     assert events.max_time == 0.0
 
 
+def test_detect_events_reuses_the_trajectory_decomposition(monkeypatch):
+    # the samples and the refinement of a trajectory share one preparation
+    original = kernels.eig_decompose
+    seen = []
+
+    def counting(M):
+        seen.append(1)
+        return original(M)
+
+    monkeypatch.setattr(kernels, "eig_decompose", counting)
+    traj = compute_trajectory(catalogue_state("psi1", 0.25), coeffs_at(0.5, 1.0),
+                              time_grid(50.0, 400))
+    events = detect_events(traj)
+    assert sum(seen) == 1
+    assert events.revival
+
+
 def test_detect_events_revival_and_enhancement():
     # the two regimes of the superposed Bell-type initial states
     taus = time_grid(50.0, 400)

@@ -16,7 +16,7 @@ AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 def make_spec(**overrides):
     base = dict(
         label="test", initial_label="psi1",
-        initial=catalogue_state("psi1", 0.25),
+        p=0.25,
         dipole1=AXES["z"], dipole2=AXES["z"],
         bath_modes=(AV, TH),
         axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,)),
@@ -31,7 +31,7 @@ def region_spec(n=20, initial=("psi2", 0.2), kind="revival", amax=3.0, Lmax=5.0,
     astart = amax / n if astart is None else astart
     Lstart = Lmax / n if Lstart is None else Lstart
     return make_spec(
-        initial_label=fam, initial=catalogue_state(fam, p),
+        initial_label=fam, p=p,
         axes=(("a_over_omega", tuple(np.linspace(astart, amax, n))),
               ("omega_L", tuple(np.linspace(Lstart, Lmax, n)))),
         event_kind=kind)
@@ -76,13 +76,15 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         make_spec(event_kind="both")
     with pytest.raises(DomainError):
-        make_spec(initial=None)  # no p axis to supply the weight
+        make_spec(p=None)  # no p axis to supply the weight
     cell = (("a_over_omega", (0.5,)), ("omega_L", (1.0,)))
     with pytest.raises(DomainError, match="not both"):
         make_spec(axes=cell + (("p", (0.2, 0.8)),))  # p per state and as an axis
     with pytest.raises(DomainError, match="psi1/psi2"):
-        make_spec(initial_label="A", initial=catalogue_state("A"),
+        make_spec(initial_label="A", p=None,
                   axes=cell + (("p", (0.2, 0.8)),))
+    with pytest.raises(DomainError, match="unknown initial state"):
+        make_spec(initial_label="W", p=None)   # resolved at construction
 
 
 def test_run_curve_shapes_and_modes():
@@ -114,7 +116,7 @@ def test_repeated_runs_identical():
 
 def test_p_axis_resolves_family():
     spec = make_spec(
-        initial=None, initial_label="psi2",
+        p=None, initial_label="psi2",
         axes=(("a_over_omega", (0.6666666666666666,)), ("omega_L", (1.0,)),
               ("p", (0.2, 0.8))))
     result = run_events(spec)
@@ -128,7 +130,7 @@ def test_run_events_matches_detect_events():
     spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))))
     result = run_events(spec)
     direct = detect_events(compute_trajectory(
-        spec.initial, _coeffs_for(spec, AV, 0.5, 1.0), spec.horizon_grid()))
+        spec.resolve_initial({}), _coeffs_for(spec, AV, 0.5, 1.0), spec.horizon_grid()))
     via_table = result.events(0, 0)
     assert via_table == direct
 
@@ -210,8 +212,8 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     curve = run_curve(spec)
     for ci, cell in enumerate(curve.cells):
         for mi, mode in enumerate(spec.bath_modes):
-            traj = prepare([(spec.initial, _coeffs_for(spec, mode, cell["a_over_omega"],
-                                                       cell["omega_L"]))])
+            cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
+            traj = prepare([(spec.resolve_initial({}), cs)])
             want_pops, want_C = _scalar_scan(traj, 0, taus)
             assert np.array_equal(curve.populations[ci, mi], want_pops)
             assert np.array_equal(curve.concurrence[ci, mi], want_C)
@@ -230,7 +232,8 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     for ci, cell in enumerate(result.cells):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
-            direct = detect_events(compute_trajectory(spec.initial, cs, spec.horizon_grid()))
+            direct = detect_events(compute_trajectory(spec.resolve_initial({}), cs,
+                                                      spec.horizon_grid()))
             assert result.events(ci, mi) == direct
 
 
@@ -350,7 +353,7 @@ def test_region_cells_agree_with_single_mode_runs():
             continue
         for mode in (AV, TH):
             cs = _coeffs_for(spec, mode, float(m.a_values[ai]), float(m.L_values[lj]))
-            ev = detect_events(compute_trajectory(spec.initial, cs, taus))
+            ev = detect_events(compute_trajectory(spec.resolve_initial({}), cs, taus))
             assert ev.revival and ev.revival_amplitude > spec.region_min_amplitude
         checked += 1
     assert checked > 0
