@@ -15,7 +15,6 @@ Schema (defaults in parentheses):
     polarizations:                  # required; entries are pairs
       - [z, x]                      # axis letters or unit 3-vectors
     bath_modes: [accelerated, thermal]   # (both)
-    atom_order: 12                  # (12) or 21
     fixed:                          # scalar or list per axis
       a_over_omega: [0.25, 1.0]
       omega_L: 1.0
@@ -27,12 +26,9 @@ Schema (defaults in parentheses):
     outputs: [curve, events]        # curve | events | max_concurrence | region
     events:
       kind: revival                 # (revival) | enhancement
-      min_amplitude: 1.0e-3         # (1e-3) region visibility floor
-    horizon:
-      tau_max: 50.0                 # (50.0) event-detection window
-      samples: 400                  # (400)
 
-Each axis must appear in exactly one of ``fixed``/``grid``. YAML 1.1
+Each axis must appear in exactly one of ``fixed``/``grid``. The atoms in
+the other order are written as the swapped polarization pair. YAML 1.1
 reads an exponent without a decimal point (``1e-4``) as text, so write
 ``1.0e-4``.
 """
@@ -47,8 +43,7 @@ import yaml
 
 from .coefficients import BathKind, DipoleOrientation
 from .errors import ConfigError, DomainError
-from .sweeps import (DEFAULT_HORIZON_SAMPLES, DEFAULT_HORIZON_TAU, SweepSpec,
-                     time_grid)
+from .sweeps import SweepSpec, time_grid
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _STATE_NAMES = ("G", "A", "S", "E")
@@ -102,14 +97,10 @@ class RunConfig:
     initial_states: tuple      # ((family, p or None), ...)
     polarizations: tuple       # ((DipoleOrientation, DipoleOrientation, label), ...)
     bath_modes: tuple
-    atom_order: int
     fixed: dict                # axis -> tuple of values
     grid: dict                 # axis -> resolved tuple of values
     outputs: tuple
     event_kind: str
-    event_min_amplitude: float
-    horizon_tau: float
-    horizon_samples: int
     raw: dict = field(default_factory=dict, repr=False)
 
     def axis_values(self, axis: str):
@@ -141,11 +132,7 @@ class RunConfig:
                         dipole1=d1, dipole2=d2,
                         bath_modes=self.bath_modes,
                         axes=tuple(axes),
-                        atom_order=self.atom_order,
-                        event_kind=self.event_kind,
-                        horizon_tau=self.horizon_tau,
-                        horizon_samples=self.horizon_samples,
-                        region_min_amplitude=self.event_min_amplitude)
+                        event_kind=self.event_kind)
                 except DomainError as exc:
                     _fail(self.source, f"initial_states[{k}]", str(exc))
                 specs.append((label, spec))
@@ -255,7 +242,7 @@ def _parse_range(source, path, axis, entry):
 
 
 _TOP_KEYS = ("name", "title", "initial_states", "polarizations", "bath_modes",
-             "atom_order", "fixed", "grid", "outputs", "events", "horizon")
+             "fixed", "grid", "outputs", "events")
 
 
 def parse_config(data: dict, source: str = "<config>") -> RunConfig:
@@ -303,10 +290,6 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
             _fail(source, f"bath_modes[{k}]", f"duplicate mode {entry!r}")
         modes.append(kind)
 
-    atom_order = data.get("atom_order", 12)
-    if atom_order not in (12, 21):
-        _fail(source, "atom_order", f"must be 12 or 21, got {atom_order!r}")
-
     fixed_body = _expect_mapping(source, "fixed", data.get("fixed", {}) or {},
                                  ("a_over_omega", "omega_L"))
     fixed = {}
@@ -341,38 +324,19 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         outputs.append(entry)
 
     events_body = _expect_mapping(source, "events", data.get("events", {}) or {},
-                                  ("kind", "min_amplitude"))
+                                  ("kind",))
     event_kind = events_body.get("kind", "revival")
     if event_kind not in ("revival", "enhancement"):
         _fail(source, "events.kind", f"must be revival or enhancement, got {event_kind!r}")
-    min_amp = _expect_number(source, "events.min_amplitude",
-                             events_body.get("min_amplitude", 1e-3))
-    if min_amp <= 0.0:
-        _fail(source, "events.min_amplitude", "must be > 0")
-
-    horizon_body = _expect_mapping(source, "horizon", data.get("horizon", {}) or {},
-                                   ("tau_max", "samples"))
-    horizon_tau = _expect_number(source, "horizon.tau_max",
-                                 horizon_body.get("tau_max", DEFAULT_HORIZON_TAU))
-    horizon_samples = _expect_int(source, "horizon.samples",
-                                  horizon_body.get("samples", DEFAULT_HORIZON_SAMPLES), 2)
-    try:
-        time_grid(horizon_tau, horizon_samples, "log")
-    except DomainError as exc:
-        _fail(source, "horizon.tau_max", str(exc))
 
     return RunConfig(
         name=name, source=source,
         initial_states=initial_states,
         polarizations=tuple(polarizations),
         bath_modes=tuple(modes),
-        atom_order=atom_order,
         fixed=fixed, grid=grid,
         outputs=tuple(outputs),
         event_kind=event_kind,
-        event_min_amplitude=min_amp,
-        horizon_tau=horizon_tau,
-        horizon_samples=horizon_samples,
         raw=data)
 
 

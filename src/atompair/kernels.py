@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import ComputationError, InvalidStateError
 
 # switch points of the series fallbacks
 SMALL_A = 1e-4      # below this the accelerated spectral shapes equal the static ones to O(a^2)
@@ -239,11 +239,13 @@ def eig_decompose(M):
 def expm_kernel(A):
     """Scaling-and-squaring Taylor matrix exponential for the 4x4 generator."""
     nrm = max(0.0, *(sum(abs(A[r, c]) for c in range(4)) for r in range(4)))
+    if not np.isfinite(nrm):
+        raise ComputationError(f"matrix exponential of a matrix with norm {nrm}")
     k = 0
     while nrm > 0.25:
         nrm *= 0.5
         k += 1
-    B = A / (2.0 ** k)
+    B = np.ldexp(A, -k)   # exact, and no overflow of 2**k beyond k = 1023
     E = np.eye(4)
     T = np.eye(4)
     for n in range(1, 21):
@@ -324,19 +326,23 @@ def _evaluate(stack, rows, tau, clamp):
     concurrence is ``concurrence_kernel`` on the arrays (with the clamp a
     radicand below RADICAND_SLACK raises InvalidStateError). Every value is
     bitwise the one-sample scalar reference in ``tests/oracles.py``.
+    Populations that overflow at a huge tau raise ComputationError.
     """
     pops = np.empty(tau.shape + (4,))
     expm = stack.use_expm[rows]
     eig = ~expm
     r = rows[eig]
-    # one matrix-vector product per sample, as the scalar V @ (c exp(w tau)):
-    # a stacked matrix-matrix product sums in another order
-    y = stack.c[r, None] * np.exp(stack.w[r, None] * tau[eig][..., None])
-    pops[eig] = (stack.V[r, None] @ y[..., None])[..., 0].real
-    for i, r in zip(np.flatnonzero(expm), rows[expm]):
-        pops[i] = [pops_at(stack.M[r], stack.p0[r], t) for t in tau[i]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one matrix-vector product per sample, as the scalar V @ (c exp(w tau)):
+        # a stacked matrix-matrix product sums in another order
+        y = stack.c[r, None] * np.exp(stack.w[r, None] * tau[eig][..., None])
+        pops[eig] = (stack.V[r, None] @ y[..., None])[..., 0].real
+        for i, r in zip(np.flatnonzero(expm), rows[expm]):
+            pops[i] = [pops_at(stack.M[r], stack.p0[r], t) for t in tau[i]]
     zi, zj = np.nonzero(tau == 0.0)
     pops[zi, zj] = stack.p0[rows[zi]]
+    if not np.isfinite(pops).all():
+        raise ComputationError("populations overflow: tau is beyond the propagator's range")
 
     amp = np.exp(-4.0 * stack.A1[rows, None] * tau)
     reAS, imAS, reGE, imGE = stack.coherences[rows].T[..., None] * amp

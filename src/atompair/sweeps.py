@@ -7,9 +7,9 @@ fixed size on arrays, every (cell, bath mode) in a fixed order, as one
 ``kernels.TrajectoryStack``. Each group is scanned on arrays in blocks of a
 fixed size: curves sample it on the tau axis, event runs on the horizon
 grid, and the flagged brackets of the whole group are then refined
-together in one array pass (``kernels.events_kernel``). Block and group
-sizes depend only on the grid lengths, so outputs are bit-identical from
-run to run.
+together in one array pass (``kernels.events_kernel``). Group sizes are
+fixed and block sizes depend only on the tau axis length, so outputs are
+bit-identical from run to run.
 """
 
 import itertools
@@ -26,20 +26,24 @@ from .errors import DomainError
 AXIS_NAMES = ("a_over_omega", "omega_L", "p", "tau")
 LABEL_NAMES = ("neither", "accelerated-only", "thermal-only", "both")
 
-DEFAULT_HORIZON_TAU = 50.0
-DEFAULT_HORIZON_SAMPLES = 400
+HORIZON_TAU = 50.0       # event-detection window
+HORIZON_SAMPLES = 400
 _LOG_GRID_BETA = 6.0
 # trajectories x samples scanned as one block: 16 trajectories on the
-# default horizon grid. Each call evaluates every sample of the block, so
+# horizon grid. Each call evaluates every sample of the block, so
 # numpy's per-call overhead is already small; larger blocks scan no faster
 # and only grow the temporaries (800 trajectories add about 50 MB of RSS).
-BLOCK_SAMPLES = 16 * DEFAULT_HORIZON_SAMPLES
-# trajectories x horizon samples refined as one group: 512 on the default
-# horizon grid. A refinement step evaluates one sample per bracket, so
-# small groups pay numpy's per-call overhead: against 128, 512 halves the
-# refinement time of sweep fig4 (375 -> 112 calls) for 4 MB more peak RSS
-# (39.8 -> 43.8 MB); a group keeps only its concurrence rows (1.6 MB).
-REFINE_SAMPLES = 512 * DEFAULT_HORIZON_SAMPLES
+BLOCK_SAMPLES = 16 * HORIZON_SAMPLES
+# trajectories refined as one group. A refinement step evaluates one
+# sample per bracket, so small groups pay numpy's per-call overhead:
+# against 128, 512 halves the refinement time of sweep fig4 (375 -> 112
+# calls) for 4 MB more peak RSS (39.8 -> 43.8 MB); a group keeps only its
+# concurrence rows (1.6 MB).
+REFINE_TRAJECTORIES = 512
+# region maps count an event only above this concurrence scale; the
+# detector itself works at the 1e-12 threshold, which sits at the
+# propagator's noise floor and would pepper the map boundaries
+REGION_MIN_AMPLITUDE = 1e-3
 
 
 def time_grid(stop: float, num: int, spacing: str = "log") -> np.ndarray:
@@ -62,6 +66,9 @@ def time_grid(stop: float, num: int, spacing: str = "log") -> np.ndarray:
     return grid
 
 
+HORIZON = time_grid(HORIZON_TAU, HORIZON_SAMPLES)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One panel of a sweep: physics plus resolved grid axes.
@@ -78,14 +85,7 @@ class SweepSpec:
     dipole2: DipoleOrientation
     bath_modes: tuple
     axes: tuple              # ((name, (values...)), ...)
-    atom_order: int = 12
     event_kind: str = "revival"
-    horizon_tau: float = DEFAULT_HORIZON_TAU
-    horizon_samples: int = DEFAULT_HORIZON_SAMPLES
-    # region maps count an event only above this concurrence scale; the
-    # detector itself works at the 1e-12 threshold, which sits at the
-    # propagator's noise floor and would pepper the map boundaries
-    region_min_amplitude: float = 1e-3
 
     def __post_init__(self):
         if not self.bath_modes:
@@ -93,8 +93,6 @@ class SweepSpec:
         for mode in self.bath_modes:
             if not isinstance(mode, BathKind):
                 raise DomainError(f"bath mode {mode!r} is not a BathKind")
-        if self.atom_order not in (12, 21):
-            raise DomainError(f"atom_order must be 12 or 21, got {self.atom_order}")
         if self.event_kind not in ("revival", "enhancement"):
             raise DomainError(f"event kind must be revival or enhancement, got {self.event_kind!r}")
         seen = set()
@@ -150,9 +148,6 @@ class SweepSpec:
     def resolve_initial(self, cell) -> XState:
         return catalogue_state(self.initial_label, float(cell["p"]) if "p" in cell else self.p)
 
-    def horizon_grid(self) -> np.ndarray:
-        return time_grid(self.horizon_tau, self.horizon_samples, "log")
-
 
 def _require_axis(spec, name, minimum=2):
     values = spec.axis(name)
@@ -163,22 +158,24 @@ def _require_axis(spec, name, minimum=2):
 
 def _trajectories(spec, cells):
     """Yield one TrajectoryStack per group of cells, rows in order, bath
-    modes innermost: REFINE_SAMPLES // spec.horizon_samples // len(modes)
-    cells a group (at least one; the last may hold fewer), set up by one
+    modes innermost: REFINE_TRAJECTORIES // len(modes) cells a group (at
+    least one; the last may hold fewer), set up by one
     ``kernels.assemble_kernel`` call per mode on the group's (a, L) arrays
     and one ``check_coefficients``. Every cell carries every non-time axis.
+    The atoms are taken in the order 12: the order 21 of a polarization
+    pair is the order 12 of the swapped pair.
     """
     _require_axis(spec, "a_over_omega", 1)
     _require_axis(spec, "omega_L", 1)
     nmodes = len(spec.bath_modes)
-    size = max(1, REFINE_SAMPLES // spec.horizon_samples // nmodes)
+    size = max(1, REFINE_TRAJECTORIES // nmodes)
     d1, d2 = spec.dipole1.as_array(), spec.dipole2.as_array()
     for start in range(0, len(cells), size):
         group = cells[start:start + size]
         a = np.array([cell["a_over_omega"] for cell in group])
         L = np.array([cell["omega_L"] for cell in group])
         coeffs = np.stack([np.stack(kernels.assemble_kernel(
-            a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH, spec.atom_order == 21), axis=1)
+            a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH, False), axis=1)
             for mode in spec.bath_modes], axis=1).reshape(-1, 4)
         check_coefficients(coeffs)
         p0, coherences = state_rows([spec.resolve_initial(cell) for cell in group])
@@ -224,10 +221,10 @@ def _events_result(spec, cells, rows):
 
 
 def run_events(spec: SweepSpec) -> EventsResult:
-    """Entanglement events for every cell and mode on the horizon grid.
+    """Entanglement events for every cell and mode on the HORIZON grid.
 
     Trajectories are scanned in blocks of BLOCK_SAMPLES samples and
-    refined in groups of REFINE_SAMPLES horizon samples, every flagged
+    refined in groups of REFINE_TRAJECTORIES trajectories, every flagged
     bracket of a group in one array pass. The max_concurrence and max_time
     columns are the maximum concurrence over the evolution and its time:
     the sampled maximum refined by golden section around the best sample,
@@ -236,8 +233,7 @@ def run_events(spec: SweepSpec) -> EventsResult:
     winning bump.
     """
     cells = spec.cells()
-    taus = spec.horizon_grid()
-    return _events_result(spec, cells, [_event_rows(stack, taus)
+    return _events_result(spec, cells, [_event_rows(stack, HORIZON)
                                          for stack in _trajectories(spec, cells)])
 
 
@@ -262,7 +258,6 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
     once for both grids.
     """
     taus = _require_axis(spec, "tau")
-    horizon = spec.horizon_grid()
     cells = spec.cells()
     shape = (len(cells), len(spec.bath_modes), taus.size)
     conc = np.empty((shape[0] * shape[1], taus.size))
@@ -275,7 +270,7 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
             pops[start:stop], conc[start:stop] = block_pops, block_conc
             start = stop
         if events:
-            rows.append(_event_rows(stack, horizon))
+            rows.append(_event_rows(stack, HORIZON))
     return CurveResult(times=taus, cells=tuple(cells), modes=spec.bath_modes,
                        concurrence=conc.reshape(shape),
                        populations=pops.reshape(shape + (4,)),
@@ -303,7 +298,7 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     """Classify every (a, L) cell by which bath modes show the event.
 
     A revival counts when the detector flags it and the post-death
-    concurrence exceeds ``spec.region_min_amplitude``; an enhancement
+    concurrence exceeds REGION_MIN_AMPLITUDE; an enhancement
     counts when the maximum exceeds the initial concurrence by the same
     margin. This keeps the map at the scale of visible features instead of
     the detector's roundoff-level threshold.
@@ -315,7 +310,7 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     a_values = _require_axis(spec, "a_over_omega")
     L_values = _require_axis(spec, "omega_L")
     result = run_events(spec)
-    floor = spec.region_min_amplitude
+    floor = REGION_MIN_AMPLITUDE
     if spec.event_kind == "enhancement":
         c0 = np.array([concurrence_x(spec.resolve_initial(cell))
                        for cell in result.cells])

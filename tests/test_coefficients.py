@@ -22,9 +22,8 @@ def test_coth_stable_values():
     assert coth_kernel(1e-8) == pytest.approx(1e8, rel=1e-9)
 
 
-def test_array_kernel_matches_scalar_reference():
-    """Array assemble_kernel is bitwise the scalar reference on every
-    element, on a grid straddling a = 0, SMALL_A, SMALL_R and SERIES_Q_MAX."""
+def _branch_edges():
+    """(a, L) values straddling a = 0, SMALL_A, SMALL_R and SERIES_Q_MAX."""
     small_a, small_r = kernels.SMALL_A, kernels.SMALL_R
     q_edge = kernels.SERIES_Q_MAX / 2.5e-3
     a_values = [0.0, 1e-9, 0.5 * small_a, np.nextafter(small_a, 0.0), small_a,
@@ -32,6 +31,13 @@ def test_array_kernel_matches_scalar_reference():
                 np.nextafter(q_edge, 0.0), q_edge, np.nextafter(q_edge, np.inf), 1e3]
     L_values = [1e-5, 1e-3, 2.5e-3, np.nextafter(small_r, 0.0), small_r,
                 np.nextafter(small_r, 1.0), 0.05, 1.0, 3.3, 25.0]
+    return a_values, L_values
+
+
+def test_array_kernel_matches_scalar_reference():
+    """Array assemble_kernel is bitwise the scalar reference on every
+    element, on a grid straddling a = 0, SMALL_A, SMALL_R and SERIES_Q_MAX."""
+    a_values, L_values = _branch_edges()
     rng = np.random.default_rng(5)
     a_values += list(10.0 ** rng.uniform(-4.0, 3.0, 16))
     L_values += list(10.0 ** rng.uniform(-5.0, 1.5, 16))
@@ -118,6 +124,33 @@ def test_crossed_dipole_order_flips_sign():
     assert zx.A2 == pytest.approx(-xz.A2, rel=1e-14)
     assert zx.B2 == pytest.approx(-xz.B2, rel=1e-14)
     assert zx.A2 != 0.0
+
+
+def test_order21_is_the_swapped_pair():
+    """Atoms in the order 21 are the swapped polarization pair in the order
+    12: equal for axis dipoles (a zero cross term may flip its sign), to
+    roundoff for unit vectors, whose contraction multiplies the components
+    in another order."""
+    def coeffs(d1, d2, bath, a, L, order):
+        cs = assemble(SystemParams(a_over_omega=a, omega_L=L, dipole1=d1, dipole2=d2,
+                                   bath=bath), order)
+        return np.array([cs.A1, cs.B1, cs.A2, cs.B2])
+
+    rng = np.random.default_rng(11)
+    pairs = [(AXES[d1], AXES[d2], 0.0) for d1 in "xyz" for d2 in "xyz"]
+    pairs += [(DipoleOrientation.normalized(rng.normal(size=3)),
+               DipoleOrientation.normalized(rng.normal(size=3)), 1e-15) for _ in range(3)]
+    a_values, L_values = _branch_edges()
+    for d1, d2, tol in pairs:
+        for bath in BathKind:
+            for a in a_values:
+                for L in L_values:
+                    got = coeffs(d1, d2, bath, a, L, 21)
+                    want = coeffs(d2, d1, bath, a, L, 12)
+                    if tol == 0.0:
+                        assert np.array_equal(got, want)
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 def test_thermal_ratio_is_f11():

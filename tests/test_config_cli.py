@@ -60,7 +60,7 @@ def test_minimal_config_roundtrip(tmp_path):
     assert spec.axis("tau").size == 40
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_unknown_keys_rejected(tmp_path, capsys):
     bad = dict(MINIMAL, pizza=1)
     with pytest.raises(ConfigError, match="pizza"):
         load_config(write_config(tmp_path, bad))
@@ -73,6 +73,17 @@ def test_unknown_keys_rejected(tmp_path):
     bad = dict(MINIMAL, gamma0_over_omega=1.0)  # removed knob: no output used it
     with pytest.raises(ConfigError, match="gamma0_over_omega"):
         load_config(write_config(tmp_path, bad))
+    # removed knobs: the event horizon, the region floor and the atom order
+    # are fixed; a config that still sets one exits 2 and names it
+    for key, bad in (("horizon", dict(MINIMAL, horizon={"tau_max": 50.0})),
+                     ("min_amplitude", dict(MINIMAL, events={"min_amplitude": 1.0e-3})),
+                     ("atom_order", dict(MINIMAL, atom_order=21))):
+        cfg = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+            load_config(cfg)
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_physical_validation(tmp_path):
@@ -95,9 +106,7 @@ def test_physical_validation(tmp_path):
     nan, inf = float("nan"), float("inf")
     for key, bad in (
             ("fixed.a_over_omega", dict(MINIMAL, fixed={"a_over_omega": nan, "omega_L": 1.0})),
-            ("fixed.omega_L", dict(MINIMAL, fixed={"a_over_omega": 1.0, "omega_L": inf})),
-            ("horizon.tau_max", dict(MINIMAL, horizon={"tau_max": inf})),
-            ("events.min_amplitude", dict(MINIMAL, events={"min_amplitude": nan}))):
+            ("fixed.omega_L", dict(MINIMAL, fixed={"a_over_omega": 1.0, "omega_L": inf}))):
         with pytest.raises(ConfigError, match=re.escape(key) + ": must be finite"):
             load_config(write_config(tmp_path, bad))
     # initial_states must be a list, as polarizations must
@@ -130,8 +139,7 @@ def test_physical_validation(tmp_path):
     for key, bad in (
             ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 5e-324, "num": 40}})),
             ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 5e-324, "num": 40,
-                                                     "spacing": "linear"}})),
-            ("horizon.tau_max", dict(MINIMAL, horizon={"tau_max": 5e-324}))):
+                                                     "spacing": "linear"}}))):
         with pytest.raises(ConfigError, match=re.escape(key) + ": .*increase strictly"):
             load_config(write_config(tmp_path, bad))
 
@@ -401,13 +409,25 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert run_cli([command, "--config", cfg, "--out", tmp_path / "t"]) == 3
         err = capsys.readouterr().err
         assert "computation error" in err and "Traceback" not in err
+    # a time beyond the propagator's range is a computation error, with no
+    # warning: on the expm fallback (cond 7.8e13) the scaling by 2**-k works
+    # for k > 1023 and an infinite norm is rejected; on the eig path,
+    # populations that overflow are rejected
+    for fixed, stop in (({"a_over_omega": 0.05, "omega_L": 1.0e-6}, 1.0e308),
+                        ({"a_over_omega": 0.3, "omega_L": 1.0e-7}, 1.0e300)):
+        far = dict(MINIMAL, initial_states=["E"], bath_modes=["accelerated"], fixed=fixed,
+                   grid={"tau": {"stop": stop, "num": 40, "spacing": "linear"}},
+                   outputs=["curve"])
+        cfg = write_config(tmp_path, far, "far.yaml")
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "f"]) == 3
+        err = capsys.readouterr().err
+        assert "computation error" in err and "Traceback" not in err
     # a time grid that overflows, or that time_grid rejects, is a
     # configuration error naming its key
     for key, bad in (("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 1e308, "num": 40}})),
                      ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": -1, "num": 40}})),
                      ("grid.tau", dict(MINIMAL, grid={"tau": {"stop": 5.0,
-                                                          "spacing": "cubic"}})),
-                     ("horizon.tau_max", dict(MINIMAL, horizon={"tau_max": -2}))):
+                                                          "spacing": "cubic"}}))):
         cfg = write_config(tmp_path, bad, "grid.yaml")
         assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "g"]) == 2
         assert key in capsys.readouterr().err

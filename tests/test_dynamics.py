@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atompair
 from atompair import (BathKind, CoefficientSet, DegenerateGeneratorError,
                       DomainError, InvalidStateError, XState,
                       asymptotic_state, build_generator, catalogue_state,
@@ -280,3 +285,21 @@ def test_fallback_warns_and_stays_exact():
         traj = compute_trajectory(state, cs(), taus)
     want = np.array([scipy_expm(M * tau) @ state.populations() for tau in taus])
     assert np.abs(traj.populations - want).max() < 1e-12
+
+
+def test_fallback_beyond_float_range_raises():
+    # at tau = 1e308 the norm of M tau is inf, which no scaling by halves
+    # brings down; the call runs in a child process, so that a loop that
+    # never ends fails on the timeout instead of hanging the suite
+    src = Path(atompair.__file__).resolve().parents[1]
+    probe = ("import warnings\n"
+             "from atompair import CoefficientSet, ComputationError, catalogue_state, evolve\n"
+             "warnings.simplefilter('ignore', RuntimeWarning)   # the fallback warns\n"
+             "try:\n"
+             "    evolve(catalogue_state('E'), CoefficientSet(0.25, 0.25, 0.25, 0.25), 1e308)\n"
+             "except ComputationError as exc:\n"
+             "    print('ComputationError:', exc)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ComputationError:")

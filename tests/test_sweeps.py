@@ -130,7 +130,7 @@ def test_run_events_matches_detect_events():
     spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))))
     result = run_events(spec)
     direct = detect_events(compute_trajectory(
-        spec.resolve_initial({}), _coeffs_for(spec, AV, 0.5, 1.0), spec.horizon_grid()))
+        spec.resolve_initial({}), _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
     via_table = result.events(0, 0)
     assert via_table == direct
 
@@ -138,8 +138,7 @@ def test_run_events_matches_detect_events():
 def _coeffs_for(spec, mode, a, L):
     from atompair import SystemParams, assemble
     return assemble(SystemParams(a_over_omega=a, omega_L=L, dipole1=spec.dipole1,
-                                 dipole2=spec.dipole2, bath=mode),
-                    spec.atom_order)
+                                 dipole2=spec.dipole2, bath=mode), 12)
 
 
 def _scalar_scan(stack, i, taus):
@@ -233,7 +232,7 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
             direct = detect_events(compute_trajectory(spec.resolve_initial({}), cs,
-                                                      spec.horizon_grid()))
+                                                      sweeps.HORIZON))
             assert result.events(ci, mi) == direct
 
 
@@ -316,10 +315,10 @@ def test_events_same_for_any_refinement_group(monkeypatch):
                            ("omega_L", (0.05, 1.04, 3.02)), ("tau", tuple(taus))))
     assert run_curve(spec).events is None
     want = run_events(spec).table
-    assert sweeps.REFINE_SAMPLES // spec.horizon_samples > want.shape[0] * want.shape[1]
+    assert sweeps.REFINE_TRAJECTORIES > want.shape[0] * want.shape[1]
     for size in (1, 16, None):
         if size is not None:
-            monkeypatch.setattr(sweeps, "REFINE_SAMPLES", size * spec.horizon_samples)
+            monkeypatch.setattr(sweeps, "REFINE_TRAJECTORIES", size)
         assert np.array_equal(run_events(spec).table, want, equal_nan=True)
         curve = run_curve(spec, events=True)
         assert np.array_equal(curve.events.table, want, equal_nan=True)
@@ -345,7 +344,7 @@ def test_region_cells_agree_with_single_mode_runs():
     # a cell labelled "both" must be flagged by each mode run individually
     spec = region_spec(n=12, initial=("psi1", 0.25))
     m = run_region_map(spec)
-    taus = spec.horizon_grid()
+    taus = sweeps.HORIZON
     checked = 0
     for i in np.argsort(m.labels.ravel())[::-1][:3]:
         ai, lj = divmod(int(i), m.L_values.size)
@@ -354,7 +353,7 @@ def test_region_cells_agree_with_single_mode_runs():
         for mode in (AV, TH):
             cs = _coeffs_for(spec, mode, float(m.a_values[ai]), float(m.L_values[lj]))
             ev = detect_events(compute_trajectory(spec.resolve_initial({}), cs, taus))
-            assert ev.revival and ev.revival_amplitude > spec.region_min_amplitude
+            assert ev.revival and ev.revival_amplitude > sweeps.REGION_MIN_AMPLITUDE
         checked += 1
     assert checked > 0
 
