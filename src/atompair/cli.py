@@ -29,8 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .coefficients import BathKind, SystemParams, assemble
+from .coefficients import SystemParams, assemble
 from .config import RunConfig, load_config, load_preset, preset_names
+from .entanglement import EntanglementEvents
 from .errors import AtompairError, ConfigError
 from .sweeps import LABEL_NAMES, run_curve, run_events, run_region_map
 
@@ -39,8 +40,6 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_IO = 4
 
-_MODE_SUFFIX = {BathKind.ACCELERATED_VACUUM: "accelerated",
-                BathKind.THERMAL_AT_UNRUH: "thermal"}
 _POP_NAMES = ("pGG", "pAA", "pSS", "pEE")
 
 
@@ -252,9 +251,9 @@ def _cell_table(cells, names):
 
 def _events_payload(spec, result):
     cells = []
-    for ci, cell in enumerate(result.cells):
-        modes = {_MODE_SUFFIX[mode]: vars(result.events(ci, mi))
-                 for mi, mode in enumerate(result.modes)}
+    for cell, rows in zip(spec.cells(), result.table):
+        modes = {mode.value: vars(EntanglementEvents.from_row(row))
+                 for mode, row in zip(spec.bath_modes, rows)}
         cells.append({"cell": {k: float(v) for k, v in cell.items()},
                       "modes": modes})
     return {"panel": spec.label, "cells": cells}
@@ -323,20 +322,20 @@ def cmd_evolve(config: RunConfig, out_dir):
         curve = run_curve(spec, "events" in config.outputs)
         cell_cols = [name for name, _ in spec.cell_axes()]
         columns = list(cell_cols) + ["tau"]
-        for mode in curve.modes:
-            columns.append(f"C_{_MODE_SUFFIX[mode]}")
-        for mode in curve.modes:
+        for mode in spec.bath_modes:
+            columns.append(f"C_{mode.value}")
+        for mode in spec.bath_modes:
             for pop in _POP_NAMES:
-                columns.append(f"{pop}_{_MODE_SUFFIX[mode]}")
+                columns.append(f"{pop}_{mode.value}")
         # per cell and time: the cell-axis values, tau, C of each mode, then
         # the populations of each mode. One table per cell keeps format_rows'
         # 48 bytes per field to one cell; a whole panel would raise peak memory
         _, nmodes, ntimes = curve.concurrence.shape
         n = len(cell_cols)
         table = np.empty((ntimes, len(columns)))
-        table[:, n] = curve.times
+        table[:, n] = spec.axis("tau")
         chunks = []
-        for cell, conc, pops in zip(_cell_table(curve.cells, cell_cols),
+        for cell, conc, pops in zip(_cell_table(spec.cells(), cell_cols),
                                     curve.concurrence, curve.populations):
             table[:, :n] = cell
             table[:, n + 1:n + 1 + nmodes] = conc.T
@@ -355,13 +354,13 @@ def cmd_sweep(config: RunConfig, out_dir):
         events = run_events(spec)
         cell_cols = [name for name, _ in spec.cell_axes()]
         columns = list(cell_cols)
-        for mode in events.modes:
-            columns.append(f"max_C_{_MODE_SUFFIX[mode]}")
-            columns.append(f"tau_max_{_MODE_SUFFIX[mode]}")
+        for mode in spec.bath_modes:
+            columns.append(f"max_C_{mode.value}")
+            columns.append(f"tau_max_{mode.value}")
         # per cell: the cell-axis values, then max_C and tau_max of each mode
         maxima = np.stack([events.column("max_concurrence"), events.column("max_time")], axis=2)
-        table = np.hstack([_cell_table(events.cells, cell_cols),
-                           maxima.reshape(len(events.cells), -1)])
+        table = np.hstack([_cell_table(spec.cells(), cell_cols),
+                           maxima.reshape(len(maxima), -1)])
         payload = _events_payload(spec, events) if "events" in config.outputs else None
         _write_outputs(config, out_dir, "sweep", panel, f"{config.name}_{panel}",
                        columns, [format_rows(table)], payload)
@@ -375,14 +374,14 @@ def cmd_region(config: RunConfig, out_dir):
         region = run_region_map(spec)
         columns = ["a_over_omega", "omega_L", "label"]
         rows = []
-        for i, a in enumerate(region.a_values):
-            for j, L in enumerate(region.L_values):
+        for i, a in enumerate(spec.axis("a_over_omega")):
+            for j, L in enumerate(spec.axis("omega_L")):
                 rows.append(",".join([_fmt(a), _fmt(L), LABEL_NAMES[region.labels[i, j]]]))
         counts = region.counts()
         _write_outputs(config, out_dir, "region", panel,
                        f"{config.name}_{panel}_region", columns, [_text_rows(rows)],
-                       extra={"label_counts": counts, "criterion": region.criterion})
-        print(f"{config.name} {panel} [{region.criterion}]: "
+                       extra={"label_counts": counts, "criterion": spec.event_kind})
+        print(f"{config.name} {panel} [{spec.event_kind}]: "
               + ", ".join(f"{k}={v}" for k, v in counts.items()))
     return EXIT_OK
 

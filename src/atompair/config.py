@@ -111,7 +111,9 @@ class RunConfig:
     def sweep_specs(self, command: str):
         """Expand into one (label, SweepSpec) panel per initial state x
         polarization for the given subcommand. SweepSpec owns the rules
-        that tie an initial state to the p axis; a breach names the entry."""
+        that tie an initial state to the p axis; a breach names the entry.
+        The label is the panel's file stem, so two entries that share one
+        are rejected."""
         self.check_command(command)
         axes = []
         for axis in _PHYSICAL_AXES:
@@ -121,10 +123,16 @@ class RunConfig:
         if command == "evolve":
             axes.append(("tau", self.grid["tau"]))
         specs = []
+        entries = {}
         for k, (family, p) in enumerate(self.initial_states):
             state_label = family if p is None else f"{family}-{p:g}"
-            for d1, d2, pol_label in self.polarizations:
+            for j, (d1, d2, pol_label) in enumerate(self.polarizations):
                 label = f"{state_label}_{pol_label}"
+                entry = f"initial_states[{k}] x polarizations[{j}]"
+                if label in entries:
+                    _fail(self.source, entry,
+                          f"panel {label!r} is already given by {entries[label]}")
+                entries[label] = entry
                 try:
                     spec = SweepSpec(
                         label=f"{self.name}_{label}",
@@ -164,6 +172,8 @@ class RunConfig:
             for axis in ("a_over_omega", "omega_L"):
                 if axis not in self.grid or len(self.grid[axis]) < 2:
                     _fail(src, f"grid.{axis}", "`region` needs a swept range here")
+            if "p" in self.grid:
+                _fail(src, "grid.p", "`region` maps the (a, L) plane; give p per initial state")
             if set(self.bath_modes) != set(BathKind):
                 _fail(src, "bath_modes", "`region` needs both bath modes")
 

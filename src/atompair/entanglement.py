@@ -22,8 +22,9 @@ class EntanglementEvents:
     """Detected events along one trajectory (times in 1/emission-rate).
 
     The field order is the layout of an events row, ``EVENT_FIELDS``, as
-    ``kernels.events_kernel`` returns it and ``sweeps.EventsResult`` stores
-    it. ``revival_amplitude`` is the largest concurrence reached after the
+    ``kernels.events_kernel`` returns it, one per cell and mode in
+    ``sweeps.EventsResult.table``; ``from_row`` reads one back.
+    ``revival_amplitude`` is the largest concurrence reached after the
     first death (0 when no death occurs); region maps use it to separate
     visible revivals from threshold-level ones.
     """

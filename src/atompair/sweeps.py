@@ -1,15 +1,16 @@
 """Parameter sweeps: concurrence curves, evolution maxima, region maps.
 
 A SweepSpec fixes the physics of a panel (initial state, polarisations,
-bath modes) and the grid axes. Every run_* function goes through one
-serial generator, ``_trajectories``, that sets up a group of cells of a
-fixed size on arrays, every (cell, bath mode) in a fixed order, as one
-``kernels.TrajectoryStack``. Each group is scanned on arrays in blocks of a
-fixed size: curves sample it on the tau axis, event runs on the horizon
-grid, and the flagged brackets of the whole group are then refined
-together in one array pass (``kernels.events_kernel``). Group sizes are
-fixed and block sizes depend only on the tau axis length, so outputs are
-bit-identical from run to run.
+bath modes) and the grid axes; a result holds only what its run computed,
+cells and modes in the order of the spec's ``cells()`` and ``bath_modes``.
+Every run_* function goes through one serial generator, ``_trajectories``,
+that sets up a group of cells of a fixed size on arrays, every (cell, bath
+mode) in a fixed order, as one ``kernels.TrajectoryStack``. Each group is
+scanned on arrays in blocks of a fixed size: curves sample it on the tau
+axis, event runs on the horizon grid, and the flagged brackets of the whole
+group are then refined together in one array pass (``kernels.events_kernel``).
+Group sizes are fixed and block sizes depend only on the tau axis length, so
+outputs are bit-identical from run to run.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import numpy as np
 from . import kernels
 from .coefficients import BathKind, DipoleOrientation, check_coefficients
 from .dynamics import XState, catalogue_state, state_rows
-from .entanglement import EVENT_FIELDS, EntanglementEvents, concurrence_x
+from .entanglement import EVENT_FIELDS, concurrence_x
 from .errors import DomainError
 
 AXIS_NAMES = ("a_over_omega", "omega_L", "p", "tau")
@@ -202,22 +203,17 @@ def _event_rows(stack, taus):
 
 @dataclass(frozen=True)
 class EventsResult:
-    cells: tuple
-    modes: tuple
     table: np.ndarray   # (ncells, nmodes, len(EVENT_FIELDS)), rows laid out
-                        # as EVENT_FIELDS
+                        # as EVENT_FIELDS (EntanglementEvents.from_row reads one)
 
     def column(self, name: str) -> np.ndarray:
         """One field of every event row, shape (ncells, nmodes)."""
         return self.table[..., EVENT_FIELDS.index(name)]
 
-    def events(self, cell_index: int, mode_index: int) -> EntanglementEvents:
-        return EntanglementEvents.from_row(self.table[cell_index, mode_index])
 
-
-def _events_result(spec, cells, rows):
-    table = np.concatenate(rows).reshape(len(cells), len(spec.bath_modes), len(EVENT_FIELDS))
-    return EventsResult(cells=tuple(cells), modes=spec.bath_modes, table=table)
+def _events_result(spec, ncells, rows):
+    table = np.concatenate(rows).reshape(ncells, len(spec.bath_modes), len(EVENT_FIELDS))
+    return EventsResult(table)
 
 
 def run_events(spec: SweepSpec) -> EventsResult:
@@ -233,8 +229,8 @@ def run_events(spec: SweepSpec) -> EventsResult:
     winning bump.
     """
     cells = spec.cells()
-    return _events_result(spec, cells, [_event_rows(stack, HORIZON)
-                                         for stack in _trajectories(spec, cells)])
+    return _events_result(spec, len(cells), [_event_rows(stack, HORIZON)
+                                              for stack in _trajectories(spec, cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +238,7 @@ def run_events(spec: SweepSpec) -> EventsResult:
 
 @dataclass(frozen=True)
 class CurveResult:
-    times: np.ndarray
-    cells: tuple                   # tuple of {axis: value} dicts
-    modes: tuple
-    concurrence: np.ndarray        # (ncells, nmodes, ntimes)
+    concurrence: np.ndarray        # (ncells, nmodes, ntimes), ntimes on the tau axis
     populations: np.ndarray        # (ncells, nmodes, ntimes, 4)
     events: EventsResult | None = None
 
@@ -271,10 +264,9 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
             start = stop
         if events:
             rows.append(_event_rows(stack, HORIZON))
-    return CurveResult(times=taus, cells=tuple(cells), modes=spec.bath_modes,
-                       concurrence=conc.reshape(shape),
+    return CurveResult(concurrence=conc.reshape(shape),
                        populations=pops.reshape(shape + (4,)),
-                       events=_events_result(spec, cells, rows) if events else None)
+                       events=_events_result(spec, shape[0], rows) if events else None)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +276,7 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
 class RegionMap:
     """Per-cell classification over the (a_over_omega, omega_L) grid."""
 
-    a_values: np.ndarray
-    L_values: np.ndarray
     labels: np.ndarray    # (na, nL) int8, indexes LABEL_NAMES
-    criterion: str
 
     def counts(self) -> dict:
         return {name: int((self.labels == code).sum())
@@ -309,11 +298,13 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
         raise DomainError("region maps need both bath modes")
     a_values = _require_axis(spec, "a_over_omega")
     L_values = _require_axis(spec, "omega_L")
+    if [name for name, _ in spec.cell_axes()] != ["a_over_omega", "omega_L"]:
+        raise DomainError("region maps take the cells of an a_over_omega x omega_L grid, in that order")
     result = run_events(spec)
     floor = REGION_MIN_AMPLITUDE
     if spec.event_kind == "enhancement":
         c0 = np.array([concurrence_x(spec.resolve_initial(cell))
-                       for cell in result.cells])
+                       for cell in spec.cells()])
         amp = np.where(result.column("enhancement") > 0.5,
                        result.column("max_concurrence") - c0[:, None], 0.0)
     else:
@@ -333,6 +324,4 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     only_a = hard_a & ~soft_t
     only_t = hard_t & ~soft_a
     codes = np.where(both, 3, np.where(only_a, 1, np.where(only_t, 2, 0)))
-    labels = codes.reshape(a_values.size, L_values.size).astype(np.int8)
-    return RegionMap(a_values=a_values, L_values=L_values, labels=labels,
-                     criterion=spec.event_kind)
+    return RegionMap(codes.reshape(a_values.size, L_values.size).astype(np.int8))

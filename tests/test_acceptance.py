@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import atompair as ap
-from atompair import BathKind, XState, catalogue_state
+from atompair import BathKind, EntanglementEvents, XState, catalogue_state
 from atompair.cli import main as cli_main
 from atompair.config import load_preset, parse_config
 from atompair.kernels import f11_kernel, f12_kernel, f12_thermal_kernel
@@ -155,8 +155,8 @@ def _curves(preset_name):
 
 
 def _events_by_mode(spec, result, cell_index):
-    return {mode: result.events(cell_index, mi)
-            for mi, mode in enumerate(result.modes)}
+    return {mode: EntanglementEvents.from_row(result.table[cell_index, mi])
+            for mi, mode in enumerate(spec.bath_modes)}
 
 
 def _alive_mask(curve, ci):
@@ -169,7 +169,7 @@ def test_criterion_7_fig1():
     for label, (spec, curve) in _curves("fig1").items():
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        for ci in range(len(curve.cells)):
+        for ci in range(len(spec.cells())):
             acc = curve.concurrence[ci, ai]
             th = curve.concurrence[ci, ti]
             live = ((acc > EPS_DEAD) | (th > EPS_DEAD))[1:]
@@ -183,7 +183,7 @@ def test_criterion_7_fig2():
     for label, (spec, curve) in curves.items():
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        for ci, cell in enumerate(curve.cells):
+        for ci, cell in enumerate(spec.cells()):
             acc = curve.concurrence[ci, ai]
             th = curve.concurrence[ci, ti]
             live = ((acc > EPS_DEAD) | (th > EPS_DEAD))[1:]
@@ -200,7 +200,7 @@ def test_criterion_7_fig3():
     cfg = load_preset("fig3")
     for label, spec in cfg.sweep_specs("evolve"):
         result = run_events(spec)
-        cell = next(ci for ci, c in enumerate(result.cells)
+        cell = next(ci for ci, c in enumerate(spec.cells())
                     if c["a_over_omega"] == pytest.approx(1.4))
         ev = _events_by_mode(spec, result, cell)
         if label.endswith("yy"):
@@ -224,8 +224,8 @@ def test_criterion_7_fig4():
         if not label.endswith("yy"):
             continue
         result = run_events(spec)
-        ai = result.modes.index(AV)
-        ti = result.modes.index(TH)
+        ai = spec.bath_modes.index(AV)
+        ti = spec.bath_modes.index(TH)
         acc_intervals = _entangled_intervals(result.table[:, ai, 4])
         th_intervals = _entangled_intervals(result.table[:, ti, 4])
         assert th_intervals >= 2, "static bath should show a dark interval"
@@ -239,8 +239,8 @@ def test_criterion_7_fig6():
     nonmonotone = []
     for label, spec in cfg.sweep_specs("sweep"):
         result = run_events(spec)
-        ai = result.modes.index(AV)
-        ti = result.modes.index(TH)
+        ai = spec.bath_modes.index(AV)
+        ti = spec.bath_modes.index(TH)
         th = result.table[:, ti, 4]
         assert np.all(np.diff(th) <= 1e-12), f"static max-C must be monotone ({label})"
         acc = result.table[:, ai, 4]

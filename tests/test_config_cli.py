@@ -373,6 +373,30 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"initial_states[{len(states) - 1}]" in err and message in err
     assert not (tmp_path / "p").exists()
+    # two entries that would share a panel's file stem, and a region map with
+    # a p axis, are config errors naming their entries, with no output directory
+    swept = dict(MINIMAL, fixed={"a_over_omega": 0.6666666666666666},
+                 grid={"omega_L": {"start": 0.5, "stop": 2.0, "num": 2}},
+                 outputs=["max_concurrence", "events"])
+    plane_p = {"a_over_omega": {"start": 0.5, "stop": 2.0, "num": 3},
+               "omega_L": {"start": 0.5, "stop": 2.0, "num": 3},
+               "p": {"start": 0.2, "stop": 0.8, "num": 2}}
+    for command, data, paths in (
+            ("sweep", dict(swept, initial_states=[{"family": "psi1", "p": 0.25},
+                                                  {"family": "psi1", "p": 0.250000001}]),
+             ("initial_states[1] x polarizations[0]", "initial_states[0] x polarizations[0]")),
+            ("sweep", dict(swept, initial_states=["E", "E"],
+                           polarizations=[["z", "z"], ["z", "z"]]),
+             ("initial_states[0] x polarizations[1]", "initial_states[0] x polarizations[0]")),
+            ("region", dict(MINIMAL, initial_states=["psi1"], fixed={}, grid=plane_p,
+                            outputs=["region"]), ("grid.p",))):
+        cfg = write_config(tmp_path, data, "clash.yaml")
+        out = tmp_path / "clash"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
+        assert all(path in err for path in paths), err
+        assert not out.exists()
     # parameters whose coefficients overflow are a computation error
     for fixed in ({"a_over_omega": 1e300, "omega_L": 1.0},
                   {"a_over_omega": 1.0, "omega_L": 1e300}):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from atompair import (BathKind, CoefficientSet, DomainError, SystemParams, XState, assemble,
-                      catalogue_state, compute_trajectory, detect_events, kernels, sweeps)
+from atompair import (BathKind, CoefficientSet, DomainError, EntanglementEvents, SystemParams,
+                      XState, assemble, catalogue_state, compute_trajectory, detect_events,
+                      kernels, sweeps)
 from atompair.dynamics import prepare
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
                              run_region_map, time_grid)
@@ -93,7 +94,7 @@ def test_run_curve_shapes_and_modes():
     result = run_curve(spec)
     assert result.concurrence.shape == (2, 2, 40)
     assert result.populations.shape == (2, 2, 40, 4)
-    assert [c["a_over_omega"] for c in result.cells] == [0.25, 1.0]
+    assert [c["a_over_omega"] for c in spec.cells()] == [0.25, 1.0]
     # initial sample reproduces the initial state
     assert result.concurrence[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(result.populations[:, :, 0, 1], 0.25, atol=1e-15)
@@ -120,8 +121,8 @@ def test_p_axis_resolves_family():
         axes=(("a_over_omega", (0.6666666666666666,)), ("omega_L", (1.0,)),
               ("p", (0.2, 0.8))))
     result = run_events(spec)
-    assert len(result.cells) == 2
-    assert result.cells[0]["p"] == 0.2
+    assert len(spec.cells()) == len(result.table) == 2
+    assert spec.cells()[0]["p"] == 0.2
     # both weights start at concurrence 0.8 and can only lose entanglement
     assert result.table[0, 0, 4] == pytest.approx(0.8, abs=1e-9)
 
@@ -131,7 +132,7 @@ def test_run_events_matches_detect_events():
     result = run_events(spec)
     direct = detect_events(compute_trajectory(
         spec.resolve_initial({}), _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
-    via_table = result.events(0, 0)
+    via_table = EntanglementEvents.from_row(result.table[0, 0])
     assert via_table == direct
 
 
@@ -209,7 +210,7 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     assert (9 * 2) % (sweeps.BLOCK_SAMPLES // taus.size) != 0
     spec = make_spec(axes=cells + (("tau", tuple(taus)),))
     curve = run_curve(spec)
-    for ci, cell in enumerate(curve.cells):
+    for ci, cell in enumerate(spec.cells()):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
             traj = prepare([(spec.resolve_initial({}), cs)])
@@ -228,12 +229,12 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     spec = make_spec(axes=cells)
     result = run_events(spec)
     assert any(dips)
-    for ci, cell in enumerate(result.cells):
+    for ci, cell in enumerate(spec.cells()):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
             direct = detect_events(compute_trajectory(spec.resolve_initial({}), cs,
                                                       sweeps.HORIZON))
-            assert result.events(ci, mi) == direct
+            assert EntanglementEvents.from_row(result.table[ci, mi]) == direct
 
 
 def test_block_scan_rejects_negative_radicand():
@@ -340,18 +341,30 @@ def test_region_map_requires_both_modes():
         run_region_map(spec)
 
 
+def test_region_map_requires_a_by_L_cells():
+    # the labels are an (na, nL) grid: a p axis, or omega_L before
+    # a_over_omega, would lay the cells out otherwise
+    plane = (("a_over_omega", (0.5, 1.0)), ("omega_L", (0.5, 1.0)))
+    for spec in (make_spec(initial_label="psi1", p=None,
+                           axes=plane + (("p", (0.2, 0.8)),)),
+                 make_spec(axes=plane[::-1])):
+        with pytest.raises(DomainError, match="a_over_omega x omega_L"):
+            run_region_map(spec)
+
+
 def test_region_cells_agree_with_single_mode_runs():
     # a cell labelled "both" must be flagged by each mode run individually
     spec = region_spec(n=12, initial=("psi1", 0.25))
     m = run_region_map(spec)
     taus = sweeps.HORIZON
     checked = 0
+    a_values, L_values = spec.axis("a_over_omega"), spec.axis("omega_L")
     for i in np.argsort(m.labels.ravel())[::-1][:3]:
-        ai, lj = divmod(int(i), m.L_values.size)
+        ai, lj = divmod(int(i), L_values.size)
         if m.labels[ai, lj] != 3:
             continue
         for mode in (AV, TH):
-            cs = _coeffs_for(spec, mode, float(m.a_values[ai]), float(m.L_values[lj]))
+            cs = _coeffs_for(spec, mode, float(a_values[ai]), float(L_values[lj]))
             ev = detect_events(compute_trajectory(spec.resolve_initial({}), cs, taus))
             assert ev.revival and ev.revival_amplitude > sweeps.REGION_MIN_AMPLITUDE
         checked += 1
@@ -360,9 +373,11 @@ def test_region_cells_agree_with_single_mode_runs():
 
 def test_refinement_reports_boundary_cells_only():
     # fine grid holds 2n-1 points on the same ranges, so fine[2i] == coarse[i]
-    coarse = run_region_map(region_spec(n=15, astart=0.2, Lstart=0.33))
-    fine = run_region_map(region_spec(n=29, astart=0.2, Lstart=0.33))
-    assert np.allclose(fine.a_values[::2], coarse.a_values)
+    coarse_spec = region_spec(n=15, astart=0.2, Lstart=0.33)
+    fine_spec = region_spec(n=29, astart=0.2, Lstart=0.33)
+    coarse = run_region_map(coarse_spec)
+    fine = run_region_map(fine_spec)
+    assert np.allclose(fine_spec.axis("a_over_omega")[::2], coarse_spec.axis("a_over_omega"))
     flipped = refinement_boundary_cells(coarse, fine)
     interior = (15 - 2) * (15 - 2)
     assert len(flipped) <= 0.05 * interior
