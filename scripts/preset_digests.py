@@ -4,7 +4,8 @@ Runs each preset through ``atompair.cli.main`` into a temporary directory:
 ``evolve`` for the presets with curves, ``sweep`` for those with a
 max-concurrence output, ``region`` for the region maps (on a 24x24 grid,
 through a generated config) and ``coeffs`` for fig4, plus ``sweep`` over a
-generated p axis, which no preset has. Prints one
+generated p axis and ``coeffs`` on generated crossed, orthogonal and vector
+dipole pairs, which no preset has. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -41,10 +42,22 @@ P_AXIS_SWEEP = {
     "grid": {"p": {"start": 0.05, "stop": 0.95, "num": 19}},
     "outputs": ["max_concurrence", "events"],
 }
+# non-parallel dipole pairs, each with its swap, on a grid through a/omega = 0
+# and an omega_L below the series switch (fig4 has only z-z and y-y)
+PAIRS_COEFFS = {
+    "name": "pairs",
+    "polarizations": [["z", "x"], ["x", "z"], ["x", "y"], ["y", "x"],
+                      [[0.3, -0.5, 0.8], [-0.7, 0.2, 0.4]],
+                      [[-0.7, 0.2, 0.4], [0.3, -0.5, 0.8]]],
+    "grid": {"a_over_omega": {"start": 0.0, "stop": 3.0, "num": 7},
+             "omega_L": {"start": 0.002, "stop": 5.0, "num": 7}},
+    "outputs": ["max_concurrence"],
+}
 
 
 def _runs(tmp):
     # (run name, argv without --out) for every preset, plus coeffs on fig4
+    # and the two generated configs
     for name in preset_names():
         command = COMMANDS[next(o for o in load_preset(name).outputs if o in COMMANDS)]
         if command != "region":
@@ -58,9 +71,10 @@ def _runs(tmp):
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{name}", [command, "--config", str(config)]
     yield "coeffs-fig4", ["coeffs", "--preset", "fig4"]
-    config = tmp / "paxis.yaml"
-    config.write_text(yaml.safe_dump(P_AXIS_SWEEP), encoding="utf-8")
-    yield "sweep-paxis", ["sweep", "--config", str(config)]
+    for command, data in (("sweep", P_AXIS_SWEEP), ("coeffs", PAIRS_COEFFS)):
+        config = tmp / f"{data['name']}.yaml"
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        yield f"{command}-{data['name']}", [command, "--config", str(config)]
 
 
 def main():

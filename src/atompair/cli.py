@@ -21,6 +21,7 @@ error, 4 I/O error.
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .coefficients import SystemParams, assemble
+from .coefficients import coefficient_rows
 from .config import RunConfig, load_config, load_preset, preset_names
 from .entanglement import EntanglementEvents
 from .errors import AtompairError, ConfigError
@@ -287,23 +288,20 @@ def cmd_coeffs(config: RunConfig, out_dir):
     L_values = config.axis_values("omega_L")
     columns = ["polarization", "a_over_omega", "omega_L", "bath", "atom_order",
                "A1", "B1", "A2", "B2"]
+    a, L = (g.ravel() for g in np.meshgrid(a_values, L_values, indexing="ij"))
     rows = []
     pretty = []
     for d1, d2, pol_label in config.polarizations:
-        for a in a_values:
-            for L in L_values:
-                for bath in config.bath_modes:
-                    params = SystemParams(
-                        a_over_omega=float(a), omega_L=float(L),
-                        dipole1=d1, dipole2=d2, bath=bath)
-                    for order in (12, 21):
-                        cs = assemble(params, order)
-                        rows.append(",".join([pol_label, _fmt(a), _fmt(L), bath.value,
-                                              str(order), _fmt(cs.A1), _fmt(cs.B1),
-                                              _fmt(cs.A2), _fmt(cs.B2)]))
-                        pretty.append([pol_label, f"{a:g}", f"{L:g}", bath.value,
-                                       str(order), f"{cs.A1:.8f}", f"{cs.B1:.8f}",
-                                       f"{cs.A2:.8f}", f"{cs.B2:.8f}"])
+        # rows by a, then omega_L, bath and atom order; the order 21 is the
+        # order 12 of the swapped pair
+        table = np.stack([coefficient_rows(a, L, d1, d2, config.bath_modes),
+                          coefficient_rows(a, L, d2, d1, config.bath_modes)], axis=1)
+        keys = itertools.product(a_values, L_values, config.bath_modes, ("12", "21"))
+        for (a_k, L_k, bath, order), cs in zip(keys, table.reshape(-1, 4).tolist()):
+            rows.append(",".join([pol_label, _fmt(a_k), _fmt(L_k), bath.value, order,
+                                  *map(_fmt, cs)]))
+            pretty.append([pol_label, f"{a_k:g}", f"{L_k:g}", bath.value, order,
+                           *(f"{v:.8f}" for v in cs)])
     widths = [max(len(columns[k]), max(len(r[k]) for r in pretty))
               for k in range(len(columns))]
     print("  ".join(c.rjust(widths[k]) for k, c in enumerate(columns)))

@@ -6,7 +6,8 @@ yielding the four Kossakowski coefficients (A1, B1) for each atom alone and
 (A2, B2) for the cross-atom channel. Everything is expressed in units of
 the single-atom spontaneous emission rate, with the transition frequency
 fixed at 1, so inputs are the dimensionless ratios a/omega and omega*L.
-Sweeps call the same ``kernels.assemble_kernel`` on whole groups of cells;
+The atoms in the order 21 are the swapped pair in the order 12. The sweeps
+and the ``coeffs`` table compute whole grids through ``coefficient_rows``;
 ``check_coefficients`` is the one validity check of both paths.
 """
 
@@ -126,18 +127,31 @@ def check_coefficients(rows):
         raise DomainError(f"coefficient ordering A1 >= B1 > 0 violated: A1={A1[k]}, B1={B1[k]}")
 
 
+def coefficient_rows(a, L, d1, d2, modes):
+    """Checked rows (A1, B1, A2, B2), shape (len(a) * len(modes), 4) with the
+    bath modes innermost, of the cells (a[k], L[k]) for the dipoles d1, d2."""
+    d1, d2 = d1.as_array(), d2.as_array()
+    rows = np.stack([np.stack(kernels.assemble_kernel(
+        a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH), axis=1)
+        for mode in modes], axis=1).reshape(-1, 4)
+    check_coefficients(rows)
+    return rows
+
+
 def assemble(params: SystemParams, atom_order: int = 12) -> CoefficientSet:
     """Build the CoefficientSet for one bath mode.
 
-    ``atom_order=21`` contracts the cross spectral tensor with the atoms
-    swapped, which flips the sign of its antisymmetric (1,3)/(3,1) part;
-    with different polarisations on the two atoms this changes the physics,
-    so the order is an explicit argument rather than inferred.
+    ``atom_order=21`` takes the atoms swapped, as the order 12 of the swapped
+    polarization pair: that flips the sign of the antisymmetric (1,3)/(3,1)
+    part of the cross spectral tensor; with different polarisations on the two
+    atoms this changes the physics, so the order is an explicit argument.
     """
     if atom_order not in (12, 21):
         raise DomainError(f"atom_order must be 12 or 21, got {atom_order}")
+    d1, d2 = params.dipole1, params.dipole2
+    if atom_order == 21:
+        d1, d2 = d2, d1
     A1, B1, A2, B2 = kernels.assemble_kernel(
-        params.a_over_omega, params.omega_L,
-        params.dipole1.as_array(), params.dipole2.as_array(),
-        params.bath is BathKind.THERMAL_AT_UNRUH, atom_order == 21)
+        params.a_over_omega, params.omega_L, d1.as_array(), d2.as_array(),
+        params.bath is BathKind.THERMAL_AT_UNRUH)
     return CoefficientSet(A1=float(A1), B1=float(B1), A2=float(A2), B2=float(B2))

@@ -21,7 +21,7 @@ from .errors import ComputationError, InvalidStateError
 
 # switch points of the series fallbacks
 SMALL_A = 1e-4      # below this the accelerated spectral shapes equal the static ones to O(a^2)
-SMALL_R = 3e-3      # lambda*L below this: closed forms cancel catastrophically, use series
+SMALL_R = 3e-3      # L below this: closed forms cancel catastrophically, use series
 SERIES_Q_MAX = 1.0  # the small-L series assumes a*L is moderate as well
 
 COND_LIMIT = 1e12   # eigenvector condition number beyond which expm fallback is used
@@ -29,6 +29,10 @@ EPS_DEAD = 1e-12    # concurrence threshold for death/birth events
 EPS_ENH = 1e-9      # enhancement margin over the initial concurrence
 REFINE_TOL = 1e-6   # scaled-time width of refined crossings and maxima
 RADICAND_SLACK = -1e-12
+# bound on tau * |w0|: eig returns the zero eigenvalue w0 as roundoff (about
+# eps * |M|), and the stationary populations drift by tau * |w0|; allow as much
+# as the eig path's population error (about eps * cond) at COND_LIMIT
+DRIFT_TOL = np.finfo(float).eps * COND_LIMIT
 
 _INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -37,11 +41,11 @@ _INVGOLD = (np.sqrt(5.0) - 1.0) / 2.0
 # elementary pieces
 #
 # The Fourier transforms of the vacuum field correlations along the pair of
-# uniformly accelerated worldlines have the form
-# (lam^3 / 3 pi) * Planck-factor * f(lam, a, L); the kernels below evaluate
-# the dimensionless shape factors f. The same-trajectory factor f11 is
-# isotropic; the cross-trajectory factor f12 carries the tensor structure
-# over the Cartesian axes (1 = direction of motion, 3 = separation axis).
+# uniformly accelerated worldlines, at the transition frequency, have the form
+# (1 / 3 pi) * Planck-factor * f(a, L); the kernels below evaluate the shape
+# factors f. The same-trajectory factor f11 is isotropic; the cross-trajectory
+# factor f12 is a tensor over the Cartesian axes (1 = direction of motion,
+# 3 = separation axis) with the nonzero components f11, f22, f33, f13 = -f31.
 # The static-bath shapes are the a -> 0 limits of the accelerated ones.
 
 def coth_kernel(x):
@@ -49,147 +53,114 @@ def coth_kernel(x):
     return 1.0 / np.tanh(x)
 
 
-def f11_kernel(lam, a):
-    return 1.0 + (a * a) / (lam * lam)
+def f11_kernel(a):
+    return 1.0 + a * a
 
 
-def f12_thermal_kernel(i, j, lam, L):
-    """Static-bath cross-correlation shape, component (i, j), 1-based axes."""
-    r = lam * L
-    r2 = r * r
-    # the cube is r * r * r: array r ** 3 rounds differently from Python's
-    if i == j and i < 3:
-        series = 1.0 - r2 / 5.0 + 3.0 * r2 * r2 / 280.0 - r2 * r2 * r2 / 3780.0
-        closed = (3.0 * r * np.cos(r) - 3.0 * np.sin(r) + 3.0 * r * r * np.sin(r)) / (2.0 * (r * r * r))
-    elif i == 3 and j == 3:
-        series = 1.0 - r2 / 10.0 + r2 * r2 / 280.0 - r2 * r2 * r2 / 15120.0
-        closed = 3.0 * (np.sin(r) - r * np.cos(r)) / (r * r * r)
-    else:
-        return 0.0
-    return np.where(r < SMALL_R, series, closed)
+def f12_thermal_kernel(L):
+    """Static-bath cross-correlation shapes (f11, f22, f33, f13)."""
+    L2 = L * L
+    L3 = L * L * L   # the cube is L * L * L: array L ** 3 rounds differently from Python's
+    f11 = np.where(L < SMALL_R, 1.0 - L2 / 5.0 + 3.0 * L2 * L2 / 280.0 - L2 * L2 * L2 / 3780.0,
+                   (3.0 * L * np.cos(L) - 3.0 * np.sin(L) + 3.0 * L * L * np.sin(L)) / (2.0 * L3))
+    f33 = np.where(L < SMALL_R, 1.0 - L2 / 10.0 + L2 * L2 / 280.0 - L2 * L2 * L2 / 15120.0,
+                   3.0 * (np.sin(L) - L * np.cos(L)) / L3)
+    return f11, f11, f33, 0.0
 
 
-def _f12_closed(i, j, lam, a, L):
-    # canonical nonzero components (1,1), (2,2), (3,3), (1,3); no switching
+def _f12_closed(a, L):
+    # the nonzero components (f11, f22, f33, f13); no switching
     q = a * L
-    r = lam * L
     q2 = q * q
-    r2 = r * r
+    L2 = L * L
     R2 = 4.0 + q2
     R = np.sqrt(R2)
     R5 = R2 * R2 * R
-    r3 = r * r2
-    s = (2.0 * lam / a) * np.arcsinh(0.5 * q)
+    L3 = L * L2
+    s = (2.0 / a) * np.arcsinh(0.5 * q)
     cs = np.cos(s)
     sn = np.sin(s)
-    if i == 1 and j == 1:
-        return 12.0 / (r3 * R5) * (
-            2.0 * r * (1.0 + q2) * R * cs
-            - (4.0 - 4.0 * r2 + q2 * (2.0 - r2 + q2)) * sn)
-    if i == 2 and j == 2:
-        return 3.0 / (r3 * R2 * R) * (
-            r * (2.0 + q2) * R * cs
-            + (-4.0 + 4.0 * r2 + q2 * r2) * sn)
-    if i == 3 and j == 3:
-        return -3.0 / (r3 * R5) * (
-            r * (16.0 + 2.0 * q2 + q2 * q2) * R * cs
-            + (-32.0 + q2 * q2 * r2 + 4.0 * q2 * (r2 - 5.0)) * sn)
-    # (1, 3)
-    return -6.0 * q / (r3 * R5) * (
-        r * (q2 - 2.0) * R * cs
-        + (4.0 + 4.0 * r2 + q2 * (4.0 + r2)) * sn)
+    f11 = 12.0 / (L3 * R5) * (
+        2.0 * L * (1.0 + q2) * R * cs
+        - (4.0 - 4.0 * L2 + q2 * (2.0 - L2 + q2)) * sn)
+    f22 = 3.0 / (L3 * R2 * R) * (
+        L * (2.0 + q2) * R * cs
+        + (-4.0 + 4.0 * L2 + q2 * L2) * sn)
+    f33 = -3.0 / (L3 * R5) * (
+        L * (16.0 + 2.0 * q2 + q2 * q2) * R * cs
+        + (-32.0 + q2 * q2 * L2 + 4.0 * q2 * (L2 - 5.0)) * sn)
+    f13 = -6.0 * q / (L3 * R5) * (
+        L * (q2 - 2.0) * R * cs
+        + (4.0 + 4.0 * L2 + q2 * (4.0 + L2)) * sn)
+    return f11, f22, f33, f13
 
 
-def _f12_series(i, j, lam, a, L):
-    # 6th-order expansion about L = 0 of the canonical components
-    l2 = lam * lam
-    l4 = l2 * l2
-    l6 = l4 * l2
+def _f12_series(a, L):
+    # 6th-order expansion about L = 0 of (f11, f22, f33, f13)
     a2 = a * a
+    a3 = a2 * a
     a4 = a2 * a2
+    a5 = a4 * a
     a6 = a4 * a2
+    a7 = a6 * a
     a8 = a4 * a4
     L2 = L * L
-    if i == 1 and j == 1:
-        c0 = 1.0 + a2 / l2
-        c2 = -(4.0 * a4 / (5.0 * l2) + a2 + l2 / 5.0)
-        c4 = 27.0 * a6 / (70.0 * l2) + 21.0 * a4 / 40.0 + 3.0 * a2 * l2 / 20.0 + 3.0 * l4 / 280.0
-        c6 = -(16.0 * a8 / (105.0 * l2) + 41.0 * a6 / 189.0 + 13.0 * a4 * l2 / 180.0
-               + a2 * l4 / 126.0 + l6 / 3780.0)
-        return c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
-    if i == 2 and j == 2:
-        c0 = 1.0 + a2 / l2
-        c2 = -(3.0 * a4 / (10.0 * l2) + 0.5 * a2 + l2 / 5.0)
-        c4 = 3.0 * a6 / (35.0 * l2) + 3.0 * a4 / 20.0 + 3.0 * a2 * l2 / 40.0 + 3.0 * l4 / 280.0
-        c6 = -(a8 / (42.0 * l2) + 317.0 * a6 / 7560.0 + a4 * l2 / 45.0
-               + 11.0 * a2 * l4 / 2520.0 + l6 / 3780.0)
-        return c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
-    if i == 3 and j == 3:
-        c0 = 1.0 + a2 / l2
-        c2 = -(9.0 * a4 / (10.0 * l2) + a2 + l2 / 10.0)
-        c4 = 3.0 * a6 / (7.0 * l2) + 11.0 * a4 / 20.0 + a2 * l2 / 8.0 + l4 / 280.0
-        c6 = -(a8 / (6.0 * l2) + 1733.0 * a6 / 7560.0 + 49.0 * a4 * l2 / 720.0
-               + a2 * l4 / 180.0 + l6 / 15120.0)
-        return c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
-    # (1, 3): odd in L
-    a3 = a2 * a
-    a5 = a4 * a
-    a7 = a6 * a
-    c1 = -(a3 / l2 + a)
-    c3 = 3.0 * a5 / (5.0 * l2) + 0.75 * a3 + 3.0 * a * l2 / 20.0
-    c5 = -(9.0 * a7 / (35.0 * l2) + 7.0 * a5 / 20.0 + a3 * l2 / 10.0 + a * l4 / 140.0)
-    return L * (c1 + L2 * (c3 + L2 * c5))
+    c0 = 1.0 + a2
+    c2 = -(4.0 * a4 / 5.0 + a2 + 1.0 / 5.0)
+    c4 = 27.0 * a6 / 70.0 + 21.0 * a4 / 40.0 + 3.0 * a2 / 20.0 + 3.0 / 280.0
+    c6 = -(16.0 * a8 / 105.0 + 41.0 * a6 / 189.0 + 13.0 * a4 / 180.0
+           + a2 / 126.0 + 1.0 / 3780.0)
+    f11 = c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
+    c2 = -(3.0 * a4 / 10.0 + 0.5 * a2 + 1.0 / 5.0)
+    c4 = 3.0 * a6 / 35.0 + 3.0 * a4 / 20.0 + 3.0 * a2 / 40.0 + 3.0 / 280.0
+    c6 = -(a8 / 42.0 + 317.0 * a6 / 7560.0 + a4 / 45.0
+           + 11.0 * a2 / 2520.0 + 1.0 / 3780.0)
+    f22 = c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
+    c2 = -(9.0 * a4 / 10.0 + a2 + 1.0 / 10.0)
+    c4 = 3.0 * a6 / 7.0 + 11.0 * a4 / 20.0 + a2 / 8.0 + 1.0 / 280.0
+    c6 = -(a8 / 6.0 + 1733.0 * a6 / 7560.0 + 49.0 * a4 / 720.0
+           + a2 / 180.0 + 1.0 / 15120.0)
+    f33 = c0 + L2 * (c2 + L2 * (c4 + L2 * c6))
+    # f13 is odd in L
+    c1 = -(a3 + a)
+    c3 = 3.0 * a5 / 5.0 + 0.75 * a3 + 3.0 * a / 20.0
+    c5 = -(9.0 * a7 / 35.0 + 7.0 * a5 / 20.0 + a3 / 10.0 + a / 140.0)
+    f13 = L * (c1 + L2 * (c3 + L2 * c5))
+    return f11, f22, f33, f13
 
 
-def f12_kernel(i, j, lam, a, L, order21):
-    """Accelerated cross-correlation shape f_ij; order21 selects the swapped pair.
-
-    Components outside (1,1), (2,2), (3,3), (1,3), (3,1) are zero. The
-    (3,1) value is minus the (1,3) one, and the swapped atom order flips
-    both of those signs once more.
-    """
-    diag = i == j and 1 <= i <= 3
-    skew = (i == 1 and j == 3) or (i == 3 and j == 1)
-    if not (diag or skew):
-        return 0.0
-    ci, cj, sign = i, j, 1.0
-    if skew:
-        ci, cj = 1, 3
-        if i == 3:
-            sign = -sign
-        if order21:
-            sign = -sign
-    series = (lam * L < SMALL_R) & (a * L < SERIES_Q_MAX)
-    f = sign * np.where(series, _f12_series(ci, cj, lam, a, L), _f12_closed(ci, cj, lam, a, L))
-    # below SMALL_A: 0/0 loss in (2 lam / a) asinh(aL/2); the static shapes agree to O(a^2)
-    return np.where(a < SMALL_A, f12_thermal_kernel(i, j, lam, L), f)
+def f12_kernel(a, L):
+    """Accelerated cross-correlation shapes (f11, f22, f33, f13), each the
+    series, the closed form or (below SMALL_A) the static shape per element;
+    f31 = -f13, and the other components are zero."""
+    series = (L < SMALL_R) & (a * L < SERIES_Q_MAX)
+    # below SMALL_A: 0/0 loss in (2 / a) asinh(aL/2); the static shapes agree to O(a^2)
+    return tuple(np.where(a < SMALL_A, static, np.where(series, low, closed))
+                 for static, low, closed in zip(f12_thermal_kernel(L), _f12_series(a, L),
+                                                _f12_closed(a, L)))
 
 
 # ---------------------------------------------------------------------------
 # dissipator coefficients (units of the spontaneous emission rate)
 
-def assemble_kernel(a, L, d1, d2, thermal, order21):
+def assemble_kernel(a, L, d1, d2, thermal):
     """Kossakowski coefficients (A1, B1, A2, B2) for one bath mode, four
     arrays of the broadcast shape of ``a`` and ``L`` (arrays or scalars).
 
     ``d1``/``d2`` are unit 3-vectors; ``thermal`` selects the static bath at
     the matching Unruh temperature (shape functions taken at a = 0, the
-    Planck factor at a). Every branch is evaluated on the whole
-    array and ``np.where`` picks one per element, in the scalar operation
-    order (cubes as r * r * r: array ``r ** 3`` rounds unlike Python's), so
-    each element is bitwise the scalar reference in ``tests/oracles.py``.
+    Planck factor at a). Every branch is evaluated on the whole array and
+    ``np.where`` picks one per element, in the scalar operation order (cubes
+    as L * L * L: array ``L ** 3`` rounds unlike Python's), so each element
+    is bitwise the scalar reference in ``tests/oracles.py``.
     Branches not taken and parameters near the float limits overflow to
     inf/nan without a warning; the coefficient check rejects non-finite rows.
     """
     a = np.asarray(a, dtype=float)
     shape_a = np.zeros_like(a) if thermal else a
-    lam = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g11 = f11_kernel(lam, shape_a)
-        c11 = f12_kernel(1, 1, lam, shape_a, L, order21)
-        c22 = f12_kernel(2, 2, lam, shape_a, L, order21)
-        c33 = f12_kernel(3, 3, lam, shape_a, L, order21)
-        c13 = f12_kernel(1, 3, lam, shape_a, L, order21)
+        g11 = f11_kernel(shape_a)
+        c11, c22, c33, c13 = f12_kernel(shape_a, L)
         # contraction over the five nonzero components; f_31 = -f_13
         F = (c11 * d1[0] * d2[0] + c22 * d1[1] * d2[1] + c33 * d1[2] * d2[2]
              + c13 * (d1[0] * d2[2] - d1[2] * d2[0]))
@@ -293,11 +264,12 @@ class TrajectoryStack:
     initial populations and ``coherences`` (n, 4) the initial (reAS, imAS,
     reGE, imGE). Setup is done once per row: generator M, eigendecomposition
     (w, V and the condition estimate cond), the expm-fallback flag (cond not
-    finite or above COND_LIMIT) and c = Vinv p0. The coherences decay as
+    finite or above COND_LIMIT), the least |w| of the row, w0 (the zero
+    eigenvalue as eig returns it), and c = Vinv p0. The coherences decay as
     exp(-4 A1 tau).
     """
 
-    __slots__ = ("M", "w", "V", "c", "cond", "use_expm", "A1", "coherences", "p0")
+    __slots__ = ("M", "w", "w0", "V", "c", "cond", "use_expm", "A1", "coherences", "p0")
 
     def __init__(self, coeffs, p0, coherences):
         n = len(coeffs)
@@ -309,6 +281,7 @@ class TrajectoryStack:
         for i in range(n):
             self.w[i], self.V[i], Vinv[i], self.cond[i] = eig_decompose(self.M[i])
         self.use_expm = ~np.isfinite(self.cond) | (self.cond > COND_LIMIT)
+        self.w0 = np.abs(self.w).min(axis=1)
         # one matrix-vector product per row, bitwise Vinv @ p0 of that row
         self.c = (Vinv @ p0.astype(np.complex128)[..., None])[..., 0]
         self.A1 = coeffs[:, 0]
@@ -326,12 +299,16 @@ def _evaluate(stack, rows, tau, clamp):
     concurrence is ``concurrence_kernel`` on the arrays (with the clamp a
     radicand below RADICAND_SLACK raises InvalidStateError). Every value is
     bitwise the one-sample scalar reference in ``tests/oracles.py``.
-    Populations that overflow at a huge tau raise ComputationError.
+    Populations that overflow at a huge tau raise ComputationError, and so
+    does an eig row at a tau where its stationary mode would drift by more
+    than DRIFT_TOL (its w0 is roundoff, not 0).
     """
     pops = np.empty(tau.shape + (4,))
     expm = stack.use_expm[rows]
     eig = ~expm
     r = rows[eig]
+    if np.any(stack.w0[r] * tau.max(axis=1)[eig] > DRIFT_TOL):
+        raise ComputationError("stationary populations drift: tau is beyond the propagator's range")
     with np.errstate(over="ignore", invalid="ignore"):
         # one matrix-vector product per sample, as the scalar V @ (c exp(w tau)):
         # a stacked matrix-matrix product sums in another order

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .coefficients import BathKind, DipoleOrientation, check_coefficients
+from .coefficients import BathKind, DipoleOrientation, coefficient_rows
 from .dynamics import XState, catalogue_state, state_rows
 from .entanglement import EVENT_FIELDS, concurrence_x
 from .errors import DomainError
@@ -160,25 +160,21 @@ def _require_axis(spec, name, minimum=2):
 def _trajectories(spec, cells):
     """Yield one TrajectoryStack per group of cells, rows in order, bath
     modes innermost: REFINE_TRAJECTORIES // len(modes) cells a group (at
-    least one; the last may hold fewer), set up by one
-    ``kernels.assemble_kernel`` call per mode on the group's (a, L) arrays
-    and one ``check_coefficients``. Every cell carries every non-time axis.
-    The atoms are taken in the order 12: the order 21 of a polarization
-    pair is the order 12 of the swapped pair.
+    least one; the last may hold fewer), set up on the group's (a, L) arrays
+    by ``coefficient_rows``, the one array helper of the ``coeffs`` table
+    too. Every cell carries every non-time axis. The atoms are taken in the
+    order 12: the order 21 of a polarization pair is the order 12 of the
+    swapped pair.
     """
     _require_axis(spec, "a_over_omega", 1)
     _require_axis(spec, "omega_L", 1)
     nmodes = len(spec.bath_modes)
     size = max(1, REFINE_TRAJECTORIES // nmodes)
-    d1, d2 = spec.dipole1.as_array(), spec.dipole2.as_array()
     for start in range(0, len(cells), size):
         group = cells[start:start + size]
         a = np.array([cell["a_over_omega"] for cell in group])
         L = np.array([cell["omega_L"] for cell in group])
-        coeffs = np.stack([np.stack(kernels.assemble_kernel(
-            a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH, False), axis=1)
-            for mode in spec.bath_modes], axis=1).reshape(-1, 4)
-        check_coefficients(coeffs)
+        coeffs = coefficient_rows(a, L, spec.dipole1, spec.dipole2, spec.bath_modes)
         p0, coherences = state_rows([spec.resolve_initial(cell) for cell in group])
         yield kernels.TrajectoryStack(coeffs, np.repeat(p0, nmodes, axis=0),
                                       np.repeat(coherences, nmodes, axis=0))

@@ -6,7 +6,8 @@ it:
 - ``fourier_oracle`` recomputes any field-correlation shape factor by
   direct numerical Fourier transform of the proper-time Wightman functions
   (``_correlation``), so every closed form in ``atompair.kernels`` is
-  checked against an independent derivation;
+  checked against an independent derivation, and ``shape_tensor`` lays
+  the four nonzero shape components out as the 3x3 tensor it indexes;
 - ``assemble_kernel`` and the spectral shapes it calls are the scalar
   kernels, one (a, L) at a time with Python ``if`` branches (cubes as
   r * r * r), that the array ``atompair.kernels.assemble_kernel`` must
@@ -162,6 +163,12 @@ def fourier_oracle(i: int, j: int, lam: float, a: float, L: float = 1.0,
     return result
 
 
+def shape_tensor(f11, f22, f33, f13):
+    """The 3x3 cross-correlation shape tensor, indexed [i - 1, j - 1], of
+    its four nonzero components; f31 = -f13."""
+    return np.array([[f11, 0.0, f13], [0.0, f22, 0.0], [-f13, 0.0, f33]])
+
+
 # ---------------------------------------------------------------------------
 # scalar spectral shapes and coefficients: one (a, L) at a time
 
@@ -267,12 +274,11 @@ def _f12_series(i, j, lam, a, L):
     return L * (c1 + L2 * (c3 + L2 * c5))
 
 
-def f12_kernel(i, j, lam, a, L, order21):
-    """Accelerated cross-correlation shape f_ij; order21 selects the swapped pair.
+def f12_kernel(i, j, lam, a, L):
+    """Accelerated cross-correlation shape f_ij.
 
     Components outside (1,1), (2,2), (3,3), (1,3), (3,1) are zero. The
-    (3,1) value is minus the (1,3) one, and the swapped atom order flips
-    both of those signs once more.
+    (3,1) value is minus the (1,3) one.
     """
     if a < SMALL_A:
         # 0/0 loss in (2 lam / a) asinh(aL/2); the static shapes agree to O(a^2)
@@ -289,8 +295,6 @@ def f12_kernel(i, j, lam, a, L, order21):
         cj = 3
         if i == 3:
             sign = -sign
-        if order21:
-            sign = -sign
     if lam * L < SMALL_R and a * L < SERIES_Q_MAX:
         return sign * _f12_series(ci, cj, lam, a, L)
     return sign * _f12_closed(ci, cj, lam, a, L)
@@ -299,7 +303,7 @@ def f12_kernel(i, j, lam, a, L, order21):
 # ---------------------------------------------------------------------------
 # dissipator coefficients (units of the spontaneous emission rate)
 
-def assemble_kernel(a, L, d1, d2, thermal, order21):
+def assemble_kernel(a, L, d1, d2, thermal):
     """Kossakowski coefficients (A1, B1, A2, B2) for one bath mode.
 
     ``d1``/``d2`` are unit 3-vectors; ``thermal`` selects the static bath at
@@ -315,10 +319,10 @@ def assemble_kernel(a, L, d1, d2, thermal, order21):
         c13 = 0.0
     else:
         g11 = f11_kernel(lam, a)
-        c11 = f12_kernel(1, 1, lam, a, L, order21)
-        c22 = f12_kernel(2, 2, lam, a, L, order21)
-        c33 = f12_kernel(3, 3, lam, a, L, order21)
-        c13 = f12_kernel(1, 3, lam, a, L, order21)
+        c11 = f12_kernel(1, 1, lam, a, L)
+        c22 = f12_kernel(2, 2, lam, a, L)
+        c33 = f12_kernel(3, 3, lam, a, L)
+        c13 = f12_kernel(1, 3, lam, a, L)
     # contraction over the five nonzero components; f_31 = -f_13
     F = (c11 * d1[0] * d2[0] + c22 * d1[1] * d2[1] + c33 * d1[2] * d2[2]
          + c13 * (d1[0] * d2[2] - d1[2] * d2[0]))

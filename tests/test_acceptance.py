@@ -16,7 +16,7 @@ from atompair.config import load_preset, parse_config
 from atompair.kernels import f11_kernel, f12_kernel, f12_thermal_kernel
 from atompair.sweeps import run_curve, run_events, run_region_map
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
-from oracles import basis_transform, fourier_oracle
+from oracles import basis_transform, fourier_oracle, shape_tensor
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 EPS_DEAD = 1e-12
@@ -43,15 +43,17 @@ def downsampled(preset_name, num):
 def test_criterion_1_spectral_expansions():
     a = 1e-4
     for L in (0.3, 1.0, 3.0):
+        static = shape_tensor(*f12_thermal_kernel(L))
+        acc = shape_tensor(*f12_kernel(a, L))
         for (i, j) in ((1, 1), (2, 2), (3, 3)):
-            diff = abs(f12_kernel(i, j, 1.0, a, L, False)
-                       - f12_thermal_kernel(i, j, 1.0, L))
+            diff = abs(acc[i - 1, j - 1] - static[i - 1, j - 1])
             assert diff < 1e-6, (i, j, L, diff)
         # the skew pair vanishes at first order in the acceleration
+        acc_2a = shape_tensor(*f12_kernel(2.0 * a, L))
         for (i, j) in ((1, 3), (3, 1)):
-            assert f12_thermal_kernel(i, j, 1.0, L) == 0.0
-            v_a = f12_kernel(i, j, 1.0, a, L, False)
-            v_2a = f12_kernel(i, j, 1.0, 2.0 * a, L, False)
+            assert static[i - 1, j - 1] == 0.0
+            v_a = acc[i - 1, j - 1]
+            v_2a = acc_2a[i - 1, j - 1]
             assert abs(v_a) < 3.0 * a * L
             assert v_2a / v_a == pytest.approx(2.0, rel=1e-3)
     _ok(1, "small-acceleration expansions match the static shapes "
@@ -66,11 +68,12 @@ def test_criterion_2_oracle_equivalence(rng):
         L = rng.uniform(0.2, 2.0)
         if k % 5 == 0:
             got = fourier_oracle(1, 1, lam, a, same_atom=True)
-            want = f11_kernel(lam, a)
+            want = f11_kernel(a / lam)
         else:
+            # at the frequency lam the shapes are f(1, a / lam, lam L)
             i, j = components[rng.integers(0, len(components))]
             got = fourier_oracle(i, j, lam, a, L)
-            want = f12_kernel(i, j, lam, a, L, False)
+            want = shape_tensor(*f12_kernel(a / lam, lam * L))[i - 1, j - 1]
         assert abs(got - want) <= 1e-4 * max(abs(want), 1e-8), (lam, a, L)
     _ok(2, "20 random spectral points agree with the numeric Fourier "
            "transform oracle to 1e-4 relative")

@@ -234,6 +234,29 @@ def test_cli_coeffs_small_acceleration_rows_agree(tmp_path):
         assert float(acc[k]) == pytest.approx(float(th[k]), abs=1e-6)
 
 
+def test_cli_coeffs_order21_is_the_swapped_pair(tmp_path):
+    """Each coeffs row in the order 21 is, field for field, the row of the
+    swapped polarization pair in the order 12: crossed, orthogonal and
+    vector pairs, with a/omega = 0 on the grid."""
+    vec1, vec2 = [0.3, -0.5, 0.8], [-0.7, 0.2, 0.4]
+    data = dict(MINIMAL, name="swap",
+                polarizations=[["z", "x"], ["x", "z"], ["x", "y"], ["y", "x"],
+                               [vec1, vec2], [vec2, vec1]],
+                fixed={}, grid={"a_over_omega": {"start": 0.0, "stop": 2.0, "num": 3},
+                                "omega_L": {"start": 0.002, "stop": 3.0, "num": 3}})
+    cfg = write_config(tmp_path, data)
+    assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    columns, rows = read_table(tmp_path / "o" / "swap_coeffs.csv")
+    pol, order = columns.index("polarization"), columns.index("atom_order")
+    values = columns.index("A1")
+    swapped = {"zx": "xz", "xz": "zx", "xy": "yx", "yx": "xy", "pol4": "pol5", "pol5": "pol4"}
+    table = {(row[pol], row[order], tuple(row[1:order])): row[values:] for row in rows}
+    assert len(table) == len(rows) == 6 * 9 * 2 * 2
+    for (label, atom_order, cell), fields in table.items():
+        if atom_order == "21":
+            assert fields == table[(swapped[label], "12", cell)], (label, cell)
+
+
 def test_cli_evolve_roundtrip(tmp_path):
     cfg = write_config(tmp_path, dict(MINIMAL, name="ev"))
     out = tmp_path / "o"
@@ -436,9 +459,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a time beyond the propagator's range is a computation error, with no
     # warning: on the expm fallback (cond 7.8e13) the scaling by 2**-k works
     # for k > 1023 and an infinite norm is rejected; on the eig path,
-    # populations that overflow are rejected
+    # populations that overflow are rejected, and so is a tau at which the
+    # roundoff of the zero eigenvalue would drift the stationary populations
+    # (at a = omega_L = 1 the trace read 0.583 at tau = 1e17, with exit 0)
     for fixed, stop in (({"a_over_omega": 0.05, "omega_L": 1.0e-6}, 1.0e308),
-                        ({"a_over_omega": 0.3, "omega_L": 1.0e-7}, 1.0e300)):
+                        ({"a_over_omega": 0.3, "omega_L": 1.0e-7}, 1.0e300),
+                        ({"a_over_omega": 1.0, "omega_L": 1.0}, 1.0e17)):
         far = dict(MINIMAL, initial_states=["E"], bath_modes=["accelerated"], fixed=fixed,
                    grid={"tau": {"stop": stop, "num": 40, "spacing": "linear"}},
                    outputs=["curve"])

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import atompair
-from atompair import (BathKind, CoefficientSet, DegenerateGeneratorError,
-                      DomainError, InvalidStateError, XState,
-                      asymptotic_state, build_generator, catalogue_state,
-                      compute_trajectory, evolve)
+from atompair import (BathKind, CoefficientSet, ComputationError,
+                      DegenerateGeneratorError, DomainError, InvalidStateError,
+                      SystemParams, XState, assemble, asymptotic_state,
+                      build_generator, catalogue_state, compute_trajectory, evolve)
 from atompair import kernels
+from atompair.sweeps import HORIZON_TAU
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
 from oracles import basis_transform
 from scipy.linalg import expm as scipy_expm
@@ -170,6 +171,26 @@ def test_long_time_matches_asymptotic(rng):
     for attr in ("pGG", "pAA", "pSS", "pEE"):
         assert abs(getattr(late, attr) - getattr(asym, attr)) < 1e-8
     assert abs(late.cAS) < 1e-8 and abs(late.cGE) < 1e-8
+
+
+def test_evolve_raises_where_the_stationary_mode_drifts():
+    # eig returns the zero eigenvalue as roundoff (w0 = -5.4e-18 here), so
+    # exp(w0 tau) drifts at a huge tau: the trace read 0.583 at tau = 1e17.
+    # At tau = 1e7 the drift is 5.4e-11, far below DRIFT_TOL
+    def coeffs(a):
+        return assemble(SystemParams(a_over_omega=a, omega_L=1.0, dipole1=AXES["z"],
+                                     dipole2=AXES["z"], bath=BathKind.ACCELERATED_VACUUM))
+    late = evolve(catalogue_state("E"), coeffs(1.0), 1e7)
+    assert abs(late.trace - 1.0) < 1e-10
+    with pytest.raises(ComputationError, match="drift"):
+        evolve(catalogue_state("E"), coeffs(1.0), 1e17)
+    # w0 grows with the rates (|M| like a^3 here). At the event horizon
+    # a/omega = 30 drifts by about 2e-10 and still evolves; at a/omega = 1e5
+    # the drift is about 0.7 and raises
+    strong = evolve(catalogue_state("E"), coeffs(30.0), HORIZON_TAU)
+    assert abs(strong.trace - 1.0) < 1e-8
+    with pytest.raises(ComputationError, match="drift"):
+        evolve(catalogue_state("E"), coeffs(1e5), HORIZON_TAU)
 
 
 def test_asymptotic_equals_printed_closed_form(rng):
