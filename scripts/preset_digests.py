@@ -4,8 +4,9 @@ Runs each preset through ``atompair.cli.main`` into a temporary directory:
 ``evolve`` for the presets with curves, ``sweep`` for those with a
 max-concurrence output, ``region`` for the region maps (on a 24x24 grid,
 through a generated config) and ``coeffs`` for fig4, plus ``sweep`` over a
-generated p axis and ``coeffs`` on generated crossed, orthogonal and vector
-dipole pairs, which no preset has. Prints one
+generated p axis, ``coeffs`` on generated crossed, orthogonal and vector
+dipole pairs, which no preset has, and ``evolve`` on generated cells whose
+eigenvectors are ill-conditioned, which no preset reaches. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -54,10 +55,22 @@ PAIRS_COEFFS = {
     "outputs": ["max_concurrence"],
 }
 
+# z-z cells at omega_L far below every preset's, where cond exceeds
+# COND_LIMIT and the populations take the matrix-exponential fallback; the
+# z-x cells stay on the eig path
+FALLBACK_EVOLVE = {
+    "name": "fallback",
+    "initial_states": ["E", {"family": "psi1", "p": 0.25}],
+    "polarizations": [["z", "z"], ["z", "x"]],
+    "fixed": {"a_over_omega": [0.03, 0.05], "omega_L": [1.0e-7, 1.0e-6]},
+    "grid": {"tau": {"stop": 50.0, "num": 400}},
+    "outputs": ["curve", "events"],
+}
+
 
 def _runs(tmp):
     # (run name, argv without --out) for every preset, plus coeffs on fig4
-    # and the two generated configs
+    # and the three generated configs
     for name in preset_names():
         command = COMMANDS[next(o for o in load_preset(name).outputs if o in COMMANDS)]
         if command != "region":
@@ -71,7 +84,8 @@ def _runs(tmp):
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{name}", [command, "--config", str(config)]
     yield "coeffs-fig4", ["coeffs", "--preset", "fig4"]
-    for command, data in (("sweep", P_AXIS_SWEEP), ("coeffs", PAIRS_COEFFS)):
+    for command, data in (("sweep", P_AXIS_SWEEP), ("coeffs", PAIRS_COEFFS),
+                          ("evolve", FALLBACK_EVOLVE)):
         config = tmp / f"{data['name']}.yaml"
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{data['name']}", [command, "--config", str(config)]

@@ -3,9 +3,9 @@
 In the coupled basis {G, A, S, E} the populations close on themselves under
 a constant 4x4 rate matrix and the two independent coherences decay as
 exp(-4 A1 tau), so the evolution is computed exactly: eigendecomposition of
-the rate matrix on the production path, scaling-and-squaring matrix
-exponential as fallback when the eigenvector matrix is ill-conditioned.
-All times are in units of the inverse spontaneous emission rate.
+the rate matrix, or where its eigenvectors are ill-conditioned a matrix
+exponential that sums only nonnegative terms. The stationary state is a
+closed form in the rates. Times are in units of the inverse emission rate.
 """
 
 import functools
@@ -155,35 +155,25 @@ def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:
 
 
 def asymptotic_state(coeffs: CoefficientSet) -> XState:
-    """Trace-one null vector of the generator, with zero coherences.
+    """The stationary state of the generator, with zero coherences.
 
-    Requires a simple zero eigenvalue; raises DegenerateGeneratorError at
-    the measure-zero coefficient coincidences where it is not. For
-    coefficient sets satisfying the structural proportionality
-    A1*B2 == A2*B1 (every assembled set does) the equal-population closed
-    form for pAA = pSS is verified against the null vector to 1e-10.
-    """
+    The levels form one cycle G-A-E-S-G, with up and down rates u, d on the
+    A ladder and U, D on the S ladder. By the matrix-tree theorem each
+    weight sums, over the cycle's four spanning trees, the products of the
+    rates toward its level: no term is negative, so every population has
+    high relative accuracy. The weights all vanish only when a channel is
+    dead; then the state is not unique (DegenerateGeneratorError)."""
     M = build_generator(coeffs)
-    U, s, Vt = np.linalg.svd(M)
-    scale = s[0]
-    if s[3] > 1e-10 * scale:
-        raise DegenerateGeneratorError(f"no zero eigenvalue found: sigma_min = {s[3]}")
-    if s[2] < 1e-10 * scale:
+    rates = M[[1, 0, 2, 0], [0, 1, 0, 2]]
+    u, d, U, D = (rates / (rates.max() or 1.0)).tolist()   # cubes cannot overflow
+    weights = np.array([D * D * (u + d) + d * d * (D + U),
+                        d * U * U + u * D * D + u * d * (D + U),
+                        U * D * (u + d) + d * d * U + u * u * D,
+                        U * U * (u + d) + u * u * (D + U)])
+    total = weights.sum()
+    if not total > 0.0:
         raise DegenerateGeneratorError(
-            "zero eigenvalue of the generator is not simple; asymptotic state undefined")
-    v = Vt[3]
-    total = v.sum()
-    if abs(total) < 1e-12:
-        raise DegenerateGeneratorError("null vector has zero trace; cannot normalise")
-    p = v / total
-    A1, B1, A2, B2 = coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2
-    if abs(A1 * B2 - A2 * B1) <= 1e-12 * max(A1 * B1, 1e-300):
-        num = -(-A1 ** 3 + A1 * A2 ** 2 + A1 * B1 ** 2 - A1 * B2 ** 2)
-        den = 4.0 * (A1 ** 3 - A1 * A2 ** 2 - A2 * B1 * B2 + A1 * B2 ** 2)
-        closed = num / den
-        if abs(p[1] - closed) > 1e-10 or abs(p[2] - closed) > 1e-10:
-            raise ComputationError(
-                f"asymptotic populations {p[1]}, {p[2]} disagree with the "
-                f"closed form {closed}")
+            "a decay channel is dead; the asymptotic state is not unique")
+    p = weights / total
     return XState(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ComputationError, InvalidStateError
 
 # switch points of the series fallbacks
-SMALL_A = 1e-4      # below this the accelerated spectral shapes equal the static ones to O(a^2)
 SMALL_R = 3e-3      # L below this: closed forms cancel catastrophically, use series
 SERIES_Q_MAX = 1.0  # the small-L series assumes a*L is moderate as well
 
@@ -131,11 +130,12 @@ def _f12_series(a, L):
 
 def f12_kernel(a, L):
     """Accelerated cross-correlation shapes (f11, f22, f33, f13), each the
-    series, the closed form or (below SMALL_A) the static shape per element;
+    series, the closed form or (at a = 0) the static shape per element;
     f31 = -f13, and the other components are zero."""
     series = (L < SMALL_R) & (a * L < SERIES_Q_MAX)
-    # below SMALL_A: 0/0 loss in (2 / a) asinh(aL/2); the static shapes agree to O(a^2)
-    return tuple(np.where(a < SMALL_A, static, np.where(series, low, closed))
+    # the static shapes are the a -> 0 limits; take them only where 2 / a in
+    # (2 / a) asinh(aL/2) overflows: at a = 0 and at subnormal a
+    return tuple(np.where(a < np.finfo(float).tiny, static, np.where(series, low, closed))
                  for static, low, closed in zip(f12_thermal_kernel(L), _f12_series(a, L),
                                                 _f12_closed(a, L)))
 
@@ -207,31 +207,30 @@ def eig_decompose(M):
     return w, V, Vinv, cond
 
 
-def expm_kernel(A):
-    """Scaling-and-squaring Taylor matrix exponential for the 4x4 generator."""
-    nrm = max(0.0, *(sum(abs(A[r, c]) for c in range(4)) for r in range(4)))
-    if not np.isfinite(nrm):
-        raise ComputationError(f"matrix exponential of a matrix with norm {nrm}")
-    k = 0
-    while nrm > 0.25:
-        nrm *= 0.5
-        k += 1
-    B = np.ldexp(A, -k)   # exact, and no overflow of 2**k beyond k = 1023
-    E = np.eye(4)
-    T = np.eye(4)
-    for n in range(1, 21):
+def pops_at(M, p0, tau):
+    """Populations exp(M tau) p0, (k, s, 4), of generators M (k, 4, 4) from
+    p0 (k, 4) at times tau (k, s): the fallback for ill-conditioned rows.
+    With q the row's largest |M_jj|, M + qI is nonnegative (its off-diagonals
+    are rates): exp(M h) is 18 nonnegative Taylor terms of exp((M + qI) h),
+    h = tau / 2^j with |(M + qI) h|_1 <= 1/4, with its columns scaled to sum
+    to 1; j squarings follow. Nothing cancels (Xue & Ye, Numer. Math. 110,
+    393 (2008)). Each sample takes its own j, so a block is bitwise its
+    one-sample calls. An overflowing tau gives non-finite populations."""
+    q = np.abs(np.diagonal(M, axis1=1, axis2=2)).max(axis=1)
+    A = M + q[:, None, None] * np.eye(4)
+    mant, expo = np.frexp(np.abs(A).sum(axis=1).max(axis=1)[:, None] * tau)
+    # the norm is mant * 2^expo, 1/2 <= mant < 1: the least j that takes it to 1/4
+    j = np.maximum(expo + 2 - (mant == 0.5), 0)
+    h = np.ldexp(tau, -j)   # exact, and no overflow of 2**j beyond j = 1023
+    B = A[:, None] * h[..., None, None]
+    E = T = np.broadcast_to(np.eye(4), B.shape)
+    for n in range(1, 18):
         T = (T @ B) / n
         E = E + T
-    for _ in range(k):
-        E = E @ E
-    return E
-
-
-def pops_at(M, p0, tau):
-    """Populations at one time tau > 0 by the matrix exponential of the
-    generator M: the fallback of rows whose eigenvectors are ill-conditioned."""
-    E = expm_kernel(M * tau)
-    return np.array([sum(E[m, n] * p0[n] for n in range(4)) for m in range(4)])
+    E = E / E.sum(axis=-2, keepdims=True)   # e^(-q h), with no column-sum bias to square
+    for i in range(j.max(initial=0)):
+        E = np.where((j > i)[..., None, None], E @ E, E)
+    return (E @ p0[:, None, :, None])[..., 0]
 
 
 def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
@@ -263,10 +262,10 @@ class TrajectoryStack:
     ``coeffs`` (n, 4) holds the rows (A1, B1, A2, B2), ``p0`` (n, 4) the
     initial populations and ``coherences`` (n, 4) the initial (reAS, imAS,
     reGE, imGE). Setup is done once per row: generator M, eigendecomposition
-    (w, V and the condition estimate cond), the expm-fallback flag (cond not
-    finite or above COND_LIMIT), the least |w| of the row, w0 (the zero
-    eigenvalue as eig returns it), and c = Vinv p0. The coherences decay as
-    exp(-4 A1 tau).
+    (w, V and the condition estimate cond), the flag of the ``pops_at``
+    fallback (cond not finite or above COND_LIMIT), the least |w| of the
+    row, w0 (the zero eigenvalue as eig returns it), and c = Vinv p0. The
+    coherences decay as exp(-4 A1 tau).
     """
 
     __slots__ = ("M", "w", "w0", "V", "c", "cond", "use_expm", "A1", "coherences", "p0")
@@ -294,8 +293,8 @@ def _evaluate(stack, rows, tau, clamp):
     times ``tau`` (k, s). Returns (pops (k, s, 4), C (k, s)).
 
     The one implementation of the state at a time: eig rows stack
-    c*exp(w tau) and apply V by one batched matrix-vector product, rows on
-    the expm fallback go through ``pops_at``, tau = 0 gives p0, and the
+    c*exp(w tau) and apply V by one batched matrix-vector product, the rows
+    on the expm fallback take one ``pops_at`` call, tau = 0 gives p0, and the
     concurrence is ``concurrence_kernel`` on the arrays (with the clamp a
     radicand below RADICAND_SLACK raises InvalidStateError). Every value is
     bitwise the one-sample scalar reference in ``tests/oracles.py``.
@@ -314,8 +313,8 @@ def _evaluate(stack, rows, tau, clamp):
         # a stacked matrix-matrix product sums in another order
         y = stack.c[r, None] * np.exp(stack.w[r, None] * tau[eig][..., None])
         pops[eig] = (stack.V[r, None] @ y[..., None])[..., 0].real
-        for i, r in zip(np.flatnonzero(expm), rows[expm]):
-            pops[i] = [pops_at(stack.M[r], stack.p0[r], t) for t in tau[i]]
+        if expm.any():
+            pops[expm] = pops_at(stack.M[rows[expm]], stack.p0[rows[expm]], tau[expm])
     zi, zj = np.nonzero(tau == 0.0)
     pops[zi, zj] = stack.p0[rows[zi]]
     if not np.isfinite(pops).all():

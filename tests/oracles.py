@@ -172,7 +172,6 @@ def shape_tensor(f11, f22, f33, f13):
 # ---------------------------------------------------------------------------
 # scalar spectral shapes and coefficients: one (a, L) at a time
 
-SMALL_A = kernels.SMALL_A
 SMALL_R = kernels.SMALL_R
 SERIES_Q_MAX = kernels.SERIES_Q_MAX
 
@@ -280,8 +279,8 @@ def f12_kernel(i, j, lam, a, L):
     Components outside (1,1), (2,2), (3,3), (1,3), (3,1) are zero. The
     (3,1) value is minus the (1,3) one.
     """
-    if a < SMALL_A:
-        # 0/0 loss in (2 lam / a) asinh(aL/2); the static shapes agree to O(a^2)
+    if a < np.finfo(float).tiny:
+        # 2 lam / a in (2 lam / a) asinh(aL/2) overflows: the a -> 0 limit
         return f12_thermal_kernel(i, j, lam, L)
     diag = i == j and 1 <= i <= 3
     skew = (i == 1 and j == 3) or (i == 3 and j == 1)
@@ -407,7 +406,7 @@ def pops_at(stack, i, tau):
     if tau == 0.0:
         return stack.p0[i].copy()
     if stack.use_expm[i]:
-        return kernels.pops_at(stack.M[i], stack.p0[i], tau)
+        return kernels.pops_at(stack.M[i, None], stack.p0[i, None], np.array([[tau]]))[0, 0]
     return (stack.V[i] @ (stack.c[i] * np.exp(stack.w[i] * tau))).real
 
 

@@ -23,11 +23,14 @@ def test_coth_stable_values():
 
 
 def _branch_edges():
-    """(a, L) values straddling a = 0, SMALL_A, SMALL_R and SERIES_Q_MAX."""
-    small_a, small_r = kernels.SMALL_A, kernels.SMALL_R
+    """(a, L) values straddling a = 0, the least normal a (below it the
+    static shapes), SMALL_R and SERIES_Q_MAX, and the former small-a switch
+    at a = 1e-4."""
+    tiny, small_r = np.finfo(float).tiny, kernels.SMALL_R
     q_edge = kernels.SERIES_Q_MAX / 2.5e-3
-    a_values = [0.0, 1e-9, 0.5 * small_a, np.nextafter(small_a, 0.0), small_a,
-                np.nextafter(small_a, 1.0), 1e-3, 0.3, 1.0, 2.7, 40.0,
+    a_values = [0.0, np.finfo(float).smallest_subnormal, np.nextafter(tiny, 0.0), tiny,
+                np.nextafter(tiny, 1.0), 1e-300, 1e-9, 0.5e-4, np.nextafter(1e-4, 0.0), 1e-4,
+                np.nextafter(1e-4, 1.0), 1e-3, 0.3, 1.0, 2.7, 40.0,
                 np.nextafter(q_edge, 0.0), q_edge, np.nextafter(q_edge, np.inf), 1e3]
     L_values = [1e-5, 1e-3, 2.5e-3, np.nextafter(small_r, 0.0), small_r,
                 np.nextafter(small_r, 1.0), 0.05, 1.0, 3.3, 25.0]
@@ -36,7 +39,8 @@ def _branch_edges():
 
 def test_array_kernel_matches_scalar_reference():
     """Array assemble_kernel is bitwise the scalar reference on every
-    element, on a grid straddling a = 0, SMALL_A, SMALL_R and SERIES_Q_MAX.
+    element, on a grid straddling a = 0, the least normal a, SMALL_R and
+    SERIES_Q_MAX.
     The atom order 21 is the swapped pair in the order 12, so the axis pairs
     in both orders cover it."""
     a_values, L_values = _branch_edges()

@@ -234,6 +234,18 @@ def test_cli_coeffs_small_acceleration_rows_agree(tmp_path):
         assert float(acc[k]) == pytest.approx(float(th[k]), abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_subnormal_acceleration_runs(tmp_path):
+    # at a subnormal a/omega, 2 / a overflows and the static shapes stand in
+    data = dict(MINIMAL, name="sub", polarizations=[["x", "z"], ["z", "z"]],
+                fixed={"a_over_omega": 1.0e-310, "omega_L": 1.0})
+    cfg = write_config(tmp_path, data)
+    for command in ("evolve", "coeffs"):
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / command]) == 0
+    columns, rows = read_table(tmp_path / "coeffs" / "sub_coeffs.csv")
+    assert all(float(row[columns.index("A2")]) == 0.0 for row in rows if row[0] == "xz")
+
+
 def test_cli_coeffs_order21_is_the_swapped_pair(tmp_path):
     """Each coeffs row in the order 21 is, field for field, the row of the
     swapped polarization pair in the order 12: crossed, orthogonal and

@@ -4,6 +4,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -222,9 +223,64 @@ def test_asymptotic_zero_acceleration_is_ground():
 
 
 def test_asymptotic_degenerate_generator():
-    cs = CoefficientSet(A1=0.5, B1=0.25, A2=0.5, B2=0.25)  # A2 = A1 exactly
+    # A2 = A1 and B2 = B1 exactly: the A channel is dead, and every state
+    # with pAA as a free weight is stationary
+    cs = CoefficientSet(A1=0.5, B1=0.25, A2=0.5, B2=0.25)
     with pytest.raises(DegenerateGeneratorError):
         asymptotic_state(cs)
+
+
+def _near_dead(eps):
+    # the A channel's rates are of order eps; the stationary state tends to
+    # (9, 3, 3, 1) / 16 as eps -> 0 and is unique for every eps > 0
+    return CoefficientSet(A1=0.5, B1=0.25, A2=0.5 * (1.0 - eps), B2=0.25 * (1.0 - eps))
+
+
+def _mp_generator(M):
+    # the float rates of M, exact in mpmath, with the diagonal built in mpmath
+    G = mp.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                G[i, j] = mp.mpf(float(M[i, j]))
+    for j in range(4):
+        G[j, j] = -mp.fsum(G[i, j] for i in range(4) if i != j)
+    return G
+
+
+def test_asymptotic_state_matches_mpmath_solve():
+    # every population, the smallest about 5e-28 at a/omega = 0.2, to 1e-12
+    # relative against a 60-digit solve of the same generator; an SVD null
+    # vector is off by up to 0.8% there
+    cells = [assemble(SystemParams(a, 1.0, AXES[d1], AXES[d2], bath))
+             for a in (0.2, 0.3) for d1, d2 in (("z", "z"), ("x", "y")) for bath in BathKind]
+    with mp.workdps(60):
+        for cs in cells + [_near_dead(1e-9), _near_dead(1e-12)]:
+            G = _mp_generator(build_generator(cs))
+            for j in range(4):
+                G[3, j] = 1
+            want = mp.lu_solve(G, mp.matrix([0, 0, 0, 1]))
+            got = asymptotic_state(cs).populations()
+            for m in range(4):
+                assert abs(got[m] - want[m]) <= 1e-12 * abs(want[m]), (cs, m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_asymptotic_state_at_huge_rates():
+    # rates of order 1e119 at a/omega = 1e40: their cubes would overflow,
+    # the weights are formed in units of the largest rate. The Unruh
+    # temperature is then effectively infinite: every level at 1/4
+    cs = assemble(SystemParams(1e40, 1.0, AXES["z"], AXES["z"], BathKind.ACCELERATED_VACUUM))
+    assert build_generator(cs).max() > 1e118
+    np.testing.assert_allclose(asymptotic_state(cs).populations(), 0.25, rtol=1e-12)
+
+
+def test_asymptotic_near_dead_channel_is_unique():
+    for eps in (1e-9, 1e-12):
+        got = asymptotic_state(_near_dead(eps)).populations()
+        np.testing.assert_allclose(got, [0.5625, 0.1875, 0.1875, 0.0625], rtol=1e-8)
+    with pytest.raises(DegenerateGeneratorError):
+        asymptotic_state(_near_dead(0.0))
 
 
 def test_basis_transform_catalogue():
@@ -252,11 +308,12 @@ def test_basis_transform_preserves_x_structure(rng):
 
 
 def test_expm_fallback_matches_scipy(rng):
+    # the columns of exp(M tau) are the populations from the four levels
     for _ in range(10):
         M = build_generator(random_coeffs(rng))
         tau = rng.uniform(0.0, 5.0)
-        assert np.allclose(kernels.expm_kernel(M * tau), scipy_expm(M * tau),
-                           atol=1e-13)
+        E = kernels.pops_at(np.broadcast_to(M, (4, 4, 4)), np.eye(4), np.full((4, 1), tau))
+        assert np.allclose(E[:, 0].T, scipy_expm(M * tau), atol=1e-13)
 
 
 def test_expm_path_matches_eigendecomposition(rng):
@@ -265,10 +322,38 @@ def test_expm_path_matches_eigendecomposition(rng):
     w, V, Vinv, _ = kernels.eig_decompose(M)
     p0 = random_xstate(rng).populations()
     c = Vinv @ p0.astype(np.complex128)
-    for tau in (0.3, 2.0, 11.0):
+    taus = (0.3, 2.0, 11.0)
+    via_expm = kernels.pops_at(M[None], p0[None], np.array([taus]))[0]
+    for tau, pops in zip(taus, via_expm):
         via_eig = (V @ (c * np.exp(w * tau))).real
-        via_expm = kernels.pops_at(M, p0, tau)
-        assert np.abs(via_eig - via_expm).max() < 1e-12
+        assert np.abs(via_eig - pops).max() < 1e-12
+
+
+def test_expm_fallback_matches_mpmath():
+    # every population to 1e-12 relative against a 50-digit expm, on the two
+    # rows the eig path refuses, the defective A1 = B1 = A2 = B2 and
+    # a/omega = 0.05 at omega L = 1e-6 (z-z, cond 7.8e13; its upward rates
+    # are exactly 0, so pEE from psi1 stays exactly 0), and on a nearly dead
+    # channel
+    rows = [CoefficientSet(0.25, 0.25, 0.25, 0.25),
+            assemble(SystemParams(0.05, 1e-6, AXES["z"], AXES["z"], BathKind.ACCELERATED_VACUUM)),
+            _near_dead(1e-9)]
+    M = np.array([build_generator(cs) for cs in rows])
+    assert all(kernels.eig_decompose(m)[-1] > kernels.COND_LIMIT for m in M[:2])
+    taus = np.array([1e-7, 1e-3, 1.0, 50.0])
+    for state in (catalogue_state("E"), catalogue_state("psi1", 0.25)):
+        p0 = np.broadcast_to(state.populations(), (len(rows), 4))
+        got = kernels.pops_at(M, p0, np.broadcast_to(taus, (len(rows), taus.size)))
+        with mp.workdps(50):
+            for k in range(len(rows)):
+                G = _mp_generator(M[k])
+                for s, tau in enumerate(taus):
+                    # a block is bitwise its one-sample calls
+                    one = kernels.pops_at(M[k:k + 1], p0[k:k + 1], np.array([[tau]]))
+                    assert np.array_equal(one[0, 0], got[k, s])
+                    want = mp.expm(G * mp.mpf(float(tau))) * mp.matrix(p0[k].tolist())
+                    for m in range(4):
+                        assert abs(got[k, s, m] - want[m]) <= 1e-12 * abs(want[m]), (k, tau, m)
 
 
 
@@ -306,6 +391,19 @@ def test_fallback_warns_and_stays_exact():
         traj = compute_trajectory(state, cs(), taus)
     want = np.array([scipy_expm(M * tau) @ state.populations() for tau in taus])
     assert np.abs(traj.populations - want).max() < 1e-12
+
+
+def test_fallback_keeps_an_absorbing_level_at_huge_tau():
+    # with no upward rates the ground level absorbs everything. The shifted
+    # series rounds each column sum of exp(M h) away from 1, and 2^j
+    # squarings would raise that to a trace of 1.28 at tau = 1e14
+    z = AXES["z"]
+    for cs in (CoefficientSet(0.25, 0.25, 0.25, 0.25),
+               assemble(SystemParams(0.05, 1e-6, z, z, BathKind.ACCELERATED_VACUUM))):
+        with pytest.warns(RuntimeWarning, match="matrix-exponential fallback"):
+            for tau in (1e8, 1e14, 1e17):
+                out = evolve(catalogue_state("E"), cs, tau)
+                assert abs(out.pGG - 1.0) < 1e-12 and abs(out.trace - 1.0) < 1e-12
 
 
 def test_fallback_beyond_float_range_raises():

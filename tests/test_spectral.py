@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from atompair import BathKind, DomainError, SystemParams, assemble
-from atompair.kernels import (SMALL_A, SMALL_R, _f12_closed, _f12_series, assemble_kernel,
+from atompair.kernels import (SMALL_R, _f12_closed, _f12_series, assemble_kernel,
                               f11_kernel, f12_kernel, f12_thermal_kernel)
 from conftest import AXES
 from oracles import fourier_oracle, shape_tensor
@@ -86,13 +86,10 @@ def test_thermal_small_separation_limits():
 def test_small_a_agreement_with_thermal_grid():
     # the diagonal shapes converge at O(a^2): < 1e-6 at a = 1e-4 over the box;
     # the skew f13 component vanishes only at O(a) and is tested below.
-    # a = 1e-4 is the delegation threshold at lam = 1, where f12_kernel takes
-    # the closed form (lam L >= 0.05 > SMALL_R); at lam = 2, 4 the scaled
-    # a / lam falls below SMALL_A, where f12_kernel returns the static shape
-    # itself, so the closed form is called directly
+    # f12_kernel takes the closed form at every point (lam L >= 0.05 > SMALL_R)
     for lam in (0.5, 1.0, 2.0, 4.0):
         for L in (0.1, 0.5, 1.0, 2.0, 5.0):
-            acc = _f12_closed(1e-4 / lam, lam * L)
+            acc = f12_kernel(1e-4 / lam, lam * L)
             static = f12_thermal_kernel(lam * L)
             for k in range(3):
                 diff = abs(acc[k] - static[k])
@@ -102,16 +99,22 @@ def test_small_a_agreement_with_thermal_grid():
 def test_skew_component_vanishes_linearly_in_a():
     # f_13 = -a L (1 + a^2/lam^2) + O(a L^3): linear in a, zero in the static
     # shape; at a = 1e-4, 2e-4 and lam L >= 0.05 > SMALL_R, f12_kernel takes
-    # the closed form for lam <= 1 (a / lam >= SMALL_A); at lam = 4 the
-    # scaled a / lam is below SMALL_A, so the closed form is called directly
+    # the closed form
     for lam in (0.5, 1.0, 4.0):
         for L in (0.1, 1.0, 5.0):
             assert f12_thermal_kernel(lam * L)[3] == 0.0
-            v1 = _f12_closed(2e-4 / lam, lam * L)[3]
-            v2 = _f12_closed(1e-4 / lam, lam * L)[3]
+            v1 = f12_kernel(2e-4 / lam, lam * L)[3]
+            v2 = f12_kernel(1e-4 / lam, lam * L)[3]
             assert abs(v2) < 3.0 * 1e-4 * L
             assert v1 / v2 == pytest.approx(2.0, rel=1e-3)
     assert f12_kernel(1e-4, 1.0)[3] == _f12_closed(1e-4, 1.0)[3]
+    # down to the least normal a, where 2 / a is still finite; below it the
+    # closed form is NaN (f12_kernel evaluates every branch) and f12_kernel
+    # returns the static shapes
+    assert f12_kernel(1e-300, 1.0)[3] == pytest.approx(-1e-300, rel=1e-12)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_f12_closed(1e-310, 1.0)[3])
+        assert f12_kernel(1e-310, 1.0) == tuple(f12_thermal_kernel(1.0))
 
 
 def test_large_separation_decay():
@@ -187,6 +190,16 @@ def test_oracle_cross_skew():
     assert abs(got - want) < 1e-4
     swapped = fourier_oracle(1, 3, 1.0, 1.0, 1.0, atom_order=21)
     assert abs(swapped + want) < 1e-4
+
+
+def test_oracle_small_a_skew():
+    # the skew component at small a, where the static bath has none: the
+    # numeric Fourier transform down to a = 1e-3, and linear in a below
+    for L in (0.5, 2.0):
+        for a in (1e-3, 1e-2):
+            got = f12_kernel(a, L)[3]
+            assert got == pytest.approx(fourier_oracle(1, 3, 1.0, a, L), rel=1e-6), (a, L)
+        assert f12_kernel(5e-5, L)[3] / f12_kernel(1e-3, L)[3] == pytest.approx(0.05, rel=1e-5)
 
 
 def test_oracle_random_points(rng):
