@@ -3,10 +3,10 @@
 Runs each preset through ``atompair.cli.main`` into a temporary directory:
 ``evolve`` for the presets with curves, ``sweep`` for those with a
 max-concurrence output, ``region`` for the region maps (on a 24x24 grid,
-through a generated config) and ``coeffs`` for fig4, plus ``sweep`` over a
-generated p axis, ``coeffs`` on generated crossed, orthogonal and vector
-dipole pairs, which no preset has, and ``evolve`` on generated cells whose
-eigenvectors are ill-conditioned, which no preset reaches. Prints one
+through a generated config) and ``coeffs`` for fig4, plus ``coeffs`` on
+generated crossed, orthogonal and vector dipole pairs, which no preset has,
+and ``evolve`` on generated cells whose eigenvectors are ill-conditioned,
+which no preset reaches. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -34,15 +34,6 @@ from atompair.config import load_preset, preset_names  # noqa: E402
 
 REGION_NUM = 24
 COMMANDS = {"curve": "evolve", "max_concurrence": "sweep", "region": "region"}
-# the psi1/psi2 weight as a grid axis, resolved per cell
-P_AXIS_SWEEP = {
-    "name": "paxis",
-    "initial_states": ["psi1", "psi2"],
-    "polarizations": [["z", "z"], ["z", "x"]],
-    "fixed": {"a_over_omega": 0.6666666666666666, "omega_L": 1.0},
-    "grid": {"p": {"start": 0.05, "stop": 0.95, "num": 19}},
-    "outputs": ["max_concurrence", "events"],
-}
 # non-parallel dipole pairs, each with its swap, on a grid through a/omega = 0
 # and an omega_L below the series switch (fig4 has only z-z and y-y)
 PAIRS_COEFFS = {
@@ -70,7 +61,7 @@ FALLBACK_EVOLVE = {
 
 def _runs(tmp):
     # (run name, argv without --out) for every preset, plus coeffs on fig4
-    # and the three generated configs
+    # and the two generated configs
     for name in preset_names():
         command = COMMANDS[next(o for o in load_preset(name).outputs if o in COMMANDS)]
         if command != "region":
@@ -84,8 +75,7 @@ def _runs(tmp):
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{name}", [command, "--config", str(config)]
     yield "coeffs-fig4", ["coeffs", "--preset", "fig4"]
-    for command, data in (("sweep", P_AXIS_SWEEP), ("coeffs", PAIRS_COEFFS),
-                          ("evolve", FALLBACK_EVOLVE)):
+    for command, data in (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE)):
         config = tmp / f"{data['name']}.yaml"
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{data['name']}", [command, "--config", str(config)]

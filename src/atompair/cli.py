@@ -42,6 +42,7 @@ EXIT_COMPUTE = 3
 EXIT_IO = 4
 
 _POP_NAMES = ("pGG", "pAA", "pSS", "pEE")
+_CELL_COLUMNS = ("a_over_omega", "omega_L")
 
 
 def _fmt(x) -> str:
@@ -245,17 +246,12 @@ def _json(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _cell_table(cells, names):
-    """The cell-axis values of each cell, shape (len(cells), len(names))."""
-    return np.array([[cell[name] for name in names] for cell in cells], dtype=float)
-
-
 def _events_payload(spec, result):
     cells = []
-    for cell, rows in zip(spec.cells(), result.table):
+    for a, L, rows in zip(*spec.cells(), result.table):
         modes = {mode.value: vars(EntanglementEvents.from_row(row))
                  for mode, row in zip(spec.bath_modes, rows)}
-        cells.append({"cell": {k: float(v) for k, v in cell.items()},
+        cells.append({"cell": {"a_over_omega": float(a), "omega_L": float(L)},
                       "modes": modes})
     return {"panel": spec.label, "cells": cells}
 
@@ -318,30 +314,26 @@ def cmd_evolve(config: RunConfig, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
         curve = run_curve(spec, "events" in config.outputs)
-        cell_cols = [name for name, _ in spec.cell_axes()]
-        columns = list(cell_cols) + ["tau"]
+        columns = [*_CELL_COLUMNS, "tau"]
         for mode in spec.bath_modes:
             columns.append(f"C_{mode.value}")
         for mode in spec.bath_modes:
             for pop in _POP_NAMES:
                 columns.append(f"{pop}_{mode.value}")
-        # per cell and time: the cell-axis values, tau, C of each mode, then
-        # the populations of each mode. One table per cell keeps format_rows'
-        # 48 bytes per field to one cell; a whole panel would raise peak memory
+        # per cell and time: a, L, tau, C of each mode, then the populations
+        # of each mode. One table per cell keeps format_rows' 48 bytes per
+        # field to one cell; a whole panel would raise peak memory
         _, nmodes, ntimes = curve.concurrence.shape
-        n = len(cell_cols)
         table = np.empty((ntimes, len(columns)))
-        table[:, n] = spec.axis("tau")
+        table[:, 2] = spec.tau
         chunks = []
-        for cell, conc, pops in zip(_cell_table(spec.cells(), cell_cols),
-                                    curve.concurrence, curve.populations):
-            table[:, :n] = cell
-            table[:, n + 1:n + 1 + nmodes] = conc.T
-            table[:, n + 1 + nmodes:] = pops.transpose(1, 0, 2).reshape(ntimes, 4 * nmodes)
+        for a, L, conc, pops in zip(*spec.cells(), curve.concurrence, curve.populations):
+            table[:, :2] = a, L
+            table[:, 3:3 + nmodes] = conc.T
+            table[:, 3 + nmodes:] = pops.transpose(1, 0, 2).reshape(ntimes, 4 * nmodes)
             chunks.append(format_rows(table))
         events = _events_payload(spec, curve.events) if curve.events else None
-        _write_outputs(config, out_dir, "evolve", panel, f"{config.name}_{panel}",
-                       columns, chunks, events)
+        _write_outputs(config, out_dir, "evolve", panel, spec.label, columns, chunks, events)
     return EXIT_OK
 
 
@@ -350,17 +342,15 @@ def cmd_sweep(config: RunConfig, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
         events = run_events(spec)
-        cell_cols = [name for name, _ in spec.cell_axes()]
-        columns = list(cell_cols)
+        columns = list(_CELL_COLUMNS)
         for mode in spec.bath_modes:
             columns.append(f"max_C_{mode.value}")
             columns.append(f"tau_max_{mode.value}")
-        # per cell: the cell-axis values, then max_C and tau_max of each mode
+        # per cell: a and L, then max_C and tau_max of each mode
         maxima = np.stack([events.column("max_concurrence"), events.column("max_time")], axis=2)
-        table = np.hstack([_cell_table(spec.cells(), cell_cols),
-                           maxima.reshape(len(maxima), -1)])
+        table = np.column_stack([*spec.cells(), maxima.reshape(len(maxima), -1)])
         payload = _events_payload(spec, events) if "events" in config.outputs else None
-        _write_outputs(config, out_dir, "sweep", panel, f"{config.name}_{panel}",
+        _write_outputs(config, out_dir, "sweep", panel, spec.label,
                        columns, [format_rows(table)], payload)
     return EXIT_OK
 
@@ -370,14 +360,12 @@ def cmd_region(config: RunConfig, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
         region = run_region_map(spec)
-        columns = ["a_over_omega", "omega_L", "label"]
-        rows = []
-        for i, a in enumerate(spec.axis("a_over_omega")):
-            for j, L in enumerate(spec.axis("omega_L")):
-                rows.append(",".join([_fmt(a), _fmt(L), LABEL_NAMES[region.labels[i, j]]]))
+        columns = [*_CELL_COLUMNS, "label"]
+        rows = [",".join([_fmt(a), _fmt(L), LABEL_NAMES[code]])
+                for a, L, code in zip(*spec.cells(), region.labels.ravel().tolist())]
         counts = region.counts()
         _write_outputs(config, out_dir, "region", panel,
-                       f"{config.name}_{panel}_region", columns, [_text_rows(rows)],
+                       f"{spec.label}_region", columns, [_text_rows(rows)],
                        extra={"label_counts": counts, "criterion": spec.event_kind})
         print(f"{config.name} {panel} [{spec.event_kind}]: "
               + ", ".join(f"{k}={v}" for k, v in counts.items()))

@@ -11,7 +11,7 @@ Schema (defaults in parentheses):
     title: free text                # optional
     initial_states:                 # required except for `coeffs`
       - S                           # G | A | S | E
-      - {family: psi1, p: 0.25}     # psi1/psi2 need p unless a p grid axis exists
+      - {family: psi1, p: 0.25}     # psi1/psi2 with their weight, 0 < p < 1
     polarizations:                  # required; entries are pairs
       - [z, x]                      # axis letters or unit 3-vectors
     bath_modes: [accelerated, thermal]   # (both)
@@ -22,15 +22,15 @@ Schema (defaults in parentheses):
       tau: {stop: 8.0, num: 400, spacing: log}   # spacing: log|linear (log)
       a_over_omega: {start: 0.015, stop: 3.0, num: 200}
       omega_L: {start: 0.025, stop: 5.0, num: 200}
-      p: {start: 0.05, stop: 0.95, num: 19}
     outputs: [curve, events]        # curve | events | max_concurrence | region
     events:
       kind: revival                 # (revival) | enhancement
 
-Each axis must appear in exactly one of ``fixed``/``grid``. The atoms in
-the other order are written as the swapped polarization pair. YAML 1.1
-reads an exponent without a decimal point (``1e-4``) as text, so write
-``1.0e-4``.
+Each of a_over_omega and omega_L must appear in exactly one of
+``fixed``/``grid``; a panel's cells are their grid, omega_L fastest. The
+atoms in the other order are written as the swapped polarization pair.
+YAML 1.1 reads an exponent without a decimal point (``1e-4``) as text, so
+write ``1.0e-4``.
 """
 
 import math
@@ -49,7 +49,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _STATE_NAMES = ("G", "A", "S", "E")
 _AXIS_LETTERS = ("x", "y", "z")
 _MODE_BY_NAME = {kind.value: kind for kind in BathKind}
-_PHYSICAL_AXES = ("a_over_omega", "omega_L", "p")
+_PHYSICAL_AXES = ("a_over_omega", "omega_L")
 _OUTPUTS = ("curve", "events", "max_concurrence", "region")
 
 COMMANDS = ("coeffs", "evolve", "sweep", "region")
@@ -94,7 +94,7 @@ class RunConfig:
 
     name: str
     source: str
-    initial_states: tuple      # ((family, p or None), ...)
+    initial_states: tuple      # ((name, p), ...), p None for G/A/S/E
     polarizations: tuple       # ((DipoleOrientation, DipoleOrientation, label), ...)
     bath_modes: tuple
     fixed: dict                # axis -> tuple of values
@@ -109,19 +109,12 @@ class RunConfig:
         return self.grid.get(axis)
 
     def sweep_specs(self, command: str):
-        """Expand into one (label, SweepSpec) panel per initial state x
-        polarization for the given subcommand. SweepSpec owns the rules
-        that tie an initial state to the p axis; a breach names the entry.
-        The label is the panel's file stem, so two entries that share one
-        are rejected."""
+        """Expand into one (panel, SweepSpec) pair per initial state x
+        polarization for the given subcommand. The spec's label
+        ``<name>_<panel>`` is the panel's file stem, so two entries that
+        share one are rejected, naming both."""
         self.check_command(command)
-        axes = []
-        for axis in _PHYSICAL_AXES:
-            values = self.axis_values(axis)
-            if values is not None:
-                axes.append((axis, values))
-        if command == "evolve":
-            axes.append(("tau", self.grid["tau"]))
+        tau = self.grid["tau"] if command == "evolve" else None
         specs = []
         entries = {}
         for k, (family, p) in enumerate(self.initial_states):
@@ -133,17 +126,14 @@ class RunConfig:
                     _fail(self.source, entry,
                           f"panel {label!r} is already given by {entries[label]}")
                 entries[label] = entry
-                try:
-                    spec = SweepSpec(
-                        label=f"{self.name}_{label}",
-                        initial_label=family, p=p,
-                        dipole1=d1, dipole2=d2,
-                        bath_modes=self.bath_modes,
-                        axes=tuple(axes),
-                        event_kind=self.event_kind)
-                except DomainError as exc:
-                    _fail(self.source, f"initial_states[{k}]", str(exc))
-                specs.append((label, spec))
+                specs.append((label, SweepSpec(
+                    label=f"{self.name}_{label}",
+                    initial_label=family, p=p,
+                    dipole1=d1, dipole2=d2,
+                    bath_modes=self.bath_modes,
+                    a_over_omega=self.axis_values("a_over_omega"),
+                    omega_L=self.axis_values("omega_L"),
+                    tau=tau, event_kind=self.event_kind)))
         return specs
 
     def check_command(self, command: str):
@@ -169,29 +159,26 @@ class RunConfig:
         if command == "region":
             if "region" not in self.outputs:
                 _fail(src, "outputs", "`region` needs the region output")
-            for axis in ("a_over_omega", "omega_L"):
+            for axis in _PHYSICAL_AXES:
                 if axis not in self.grid or len(self.grid[axis]) < 2:
                     _fail(src, f"grid.{axis}", "`region` needs a swept range here")
-            if "p" in self.grid:
-                _fail(src, "grid.p", "`region` maps the (a, L) plane; give p per initial state")
             if set(self.bath_modes) != set(BathKind):
                 _fail(src, "bath_modes", "`region` needs both bath modes")
 
 
 def _parse_initial_state(source, path, entry):
     if isinstance(entry, str):
-        if entry in _STATE_NAMES + ("psi1", "psi2"):
-            return entry, None  # a psi family takes p from a grid axis
-        _fail(source, path, f"unknown state {entry!r}; use G/A/S/E or psi1/psi2")
+        if entry in _STATE_NAMES:
+            return entry, None
+        _fail(source, path, f"unknown state {entry!r}; use G/A/S/E or {{family: psi1|psi2, p}}")
     if isinstance(entry, dict):
         _expect_mapping(source, path, entry, ("family", "p"))
         family = entry.get("family")
         if family not in ("psi1", "psi2"):
             _fail(source, f"{path}.family", f"must be psi1 or psi2, got {family!r}")
-        p = entry.get("p")
-        if p is None:
-            return family, None
-        p = _expect_number(source, f"{path}.p", p)
+        if "p" not in entry:
+            _fail(source, f"{path}.p", f"required: the weight of {family}")
+        p = _expect_number(source, f"{path}.p", entry["p"])
         if not 0.0 < p < 1.0:
             _fail(source, f"{path}.p", f"must lie in (0, 1), got {p}")
         return family, p
@@ -246,8 +233,6 @@ def _parse_range(source, path, axis, entry):
         _fail(source, f"{path}.start", "must be > 0")
     if stop <= start:
         _fail(source, f"{path}.stop", "must exceed start")
-    if axis == "p" and stop >= 1.0:
-        _fail(source, f"{path}.stop", "p must stay below 1")
     return tuple(np.linspace(start, stop, num))
 
 
@@ -301,7 +286,7 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         modes.append(kind)
 
     fixed_body = _expect_mapping(source, "fixed", data.get("fixed", {}) or {},
-                                 ("a_over_omega", "omega_L"))
+                                 _PHYSICAL_AXES)
     fixed = {}
     if "a_over_omega" in fixed_body:
         fixed["a_over_omega"] = _parse_values(
@@ -311,14 +296,14 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
             source, "fixed.omega_L", fixed_body["omega_L"], 0.0, False)
 
     grid_body = _expect_mapping(source, "grid", data.get("grid", {}) or {},
-                                ("tau", "a_over_omega", "omega_L", "p"))
+                                ("tau", *_PHYSICAL_AXES))
     grid = {}
     for axis, entry in grid_body.items():
         if axis in fixed:
             _fail(source, f"grid.{axis}", "axis already given under fixed")
         grid[axis] = _parse_range(source, f"grid.{axis}", axis, entry)
 
-    for axis in ("a_over_omega", "omega_L"):
+    for axis in _PHYSICAL_AXES:
         if axis not in fixed and axis not in grid:
             _fail(source, axis, "must be given under fixed or grid")
 

@@ -1,8 +1,9 @@
 """Parameter sweeps: concurrence curves, evolution maxima, region maps.
 
-A SweepSpec fixes the physics of a panel (initial state, polarisations,
-bath modes) and the grid axes; a result holds only what its run computed,
-cells and modes in the order of the spec's ``cells()`` and ``bath_modes``.
+A SweepSpec fixes the physics of a panel (one initial state, polarisations,
+bath modes) and its grid: the a_over_omega x omega_L cells and, for curves,
+a tau axis. A result holds only what its run computed, cells and modes in
+the order of the spec's ``cells()`` (omega_L fastest) and ``bath_modes``.
 Every run_* function goes through one serial generator, ``_trajectories``,
 that sets up a group of cells of a fixed size on arrays, every (cell, bath
 mode) in a fixed order, as one ``kernels.TrajectoryStack``. Each group is
@@ -13,7 +14,6 @@ Group sizes are fixed and block sizes depend only on the tau axis length, so
 outputs are bit-identical from run to run.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ from .dynamics import XState, catalogue_state, state_rows
 from .entanglement import EVENT_FIELDS, concurrence_x
 from .errors import DomainError
 
-AXIS_NAMES = ("a_over_omega", "omega_L", "p", "tau")
 LABEL_NAMES = ("neither", "accelerated-only", "thermal-only", "both")
 
 HORIZON_TAU = 50.0       # event-detection window
@@ -72,11 +71,12 @@ HORIZON = time_grid(HORIZON_TAU, HORIZON_SAMPLES)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One panel of a sweep: physics plus resolved grid axes.
+    """One panel of a sweep: its physics and its grid.
 
-    ``axes`` maps axis name to the tuple of grid values, in sweep order.
-    ``initial_label`` names a catalogue state; the weight of a psi1/psi2
-    family comes either as ``p`` or from a "p" axis, never both.
+    The cells are the a_over_omega x omega_L grid, omega_L fastest;
+    ``tau`` is the time axis of a curve run (None for event runs). Every
+    cell starts in the one state ``initial_state()``: ``initial_label``
+    names a catalogue state, and a psi1/psi2 family takes the weight ``p``.
     """
 
     label: str
@@ -85,7 +85,9 @@ class SweepSpec:
     dipole1: DipoleOrientation
     dipole2: DipoleOrientation
     bath_modes: tuple
-    axes: tuple              # ((name, (values...)), ...)
+    a_over_omega: tuple
+    omega_L: tuple
+    tau: tuple | None = None
     event_kind: str = "revival"
 
     def __post_init__(self):
@@ -96,88 +98,51 @@ class SweepSpec:
                 raise DomainError(f"bath mode {mode!r} is not a BathKind")
         if self.event_kind not in ("revival", "enhancement"):
             raise DomainError(f"event kind must be revival or enhancement, got {self.event_kind!r}")
-        seen = set()
-        for name, values in self.axes:
-            if name not in AXIS_NAMES:
-                raise DomainError(f"unknown axis {name!r}")
-            if name in seen:
-                raise DomainError(f"duplicate axis {name!r}")
-            seen.add(name)
-            if len(values) < 1:
+        a = np.asarray(self.a_over_omega, dtype=float)
+        L = np.asarray(self.omega_L, dtype=float)
+        for name, values in (("a_over_omega", a), ("omega_L", L)):
+            if values.size < 1:
                 raise DomainError(f"axis {name!r} is empty")
-            arr = np.asarray(values, dtype=float)
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(values)):
                 raise DomainError(f"axis {name!r} values must be finite")
-            if name == "tau":
-                if len(values) < 2 or arr[0] != 0.0 or np.any(np.diff(arr) <= 0):
-                    raise DomainError("tau axis must start at 0 and increase strictly")
-            elif name == "omega_L":
-                if np.any(arr <= 0.0):
-                    raise DomainError("omega_L grid must exclude 0")
-            elif name == "p":
-                if np.any((arr <= 0.0) | (arr >= 1.0)):
-                    raise DomainError("p grid must lie strictly inside (0, 1)")
-            else:
-                if np.any(arr < 0.0):
-                    raise DomainError("a_over_omega grid must be >= 0")
-        has_p_axis = any(name == "p" for name, _ in self.axes)
-        if has_p_axis:
-            if self.initial_label not in ("psi1", "psi2"):
-                raise DomainError("a p axis requires a psi1/psi2 initial family")
-            if self.p is not None:
-                raise DomainError("give p either per state or as a p axis, not both")
-        elif self.p is None and self.initial_label in ("psi1", "psi2"):
-            raise DomainError(f"{self.initial_label} needs p (or a p axis)")
-        else:
-            self.resolve_initial({})   # an unknown label fails here
-
-    def axis(self, name):
-        for axis_name, values in self.axes:
-            if axis_name == name:
-                return np.asarray(values, dtype=float)
-        return None
-
-    def cell_axes(self):
-        return tuple((n, v) for n, v in self.axes if n != "tau")
+        if np.any(a < 0.0):
+            raise DomainError("a_over_omega grid must be >= 0")
+        if np.any(L <= 0.0):
+            raise DomainError("omega_L grid must exclude 0")
+        if self.tau is not None:
+            taus = np.asarray(self.tau, dtype=float)
+            if (taus.size < 2 or not np.all(np.isfinite(taus)) or taus[0] != 0.0
+                    or np.any(np.diff(taus) <= 0)):
+                raise DomainError("tau axis must start at 0 and increase strictly")
+        self.initial_state()   # an unknown label or a missing p fails here
 
     def cells(self):
-        """Cartesian product over the non-time axes, in axis order."""
-        names = [n for n, _ in self.cell_axes()]
-        grids = [v for _, v in self.cell_axes()]
-        return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
+        """(a, L) of every cell as two flat arrays, omega_L fastest."""
+        a, L = np.meshgrid(self.a_over_omega, self.omega_L, indexing="ij")
+        return a.ravel(), L.ravel()
 
-    def resolve_initial(self, cell) -> XState:
-        return catalogue_state(self.initial_label, float(cell["p"]) if "p" in cell else self.p)
-
-
-def _require_axis(spec, name, minimum=2):
-    values = spec.axis(name)
-    if values is None or values.size < minimum:
-        raise DomainError(f"this sweep needs a {name!r} axis with >= {minimum} points")
-    return values
+    def initial_state(self) -> XState:
+        return catalogue_state(self.initial_label, self.p)
 
 
-def _trajectories(spec, cells):
+def _trajectories(spec):
     """Yield one TrajectoryStack per group of cells, rows in order, bath
     modes innermost: REFINE_TRAJECTORIES // len(modes) cells a group (at
     least one; the last may hold fewer), set up on the group's (a, L) arrays
     by ``coefficient_rows``, the one array helper of the ``coeffs`` table
-    too. Every cell carries every non-time axis. The atoms are taken in the
-    order 12: the order 21 of a polarization pair is the order 12 of the
-    swapped pair.
+    too. Every row starts in the panel's one initial state. The atoms are
+    taken in the order 12: the order 21 of a polarization pair is the order
+    12 of the swapped pair.
     """
-    _require_axis(spec, "a_over_omega", 1)
-    _require_axis(spec, "omega_L", 1)
+    a, L = spec.cells()
     nmodes = len(spec.bath_modes)
     size = max(1, REFINE_TRAJECTORIES // nmodes)
-    for start in range(0, len(cells), size):
-        group = cells[start:start + size]
-        a = np.array([cell["a_over_omega"] for cell in group])
-        L = np.array([cell["omega_L"] for cell in group])
-        coeffs = coefficient_rows(a, L, spec.dipole1, spec.dipole2, spec.bath_modes)
-        p0, coherences = state_rows([spec.resolve_initial(cell) for cell in group])
-        yield kernels.TrajectoryStack(coeffs, np.repeat(p0, nmodes, axis=0),
-                                      np.repeat(coherences, nmodes, axis=0))
+    p0, coherences = state_rows([spec.initial_state()])
+    for start in range(0, a.size, size):
+        coeffs = coefficient_rows(a[start:start + size], L[start:start + size],
+                                  spec.dipole1, spec.dipole2, spec.bath_modes)
+        yield kernels.TrajectoryStack(coeffs, np.repeat(p0, len(coeffs), axis=0),
+                                      np.repeat(coherences, len(coeffs), axis=0))
 
 
 def _scan(stack, taus):
@@ -207,9 +172,9 @@ class EventsResult:
         return self.table[..., EVENT_FIELDS.index(name)]
 
 
-def _events_result(spec, ncells, rows):
-    table = np.concatenate(rows).reshape(ncells, len(spec.bath_modes), len(EVENT_FIELDS))
-    return EventsResult(table)
+def _events_result(spec, rows):
+    return EventsResult(np.concatenate(rows).reshape(-1, len(spec.bath_modes),
+                                                     len(EVENT_FIELDS)))
 
 
 def run_events(spec: SweepSpec) -> EventsResult:
@@ -224,9 +189,7 @@ def run_events(spec: SweepSpec) -> EventsResult:
     assumed to be sampled finely enough for the best sample to sit on the
     winning bump.
     """
-    cells = spec.cells()
-    return _events_result(spec, len(cells), [_event_rows(stack, HORIZON)
-                                              for stack in _trajectories(spec, cells)])
+    return _events_result(spec, [_event_rows(stack, HORIZON) for stack in _trajectories(spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +209,15 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
     from the same trajectory stacks, so each generator is decomposed
     once for both grids.
     """
-    taus = _require_axis(spec, "tau")
-    cells = spec.cells()
-    shape = (len(cells), len(spec.bath_modes), taus.size)
+    if spec.tau is None:
+        raise DomainError("a curve run needs a tau axis")
+    taus = np.asarray(spec.tau)
+    shape = (len(spec.a_over_omega) * len(spec.omega_L), len(spec.bath_modes), taus.size)
     conc = np.empty((shape[0] * shape[1], taus.size))
     pops = np.empty(conc.shape + (4,))
     rows = []
     start = 0
-    for stack in _trajectories(spec, cells):
+    for stack in _trajectories(spec):
         for block_pops, block_conc in _scan(stack, taus):
             stop = start + len(block_conc)
             pops[start:stop], conc[start:stop] = block_pops, block_conc
@@ -262,7 +226,7 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
             rows.append(_event_rows(stack, HORIZON))
     return CurveResult(concurrence=conc.reshape(shape),
                        populations=pops.reshape(shape + (4,)),
-                       events=_events_result(spec, shape[0], rows) if events else None)
+                       events=_events_result(spec, rows) if events else None)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +256,15 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     if (BathKind.ACCELERATED_VACUUM not in modes
             or BathKind.THERMAL_AT_UNRUH not in modes):
         raise DomainError("region maps need both bath modes")
-    a_values = _require_axis(spec, "a_over_omega")
-    L_values = _require_axis(spec, "omega_L")
-    if [name for name, _ in spec.cell_axes()] != ["a_over_omega", "omega_L"]:
-        raise DomainError("region maps take the cells of an a_over_omega x omega_L grid, in that order")
+    shape = (len(spec.a_over_omega), len(spec.omega_L))
+    if min(shape) < 2:
+        raise DomainError("region maps need >= 2 points on each of a_over_omega and omega_L")
     result = run_events(spec)
     floor = REGION_MIN_AMPLITUDE
     if spec.event_kind == "enhancement":
-        c0 = np.array([concurrence_x(spec.resolve_initial(cell))
-                       for cell in spec.cells()])
         amp = np.where(result.column("enhancement") > 0.5,
-                       result.column("max_concurrence") - c0[:, None], 0.0)
+                       result.column("max_concurrence") - concurrence_x(spec.initial_state()),
+                       0.0)
     else:
         amp = np.where(result.column("revival") > 0.5,
                        result.column("revival_amplitude"), 0.0)
@@ -320,4 +282,4 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     only_a = hard_a & ~soft_t
     only_t = hard_t & ~soft_a
     codes = np.where(both, 3, np.where(only_a, 1, np.where(only_t, 2, 0)))
-    return RegionMap(codes.reshape(a_values.size, L_values.size).astype(np.int8))
+    return RegionMap(codes.reshape(shape).astype(np.int8))

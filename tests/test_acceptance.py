@@ -172,7 +172,7 @@ def test_criterion_7_fig1():
     for label, (spec, curve) in _curves("fig1").items():
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        for ci in range(len(spec.cells())):
+        for ci in range(len(curve.concurrence)):
             acc = curve.concurrence[ci, ai]
             th = curve.concurrence[ci, ti]
             live = ((acc > EPS_DEAD) | (th > EPS_DEAD))[1:]
@@ -186,15 +186,15 @@ def test_criterion_7_fig2():
     for label, (spec, curve) in curves.items():
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        for ci, cell in enumerate(spec.cells()):
+        for ci, a in enumerate(spec.cells()[0]):
             acc = curve.concurrence[ci, ai]
             th = curve.concurrence[ci, ti]
             live = ((acc > EPS_DEAD) | (th > EPS_DEAD))[1:]
             if label.startswith("S"):
-                assert np.all(acc[1:][live] < th[1:][live]), (label, cell)
-            elif cell["a_over_omega"] in (0.25, 1.0):
+                assert np.all(acc[1:][live] < th[1:][live]), (label, a)
+            elif a in (0.25, 1.0):
                 # the subradiant protection wins at moderate acceleration
-                assert np.all(acc[1:][live] > th[1:][live]), (label, cell)
+                assert np.all(acc[1:][live] > th[1:][live]), (label, a)
     _ok("7/fig2", "crossed dipoles: |S> decays faster than static, |A> slower "
                   "at a/omega in {1/4, 1}")
 
@@ -203,8 +203,7 @@ def test_criterion_7_fig3():
     cfg = load_preset("fig3")
     for label, spec in cfg.sweep_specs("evolve"):
         result = run_events(spec)
-        cell = next(ci for ci, c in enumerate(spec.cells())
-                    if c["a_over_omega"] == pytest.approx(1.4))
+        cell = next(ci for ci, a in enumerate(spec.cells()[0]) if a == pytest.approx(1.4))
         ev = _events_by_mode(spec, result, cell)
         if label.endswith("yy"):
             assert ev[AV].birth_time is not None

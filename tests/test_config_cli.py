@@ -57,7 +57,8 @@ def test_minimal_config_roundtrip(tmp_path):
     assert len(specs) == 1
     label, spec = specs[0]
     assert label == "A_zz"
-    assert spec.axis("tau").size == 40
+    assert len(spec.tau) == 40
+    assert spec.label == "mini_A_zz"
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -396,35 +397,32 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert run_cli([command, "--config", cfg, "--out", out]) == 2
         assert not out.exists()
     capsys.readouterr()
-    # each p-axis rule is a config error that names the offending state
+    # the psi1/psi2 weight is given per state: a grid.p axis, a bare family
+    # and a family without p are config errors naming the key or the entry
     p_grid = dict(MINIMAL["grid"], p={"start": 0.2, "stop": 0.8, "num": 3})
     for states, grid, message in (
-            (["A", "psi1"], MINIMAL["grid"], "needs p"),
-            (["A"], p_grid, "psi1/psi2"),
-            (["psi2", {"family": "psi1", "p": 0.3}], p_grid, "not both")):
+            (["A"], p_grid, "grid: unknown keys ['p']"),
+            (["A", "psi1"], MINIMAL["grid"], "initial_states[1]: unknown state 'psi1'"),
+            (["E", {"family": "psi2"}], MINIMAL["grid"], "initial_states[1].p: required")):
         cfg = write_config(tmp_path, dict(MINIMAL, initial_states=states, grid=grid),
                            "paxis.yaml")
-        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "p"]) == 2
-        err = capsys.readouterr().err
-        assert f"initial_states[{len(states) - 1}]" in err and message in err
+        for command in ("evolve", "sweep", "region"):
+            assert run_cli([command, "--config", cfg, "--out", tmp_path / "p"]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, err
     assert not (tmp_path / "p").exists()
-    # two entries that would share a panel's file stem, and a region map with
-    # a p axis, are config errors naming their entries, with no output directory
+    # two entries that would share a panel's file stem are config errors
+    # naming both entries, with no output directory
     swept = dict(MINIMAL, fixed={"a_over_omega": 0.6666666666666666},
                  grid={"omega_L": {"start": 0.5, "stop": 2.0, "num": 2}},
                  outputs=["max_concurrence", "events"])
-    plane_p = {"a_over_omega": {"start": 0.5, "stop": 2.0, "num": 3},
-               "omega_L": {"start": 0.5, "stop": 2.0, "num": 3},
-               "p": {"start": 0.2, "stop": 0.8, "num": 2}}
     for command, data, paths in (
             ("sweep", dict(swept, initial_states=[{"family": "psi1", "p": 0.25},
                                                   {"family": "psi1", "p": 0.250000001}]),
              ("initial_states[1] x polarizations[0]", "initial_states[0] x polarizations[0]")),
             ("sweep", dict(swept, initial_states=["E", "E"],
                            polarizations=[["z", "z"], ["z", "z"]]),
-             ("initial_states[0] x polarizations[1]", "initial_states[0] x polarizations[0]")),
-            ("region", dict(MINIMAL, initial_states=["psi1"], fixed={}, grid=plane_p,
-                            outputs=["region"]), ("grid.p",))):
+             ("initial_states[0] x polarizations[1]", "initial_states[0] x polarizations[0]"))):
         cfg = write_config(tmp_path, data, "clash.yaml")
         out = tmp_path / "clash"
         assert run_cli([command, "--config", cfg, "--out", out]) == 2

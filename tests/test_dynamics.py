@@ -176,8 +176,8 @@ def test_long_time_matches_asymptotic(rng):
 
 def test_evolve_raises_where_the_stationary_mode_drifts():
     # eig returns the zero eigenvalue as roundoff (w0 = -5.4e-18 here), so
-    # exp(w0 tau) drifts at a huge tau: the trace read 0.583 at tau = 1e17.
-    # At tau = 1e7 the drift is 5.4e-11, far below DRIFT_TOL
+    # exp(w0 tau) drifts at a huge tau: the trace would read 0.583 at
+    # tau = 1e17. At tau = 1e7 the drift is 5.4e-11, far below DRIFT_TOL
     def coeffs(a):
         return assemble(SystemParams(a_over_omega=a, omega_L=1.0, dipole1=AXES["z"],
                                      dipole2=AXES["z"], bath=BathKind.ACCELERATED_VACUUM))
@@ -185,13 +185,27 @@ def test_evolve_raises_where_the_stationary_mode_drifts():
     assert abs(late.trace - 1.0) < 1e-10
     with pytest.raises(ComputationError, match="drift"):
         evolve(catalogue_state("E"), coeffs(1.0), 1e17)
-    # w0 grows with the rates (|M| like a^3 here). At the event horizon
+    # the roundoff grows with the rates (|M| like a^3 here). At the event horizon
     # a/omega = 30 drifts by about 2e-10 and still evolves; at a/omega = 1e5
     # the drift is about 0.7 and raises
     strong = evolve(catalogue_state("E"), coeffs(30.0), HORIZON_TAU)
     assert abs(strong.trace - 1.0) < 1e-8
     with pytest.raises(ComputationError, match="drift"):
         evolve(catalogue_state("E"), coeffs(1e5), HORIZON_TAU)
+
+
+def test_evolve_raises_where_a_dead_channel_hides_the_drift():
+    # z-z at omega_L = 1e-9: F rounds to g11, so the A ladder's rates are
+    # exactly 0 and the generator has an exact zero eigenvalue besides the
+    # live channel's roundoff one (+2.2e-18). The trace, not the least |w|,
+    # shows the drift: 1.000218 at tau = 1e14 (within DRIFT_TOL), 1.244 at 1e17
+    cs = assemble(SystemParams(a_over_omega=1.0, omega_L=1e-9, dipole1=AXES["z"],
+                               dipole2=AXES["z"], bath=BathKind.THERMAL_AT_UNRUH))
+    assert cs.A2 == cs.A1 and cs.B2 == cs.B1
+    late = evolve(catalogue_state("E"), cs, 1e14)
+    assert 1e-5 < abs(late.trace - 1.0) <= kernels.DRIFT_TOL
+    with pytest.raises(ComputationError, match="drift"):
+        evolve(catalogue_state("E"), cs, 1e17)
 
 
 def test_asymptotic_equals_printed_closed_form(rng):

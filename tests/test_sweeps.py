@@ -20,8 +20,7 @@ def make_spec(**overrides):
         p=0.25,
         dipole1=AXES["z"], dipole2=AXES["z"],
         bath_modes=(AV, TH),
-        axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,)),
-              ("tau", tuple(time_grid(10.0, 60)))))
+        a_over_omega=(0.5,), omega_L=(1.0,), tau=tuple(time_grid(10.0, 60)))
     base.update(overrides)
     return SweepSpec(**base)
 
@@ -33,8 +32,8 @@ def region_spec(n=20, initial=("psi2", 0.2), kind="revival", amax=3.0, Lmax=5.0,
     Lstart = Lmax / n if Lstart is None else Lstart
     return make_spec(
         initial_label=fam, p=p,
-        axes=(("a_over_omega", tuple(np.linspace(astart, amax, n))),
-              ("omega_L", tuple(np.linspace(Lstart, Lmax, n)))),
+        a_over_omega=tuple(np.linspace(astart, amax, n)),
+        omega_L=tuple(np.linspace(Lstart, Lmax, n)), tau=None,
         event_kind=kind)
 
 
@@ -63,75 +62,83 @@ def test_time_grid_shapes():
 def test_spec_validation():
     with pytest.raises(DomainError):
         make_spec(bath_modes=())
-    with pytest.raises(DomainError):
-        make_spec(axes=(("omega_L", (0.0, 1.0)),))
-    with pytest.raises(DomainError):
-        make_spec(axes=(("p", (0.0, 0.5)),))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(DomainError, match="finite"):
-            make_spec(axes=(("a_over_omega", (0.5, bad)), ("omega_L", (1.0,))))
-    with pytest.raises(DomainError):
-        make_spec(axes=(("nope", (1.0,)),))
-    with pytest.raises(DomainError):
-        make_spec(axes=(("omega_L", (1.0,)), ("omega_L", (2.0,))))
+    with pytest.raises(DomainError, match="omega_L"):
+        make_spec(omega_L=(0.0, 1.0))
+    with pytest.raises(DomainError, match="a_over_omega"):
+        make_spec(a_over_omega=(-0.5,))
+    for name in ("a_over_omega", "omega_L"):
+        with pytest.raises(DomainError, match="empty"):
+            make_spec(**{name: ()})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                make_spec(**{name: (0.5, bad)})
+    for tau in ((0.0,), (0.5, 1.0), (0.0, 1.0, 1.0), (0.0, np.nan)):
+        with pytest.raises(DomainError, match="tau axis"):
+            make_spec(tau=tau)
     with pytest.raises(DomainError):
         make_spec(event_kind="both")
-    with pytest.raises(DomainError):
-        make_spec(p=None)  # no p axis to supply the weight
-    cell = (("a_over_omega", (0.5,)), ("omega_L", (1.0,)))
-    with pytest.raises(DomainError, match="not both"):
-        make_spec(axes=cell + (("p", (0.2, 0.8)),))  # p per state and as an axis
-    with pytest.raises(DomainError, match="psi1/psi2"):
-        make_spec(initial_label="A", p=None,
-                  axes=cell + (("p", (0.2, 0.8)),))
+    # the initial state is resolved at construction
+    with pytest.raises(DomainError, match="needs the weight p"):
+        make_spec(p=None)
+    with pytest.raises(DomainError, match="takes no parameter p"):
+        make_spec(initial_label="A", p=0.5)
+    with pytest.raises(DomainError, match="0 < p < 1"):
+        make_spec(p=1.0)
     with pytest.raises(DomainError, match="unknown initial state"):
-        make_spec(initial_label="W", p=None)   # resolved at construction
+        make_spec(initial_label="W", p=None)
 
 
 def test_run_curve_shapes_and_modes():
-    spec = make_spec(axes=(("a_over_omega", (0.25, 1.0)), ("omega_L", (1.0,)),
-                           ("tau", tuple(time_grid(8.0, 40)))))
+    spec = make_spec(a_over_omega=(0.25, 1.0), tau=tuple(time_grid(8.0, 40)))
     result = run_curve(spec)
     assert result.concurrence.shape == (2, 2, 40)
     assert result.populations.shape == (2, 2, 40, 4)
-    assert [c["a_over_omega"] for c in spec.cells()] == [0.25, 1.0]
+    assert spec.cells()[0].tolist() == [0.25, 1.0]
     # initial sample reproduces the initial state
     assert result.concurrence[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(result.populations[:, :, 0, 1], 0.25, atol=1e-15)
 
 
 def test_run_curve_requires_tau_axis():
-    spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))))
-    with pytest.raises(DomainError):
+    spec = make_spec(tau=None)
+    with pytest.raises(DomainError, match="tau axis"):
         run_curve(spec)
 
 
 def test_repeated_runs_identical():
-    spec = make_spec(axes=(("a_over_omega", (0.6,)), ("omega_L", (0.9,)),
-                           ("tau", tuple(time_grid(10.0, 50)))))
+    spec = make_spec(a_over_omega=(0.6,), omega_L=(0.9,), tau=tuple(time_grid(10.0, 50)))
     a = run_curve(spec)
     b = run_curve(spec)
     assert np.array_equal(a.concurrence, b.concurrence)
     assert np.array_equal(a.populations, b.populations)
 
 
-def test_p_axis_resolves_family():
-    spec = make_spec(
-        p=None, initial_label="psi2",
-        axes=(("a_over_omega", (0.6666666666666666,)), ("omega_L", (1.0,)),
-              ("p", (0.2, 0.8))))
+def test_cells_are_the_a_by_L_grid():
+    # omega_L fastest, every cell starting in the panel's one state
+    spec = make_spec(initial_label="psi2", p=0.2, a_over_omega=(0.6666666666666666, 1.5),
+                     omega_L=(1.0, 2.0, 3.0), tau=None)
+    a, L = spec.cells()
+    assert a.tolist() == [0.6666666666666666] * 3 + [1.5] * 3
+    assert L.tolist() == [1.0, 2.0, 3.0] * 2
     result = run_events(spec)
-    assert len(spec.cells()) == len(result.table) == 2
-    assert spec.cells()[0]["p"] == 0.2
-    # both weights start at concurrence 0.8 and can only lose entanglement
-    assert result.table[0, 0, 4] == pytest.approx(0.8, abs=1e-9)
+    assert result.table.shape[:2] == (6, 2)
+    for ci, (a_k, L_k) in enumerate(zip(a, L)):
+        for mi, mode in enumerate(spec.bath_modes):
+            direct = detect_events(compute_trajectory(
+                spec.initial_state(), _coeffs_for(spec, mode, a_k, L_k), sweeps.HORIZON))
+            assert EntanglementEvents.from_row(result.table[ci, mi]) == direct
+    # psi2(0.2) and psi2(0.8) start at concurrence 0.8 and can only lose it
+    for p in (0.2, 0.8):
+        spec = make_spec(initial_label="psi2", p=p, a_over_omega=(0.6666666666666666,),
+                         tau=None)
+        assert run_events(spec).table[0, 0, 4] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_run_events_matches_detect_events():
-    spec = make_spec(axes=(("a_over_omega", (0.5,)), ("omega_L", (1.0,))))
+    spec = make_spec(tau=None)
     result = run_events(spec)
     direct = detect_events(compute_trajectory(
-        spec.resolve_initial({}), _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
+        spec.initial_state(), _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
     via_table = EntanglementEvents.from_row(result.table[0, 0])
     assert via_table == direct
 
@@ -206,14 +213,14 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     # 3 x 3 cells x 2 modes = 18 trajectories on 400 samples: a block of 16
     # and a block of 2
     taus = time_grid(50.0, 400)
-    cells = (("a_over_omega", (0.05, 1.23, 2.41)), ("omega_L", (0.05, 1.04, 3.02)))
+    cells = dict(a_over_omega=(0.05, 1.23, 2.41), omega_L=(0.05, 1.04, 3.02))
     assert (9 * 2) % (sweeps.BLOCK_SAMPLES // taus.size) != 0
-    spec = make_spec(axes=cells + (("tau", tuple(taus)),))
+    spec = make_spec(**cells, tau=tuple(taus))
     curve = run_curve(spec)
-    for ci, cell in enumerate(spec.cells()):
+    for ci, (a, L) in enumerate(zip(*spec.cells())):
         for mi, mode in enumerate(spec.bath_modes):
-            cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
-            traj = prepare([(spec.resolve_initial({}), cs)])
+            cs = _coeffs_for(spec, mode, a, L)
+            traj = prepare([(spec.initial_state(), cs)])
             want_pops, want_C = _scalar_scan(traj, 0, taus)
             assert np.array_equal(curve.populations[ci, mi], want_pops)
             assert np.array_equal(curve.concurrence[ci, mi], want_C)
@@ -226,13 +233,13 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
         return golden(f, rows, lo, hi, sign, tol)
 
     monkeypatch.setattr(kernels, "_golden_extremum", counting)
-    spec = make_spec(axes=cells)
+    spec = make_spec(**cells, tau=None)
     result = run_events(spec)
     assert any(dips)
-    for ci, cell in enumerate(spec.cells()):
+    for ci, (a, L) in enumerate(zip(*spec.cells())):
         for mi, mode in enumerate(spec.bath_modes):
-            cs = _coeffs_for(spec, mode, cell["a_over_omega"], cell["omega_L"])
-            direct = detect_events(compute_trajectory(spec.resolve_initial({}), cs,
+            cs = _coeffs_for(spec, mode, a, L)
+            direct = detect_events(compute_trajectory(spec.initial_state(), cs,
                                                       sweeps.HORIZON))
             assert EntanglementEvents.from_row(result.table[ci, mi]) == direct
 
@@ -312,8 +319,8 @@ def test_events_same_for_any_refinement_group(monkeypatch):
     # trajectories, or 9 groups of one cell; evolve's events come from the
     # curve's trajectories
     taus = time_grid(10.0, 60)
-    spec = make_spec(axes=(("a_over_omega", (0.05, 1.23, 2.41)),
-                           ("omega_L", (0.05, 1.04, 3.02)), ("tau", tuple(taus))))
+    spec = make_spec(a_over_omega=(0.05, 1.23, 2.41), omega_L=(0.05, 1.04, 3.02),
+                     tau=tuple(taus))
     assert run_curve(spec).events is None
     want = run_events(spec).table
     assert sweeps.REFINE_TRAJECTORIES > want.shape[0] * want.shape[1]
@@ -334,22 +341,19 @@ def test_region_map_labels_and_counts():
 
 
 def test_region_map_requires_both_modes():
-    spec = make_spec(
-        axes=(("a_over_omega", (0.5, 1.0)), ("omega_L", (0.5, 1.0))),
-        bath_modes=(AV,))
+    spec = make_spec(a_over_omega=(0.5, 1.0), omega_L=(0.5, 1.0), tau=None,
+                     bath_modes=(AV,))
     with pytest.raises(DomainError):
         run_region_map(spec)
 
 
 def test_region_map_requires_a_by_L_cells():
-    # the labels are an (na, nL) grid: a p axis, or omega_L before
-    # a_over_omega, would lay the cells out otherwise
-    plane = (("a_over_omega", (0.5, 1.0)), ("omega_L", (0.5, 1.0)))
-    for spec in (make_spec(initial_label="psi1", p=None,
-                           axes=plane + (("p", (0.2, 0.8)),)),
-                 make_spec(axes=plane[::-1])):
-        with pytest.raises(DomainError, match="a_over_omega x omega_L"):
-            run_region_map(spec)
+    # the labels are an (na, nL) grid with at least 2 points on each axis
+    for a, L in (((0.5,), (0.5, 1.0)), ((0.5, 1.0), (0.5,))):
+        with pytest.raises(DomainError, match=">= 2 points"):
+            run_region_map(make_spec(a_over_omega=a, omega_L=L, tau=None))
+    m = run_region_map(make_spec(a_over_omega=(0.5, 1.0), omega_L=(0.5, 1.0, 2.0), tau=None))
+    assert m.labels.shape == (2, 3)
 
 
 def test_region_cells_agree_with_single_mode_runs():
@@ -358,14 +362,14 @@ def test_region_cells_agree_with_single_mode_runs():
     m = run_region_map(spec)
     taus = sweeps.HORIZON
     checked = 0
-    a_values, L_values = spec.axis("a_over_omega"), spec.axis("omega_L")
+    a_values, L_values = spec.a_over_omega, spec.omega_L
     for i in np.argsort(m.labels.ravel())[::-1][:3]:
-        ai, lj = divmod(int(i), L_values.size)
+        ai, lj = divmod(int(i), len(L_values))
         if m.labels[ai, lj] != 3:
             continue
         for mode in (AV, TH):
             cs = _coeffs_for(spec, mode, float(a_values[ai]), float(L_values[lj]))
-            ev = detect_events(compute_trajectory(spec.resolve_initial({}), cs, taus))
+            ev = detect_events(compute_trajectory(spec.initial_state(), cs, taus))
             assert ev.revival and ev.revival_amplitude > sweeps.REGION_MIN_AMPLITUDE
         checked += 1
     assert checked > 0
@@ -377,7 +381,7 @@ def test_refinement_reports_boundary_cells_only():
     fine_spec = region_spec(n=29, astart=0.2, Lstart=0.33)
     coarse = run_region_map(coarse_spec)
     fine = run_region_map(fine_spec)
-    assert np.allclose(fine_spec.axis("a_over_omega")[::2], coarse_spec.axis("a_over_omega"))
+    assert np.allclose(fine_spec.a_over_omega[::2], coarse_spec.a_over_omega)
     flipped = refinement_boundary_cells(coarse, fine)
     interior = (15 - 2) * (15 - 2)
     assert len(flipped) <= 0.05 * interior
