@@ -5,8 +5,10 @@ Runs each preset through ``atompair.cli.main`` into a temporary directory:
 max-concurrence output, ``region`` for the region maps (on a 24x24 grid,
 through a generated config) and ``coeffs`` for fig4, plus ``coeffs`` on
 generated crossed, orthogonal and vector dipole pairs, which no preset has,
-and ``evolve`` on generated cells whose eigenvectors are ill-conditioned,
-which no preset reaches. Prints one
+``evolve`` on generated cells whose eigenvectors are ill-conditioned,
+which no preset reaches, and ``evolve`` on a cell whose eig-path
+populations dip below zero, so that their rows are evaluated again on the
+matrix-exponential fallback. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -58,10 +60,22 @@ FALLBACK_EVOLVE = {
     "outputs": ["curve", "events"],
 }
 
+# |E> at a/omega = 0.3, omega_L = 1e-4, z-z: cond is only 7.1e4, but the
+# eig path gives pGG down to -7e-12 below tau = 1e-6, past the concurrence's
+# radicand slack, so the evaluations that find it retry on the fallback
+THIN_EVOLVE = {
+    "name": "thin",
+    "initial_states": ["E"],
+    "polarizations": [["z", "z"]],
+    "fixed": {"a_over_omega": 0.3, "omega_L": 1.0e-4},
+    "grid": {"tau": {"stop": 50.0, "num": 400}},
+    "outputs": ["curve", "events"],
+}
+
 
 def _runs(tmp):
     # (run name, argv without --out) for every preset, plus coeffs on fig4
-    # and the two generated configs
+    # and the three generated configs
     for name in preset_names():
         command = COMMANDS[next(o for o in load_preset(name).outputs if o in COMMANDS)]
         if command != "region":
@@ -75,7 +89,8 @@ def _runs(tmp):
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{name}", [command, "--config", str(config)]
     yield "coeffs-fig4", ["coeffs", "--preset", "fig4"]
-    for command, data in (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE)):
+    for command, data in (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE),
+                          ("evolve", THIN_EVOLVE)):
         config = tmp / f"{data['name']}.yaml"
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{data['name']}", [command, "--config", str(config)]

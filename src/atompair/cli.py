@@ -279,7 +279,6 @@ def _write_outputs(config: RunConfig, out_dir, command: str, panel: str,
 # subcommands
 
 def cmd_coeffs(config: RunConfig, out_dir):
-    config.check_command("coeffs")
     a_values = config.axis_values("a_over_omega")
     L_values = config.axis_values("omega_L")
     columns = ["polarization", "a_over_omega", "omega_L", "bath", "atom_order",

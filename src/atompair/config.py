@@ -1,9 +1,10 @@
 """Run configuration: YAML schema, validation, expansion into sweep specs.
 
 A config file is a nested key-value document; unknown keys are rejected
-with their full path, and every physical validity rule is re-checked at
-parse time, before any computation. One preset file per reproduced figure
-ships under ``atompair/presets``.
+with their full path, and every rule on a run's inputs is checked here, at
+parse time and by ``check_command``, before any computation: the sweep
+layer takes the specs of ``RunConfig.sweep_specs`` as they are. One preset
+file per reproduced figure ships under ``atompair/presets``.
 
 Schema (defaults in parentheses):
 
@@ -51,8 +52,6 @@ _AXIS_LETTERS = ("x", "y", "z")
 _MODE_BY_NAME = {kind.value: kind for kind in BathKind}
 _PHYSICAL_AXES = ("a_over_omega", "omega_L")
 _OUTPUTS = ("curve", "events", "max_concurrence", "region")
-
-COMMANDS = ("coeffs", "evolve", "sweep", "region")
 
 
 def _fail(source, path, message):
@@ -138,8 +137,6 @@ class RunConfig:
 
     def check_command(self, command: str):
         src = self.source
-        if command not in COMMANDS:
-            _fail(src, "command", f"unknown command {command!r}")
         if command == "coeffs":
             return
         if not self.initial_states:
@@ -152,15 +149,13 @@ class RunConfig:
         if command == "sweep":
             if "max_concurrence" not in self.outputs:
                 _fail(src, "outputs", "`sweep` needs the max_concurrence output")
-            swept = [axis for axis in _PHYSICAL_AXES
-                     if axis in self.grid and len(self.grid[axis]) > 1]
-            if len(swept) != 1:
+            if sum(axis in self.grid for axis in _PHYSICAL_AXES) != 1:
                 _fail(src, "grid", "`sweep` needs exactly one swept physical axis")
         if command == "region":
             if "region" not in self.outputs:
                 _fail(src, "outputs", "`region` needs the region output")
             for axis in _PHYSICAL_AXES:
-                if axis not in self.grid or len(self.grid[axis]) < 2:
+                if axis not in self.grid:
                     _fail(src, f"grid.{axis}", "`region` needs a swept range here")
             if set(self.bath_modes) != set(BathKind):
                 _fail(src, "bath_modes", "`region` needs both bath modes")

@@ -3,9 +3,10 @@
 In the coupled basis {G, A, S, E} the populations close on themselves under
 a constant 4x4 rate matrix and the two independent coherences decay as
 exp(-4 A1 tau), so the evolution is computed exactly: eigendecomposition of
-the rate matrix, or where its eigenvectors are ill-conditioned a matrix
-exponential that sums only nonnegative terms. The stationary state is a
-closed form in the rates. Times are in units of the inverse emission rate.
+the rate matrix, or a matrix exponential that sums only nonnegative terms
+where its eigenvectors are ill-conditioned or their roundoff leaves a
+sampled state not positive. The stationary state is a closed form in the
+rates. Times are in units of the inverse emission rate.
 """
 
 import functools

@@ -4,9 +4,9 @@ Populations and concurrence are sampled for a block of rows of a
 ``TrajectoryStack`` at once, on arrays (``trajectory_kernel``), and event
 refinement (bisection, golden section) steps every flagged bracket of a
 group of trajectories at once (``events_kernel``). The kernels do not
-validate their arguments: the config parser and the public dataclasses
-(:mod:`atompair.config`, :mod:`atompair.coefficients`,
-:mod:`atompair.sweeps`) check every input before it reaches them.
+validate their arguments: the config parser (:mod:`atompair.config`) and
+the public dataclasses (``SystemParams``, ``CoefficientSet``,
+``DipoleOrientation``, ``XState``) check every input before it reaches them.
 
 Units: the atomic transition frequency is fixed at 1, so ``a`` means a/omega
 and ``L`` means omega*L. Rates are expressed in units of the spontaneous
@@ -287,22 +287,9 @@ class TrajectoryStack:
         self.p0 = p0
 
 
-def _evaluate(stack, rows, tau, clamp):
-    """Populations and concurrence of the stack rows ``rows`` (k,) at the
-    times ``tau`` (k, s). Returns (pops (k, s, 4), C (k, s)).
-
-    The one implementation of the state at a time: eig rows stack
-    c*exp(w tau) and apply V by one batched matrix-vector product, the rows
-    on the expm fallback take one ``pops_at`` call, tau = 0 gives p0, and the
-    concurrence is ``concurrence_kernel`` on the arrays (with the clamp a
-    radicand below RADICAND_SLACK raises InvalidStateError). Every value is
-    bitwise the one-sample scalar reference in ``tests/oracles.py``.
-    Populations that overflow at a huge tau raise ComputationError, and so
-    do populations whose trace is off 1 by more than DRIFT_TOL (the roundoff
-    of the zero eigenvalue drifts them at a huge tau).
-    """
+def _populations(stack, rows, tau, expm):
+    # populations (k, s, 4) of the rows (k,) at tau (k, s); pops_at where expm is set
     pops = np.empty(tau.shape + (4,))
-    expm = stack.use_expm[rows]
     eig = ~expm
     r = rows[eig]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,10 +305,32 @@ def _evaluate(stack, rows, tau, clamp):
         raise ComputationError("populations overflow: tau is beyond the propagator's range")
     if np.any(np.abs(pops @ np.ones(4) - 1.0) > DRIFT_TOL):   # a matvec sums faster
         raise ComputationError("stationary populations drift: tau is beyond the propagator's range")
+    return pops
 
-    amp = np.exp(-4.0 * stack.A1[rows, None] * tau)
-    reAS, imAS, reGE, imGE = stack.coherences[rows].T[..., None] * amp
-    return pops, concurrence_kernel(*pops.transpose(2, 0, 1), reAS, imAS, reGE, imGE, clamp)
+
+def _evaluate(stack, rows, tau, clamp):
+    """Populations and concurrence of the stack rows ``rows`` (k,) at the
+    times ``tau`` (k, s). Returns (pops (k, s, 4), C (k, s)).
+
+    The one implementation of the state at a time: eig rows stack
+    c*exp(w tau) and apply V by one batched matrix-vector product, the rows
+    on the expm fallback take one ``pops_at`` call, tau = 0 gives p0, and the
+    concurrence is ``concurrence_kernel`` on the arrays. With the clamp, a
+    radicand below RADICAND_SLACK raises InvalidStateError, unless taking
+    the rows that hold a negative population (eig roundoff, about eps *
+    cond) again on the nonnegative fallback mends it; without that retry,
+    every value is bitwise the one-sample reference in ``tests/oracles.py``.
+    Populations that overflow at a huge tau, or whose trace is off 1 by more
+    than DRIFT_TOL (zero-eigenvalue roundoff), raise ComputationError.
+    """
+    expm = stack.use_expm[rows]
+    pops = _populations(stack, rows, tau, expm)
+    coherences = stack.coherences[rows].T[..., None] * np.exp(-4.0 * stack.A1[rows, None] * tau)
+    try:
+        return pops, concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
+    except InvalidStateError:
+        pops = _populations(stack, rows, tau, expm | (pops < 0.0).any(axis=(1, 2)))
+        return pops, concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
 
 
 def _conc_at(stack, rows, tau):

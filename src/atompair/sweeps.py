@@ -2,8 +2,10 @@
 
 A SweepSpec fixes the physics of a panel (one initial state, polarisations,
 bath modes) and its grid: the a_over_omega x omega_L cells and, for curves,
-a tau axis. A result holds only what its run computed, cells and modes in
-the order of the spec's ``cells()`` (omega_L fastest) and ``bath_modes``.
+a tau axis; ``RunConfig.sweep_specs`` builds it from a checked config, and
+nothing here checks it again (a region map needs both bath modes). A result
+holds only what its run computed, cells and modes in the order of the
+spec's ``cells()`` (omega_L fastest) and ``bath_modes``.
 Every run_* function goes through one serial generator, ``_trajectories``,
 that sets up a group of cells of a fixed size on arrays, every (cell, bath
 mode) in a fixed order, as one ``kernels.TrajectoryStack``. Each group is
@@ -71,7 +73,7 @@ HORIZON = time_grid(HORIZON_TAU, HORIZON_SAMPLES)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One panel of a sweep: its physics and its grid.
+    """One panel of a sweep: its physics and its grid, a plain record.
 
     The cells are the a_over_omega x omega_L grid, omega_L fastest;
     ``tau`` is the time axis of a curve run (None for event runs). Every
@@ -89,32 +91,6 @@ class SweepSpec:
     omega_L: tuple
     tau: tuple | None = None
     event_kind: str = "revival"
-
-    def __post_init__(self):
-        if not self.bath_modes:
-            raise DomainError("at least one bath mode is required")
-        for mode in self.bath_modes:
-            if not isinstance(mode, BathKind):
-                raise DomainError(f"bath mode {mode!r} is not a BathKind")
-        if self.event_kind not in ("revival", "enhancement"):
-            raise DomainError(f"event kind must be revival or enhancement, got {self.event_kind!r}")
-        a = np.asarray(self.a_over_omega, dtype=float)
-        L = np.asarray(self.omega_L, dtype=float)
-        for name, values in (("a_over_omega", a), ("omega_L", L)):
-            if values.size < 1:
-                raise DomainError(f"axis {name!r} is empty")
-            if not np.all(np.isfinite(values)):
-                raise DomainError(f"axis {name!r} values must be finite")
-        if np.any(a < 0.0):
-            raise DomainError("a_over_omega grid must be >= 0")
-        if np.any(L <= 0.0):
-            raise DomainError("omega_L grid must exclude 0")
-        if self.tau is not None:
-            taus = np.asarray(self.tau, dtype=float)
-            if (taus.size < 2 or not np.all(np.isfinite(taus)) or taus[0] != 0.0
-                    or np.any(np.diff(taus) <= 0)):
-                raise DomainError("tau axis must start at 0 and increase strictly")
-        self.initial_state()   # an unknown label or a missing p fails here
 
     def cells(self):
         """(a, L) of every cell as two flat arrays, omega_L fastest."""
@@ -209,8 +185,6 @@ def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
     from the same trajectory stacks, so each generator is decomposed
     once for both grids.
     """
-    if spec.tau is None:
-        raise DomainError("a curve run needs a tau axis")
     taus = np.asarray(spec.tau)
     shape = (len(spec.a_over_omega) * len(spec.omega_L), len(spec.bath_modes), taus.size)
     conc = np.empty((shape[0] * shape[1], taus.size))
@@ -253,12 +227,6 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     the detector's roundoff-level threshold.
     """
     modes = spec.bath_modes
-    if (BathKind.ACCELERATED_VACUUM not in modes
-            or BathKind.THERMAL_AT_UNRUH not in modes):
-        raise DomainError("region maps need both bath modes")
-    shape = (len(spec.a_over_omega), len(spec.omega_L))
-    if min(shape) < 2:
-        raise DomainError("region maps need >= 2 points on each of a_over_omega and omega_L")
     result = run_events(spec)
     floor = REGION_MIN_AMPLITUDE
     if spec.event_kind == "enhancement":
@@ -282,4 +250,4 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     only_a = hard_a & ~soft_t
     only_t = hard_t & ~soft_a
     codes = np.where(both, 3, np.where(only_a, 1, np.where(only_t, 2, 0)))
-    return RegionMap(codes.reshape(shape).astype(np.int8))
+    return RegionMap(codes.reshape(len(spec.a_over_omega), len(spec.omega_L)).astype(np.int8))

@@ -171,6 +171,34 @@ def test_command_requirements(tmp_path):
         cfg2.check_command("evolve")
 
 
+def test_run_input_rules_are_config_errors(tmp_path, capsys):
+    # the rules the sweep layer relies on without checking them: each is a
+    # config error naming its key, and the CLI exits 2 before --out exists
+    small = {"start": 0.5, "stop": 2.0, "num": 2}
+    region = dict(MINIMAL, fixed={}, grid={"a_over_omega": small, "omega_L": small},
+                  outputs=["region"])
+    sweep = dict(MINIMAL, fixed={"a_over_omega": 1.0}, grid={"omega_L": small},
+                 outputs=["max_concurrence"])
+    for command, data, key in (
+            ("evolve", dict(MINIMAL, bath_modes=[]), "bath_modes"),
+            ("region", dict(region, events={"kind": "both"}), "events.kind"),
+            ("region", dict(region, bath_modes=["thermal"]), "bath_modes"),
+            ("region", dict(region, fixed={"omega_L": 1.0}, grid={"a_over_omega": small}),
+             "grid.omega_L"),
+            ("sweep", dict(sweep, fixed={"a_over_omega": 1.0, "omega_L": [0.5, 2.0]}, grid={}),
+             "grid"),
+            ("sweep", dict(sweep, fixed={}, grid={"a_over_omega": small, "omega_L": small}),
+             "grid")):
+        cfg = write_config(tmp_path, data, "rule.yaml")
+        with pytest.raises(ConfigError, match=f": {re.escape(key)}: "):
+            load_config(cfg).sweep_specs(command)
+        out = tmp_path / "never"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f": {key}: " in err and "Traceback" not in err, err
+        assert not out.exists()
+
+
 def test_vector_polarizations(tmp_path):
     data = dict(MINIMAL, polarizations=[[[0.0, 0.0, 2.0], "x"]])
     cfg = load_config(write_config(tmp_path, data))
@@ -453,8 +481,10 @@ def test_cli_exit_codes(tmp_path, capsys):
             assert run_cli([command, "--config", cfg, "--out", tmp_path / "h"]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "coefficients must be finite" in capsys.readouterr().err
-    # a sampled state that is not positive (at this ill-conditioned small
-    # omega_L) is a computation error, not a traceback
+    # at this ill-conditioned small omega_L the eig path takes pGG below 0
+    # and the clamped concurrence finds the state not positive; those rows
+    # are evaluated again on the fallback, so both commands run, with
+    # nonnegative populations
     thin = dict(MINIMAL, initial_states=["E"], bath_modes=["thermal"],
                 fixed={"a_over_omega": 0.3, "omega_L": 1.0e-4},
                 grid={"tau": {"stop": 50.0, "num": 400}})
@@ -463,9 +493,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                  outputs=["max_concurrence", "events"])
     for command, data in (("evolve", thin), ("sweep", swept)):
         cfg = write_config(tmp_path, data, "thin.yaml")
-        assert run_cli([command, "--config", cfg, "--out", tmp_path / "t"]) == 3
-        err = capsys.readouterr().err
-        assert "computation error" in err and "Traceback" not in err
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / command]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+    columns, rows = read_table(tmp_path / "evolve" / "mini_E_zz.csv")
+    pops = np.array([[float(v) for v in row] for row in rows])[:, columns.index("pGG_thermal"):]
+    assert pops.shape == (400, 4) and pops.min() >= 0.0
     # a time beyond the propagator's range is a computation error, with no
     # warning: on the expm fallback (cond 7.8e13) the scaling by 2**-k works
     # for k > 1023 and an infinite norm is rejected; on the eig path,

@@ -12,9 +12,10 @@ import atompair
 from atompair import (BathKind, CoefficientSet, ComputationError,
                       DegenerateGeneratorError, DomainError, InvalidStateError,
                       SystemParams, XState, assemble, asymptotic_state,
-                      build_generator, catalogue_state, compute_trajectory, evolve)
+                      build_generator, catalogue_state, compute_trajectory,
+                      detect_events, evolve)
 from atompair import kernels
-from atompair.sweeps import HORIZON_TAU
+from atompair.sweeps import HORIZON, HORIZON_TAU
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
 from oracles import basis_transform
 from scipy.linalg import expm as scipy_expm
@@ -418,6 +419,25 @@ def test_fallback_keeps_an_absorbing_level_at_huge_tau():
             for tau in (1e8, 1e14, 1e17):
                 out = evolve(catalogue_state("E"), cs, tau)
                 assert abs(out.pGG - 1.0) < 1e-12 and abs(out.trace - 1.0) < 1e-12
+
+
+def test_negative_eig_populations_are_evaluated_again_on_the_fallback():
+    # |E> at a/omega = 0.3, omega_L = 1e-4, z-z: the eig path (cond 7.1e4)
+    # gives pGG down to -7e-12 for tau below 1e-6, where the clamped
+    # concurrence finds the state not positive; the row is evaluated again
+    # by pops_at, whose populations are nonnegative
+    z = AXES["z"]
+    taus = np.concatenate([np.linspace(0.0, 2e-6, 201), HORIZON[1:]])
+    for bath in BathKind:
+        cs = assemble(SystemParams(0.3, 1e-4, z, z, bath))
+        traj = compute_trajectory(catalogue_state("E"), cs, taus)
+        assert not traj.stack.use_expm[0] and traj.stack.cond[0] < 1e5
+        assert traj.populations.min() >= 0.0
+        M = build_generator(cs)
+        want = np.array([scipy_expm(M * tau)[:, 3] for tau in taus])
+        np.testing.assert_allclose(traj.populations, want, rtol=0.0, atol=1e-9)
+        events = detect_events(compute_trajectory(catalogue_state("E"), cs, HORIZON))
+        assert events.death_time is None and events.max_concurrence == 0.0
 
 
 def test_fallback_beyond_float_range_raises():
