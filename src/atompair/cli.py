@@ -10,6 +10,8 @@ fields are exactly ``"%.17g" % x``: ``format_rows`` prints a whole table
 at once on arrays, with digits certified from a double-double product, and
 leaves each row holding a value it cannot certify (nan, inf, an exact
 decimal tie, a magnitude outside about 1e-250..1e250) to Python's ``%``.
+The tables are the arrays the sweeps return, their event columns named by
+``EVENT_FIELDS``; an events JSON reads each row by ``EntanglementEvents.from_row``.
 Grid cells run in one process, scanned in blocks of a fixed size;
 ``--threads <n>`` is still accepted (n >= 1) and changes nothing, so reruns
 of the same config are byte-identical for any value.
@@ -32,7 +34,7 @@ import numpy as np
 from . import __version__
 from .coefficients import coefficient_rows
 from .config import RunConfig, load_config, load_preset, preset_names
-from .entanglement import EntanglementEvents
+from .entanglement import EVENT_FIELDS, EntanglementEvents
 from .errors import AtompairError, ConfigError
 from .sweeps import LABEL_NAMES, run_curve, run_events, run_region_map
 
@@ -246,9 +248,9 @@ def _json(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _events_payload(spec, result):
+def _events_payload(spec, table):
     cells = []
-    for a, L, rows in zip(*spec.cells(), result.table):
+    for a, L, rows in zip(*spec.cells(), table):
         modes = {mode.value: vars(EntanglementEvents.from_row(row))
                  for mode, row in zip(spec.bath_modes, rows)}
         cells.append({"cell": {"a_over_omega": float(a), "omega_L": float(L)},
@@ -312,7 +314,7 @@ def cmd_evolve(config: RunConfig, out_dir):
     specs = config.sweep_specs("evolve")
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
-        curve = run_curve(spec, "events" in config.outputs)
+        concurrence, populations, events = run_curve(spec, "events" in config.outputs)
         columns = [*_CELL_COLUMNS, "tau"]
         for mode in spec.bath_modes:
             columns.append(f"C_{mode.value}")
@@ -322,17 +324,17 @@ def cmd_evolve(config: RunConfig, out_dir):
         # per cell and time: a, L, tau, C of each mode, then the populations
         # of each mode. One table per cell keeps format_rows' 48 bytes per
         # field to one cell; a whole panel would raise peak memory
-        _, nmodes, ntimes = curve.concurrence.shape
+        _, nmodes, ntimes = concurrence.shape
         table = np.empty((ntimes, len(columns)))
         table[:, 2] = spec.tau
         chunks = []
-        for a, L, conc, pops in zip(*spec.cells(), curve.concurrence, curve.populations):
+        for a, L, conc, pops in zip(*spec.cells(), concurrence, populations):
             table[:, :2] = a, L
             table[:, 3:3 + nmodes] = conc.T
             table[:, 3 + nmodes:] = pops.transpose(1, 0, 2).reshape(ntimes, 4 * nmodes)
             chunks.append(format_rows(table))
-        events = _events_payload(spec, curve.events) if curve.events else None
-        _write_outputs(config, out_dir, "evolve", panel, spec.label, columns, chunks, events)
+        payload = _events_payload(spec, events) if events is not None else None
+        _write_outputs(config, out_dir, "evolve", panel, spec.label, columns, chunks, payload)
     return EXIT_OK
 
 
@@ -346,7 +348,8 @@ def cmd_sweep(config: RunConfig, out_dir):
             columns.append(f"max_C_{mode.value}")
             columns.append(f"tau_max_{mode.value}")
         # per cell: a and L, then max_C and tau_max of each mode
-        maxima = np.stack([events.column("max_concurrence"), events.column("max_time")], axis=2)
+        maxima = events[..., [EVENT_FIELDS.index("max_concurrence"),
+                              EVENT_FIELDS.index("max_time")]]
         table = np.column_stack([*spec.cells(), maxima.reshape(len(maxima), -1)])
         payload = _events_payload(spec, events) if "events" in config.outputs else None
         _write_outputs(config, out_dir, "sweep", panel, spec.label,
@@ -358,11 +361,12 @@ def cmd_region(config: RunConfig, out_dir):
     specs = config.sweep_specs("region")
     out_dir.mkdir(parents=True, exist_ok=True)
     for panel, spec in specs:
-        region = run_region_map(spec)
+        labels = run_region_map(spec).ravel()
         columns = [*_CELL_COLUMNS, "label"]
         rows = [",".join([_fmt(a), _fmt(L), LABEL_NAMES[code]])
-                for a, L, code in zip(*spec.cells(), region.labels.ravel().tolist())]
-        counts = region.counts()
+                for a, L, code in zip(*spec.cells(), labels.tolist())]
+        counts = dict(zip(LABEL_NAMES,
+                          np.bincount(labels, minlength=len(LABEL_NAMES)).tolist()))
         _write_outputs(config, out_dir, "region", panel,
                        f"{spec.label}_region", columns, [_text_rows(rows)],
                        extra={"label_counts": counts, "criterion": spec.event_kind})

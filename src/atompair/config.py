@@ -137,8 +137,6 @@ class RunConfig:
 
     def check_command(self, command: str):
         src = self.source
-        if command == "coeffs":
-            return
         if not self.initial_states:
             _fail(src, "initial_states", f"required for `{command}`")
         if command == "evolve":

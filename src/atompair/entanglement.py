@@ -22,8 +22,8 @@ class EntanglementEvents:
     """Detected events along one trajectory (times in 1/emission-rate).
 
     The field order is the layout of an events row, ``EVENT_FIELDS``, as
-    ``kernels.events_kernel`` returns it, one per cell and mode in
-    ``sweeps.EventsResult.table``; ``from_row`` reads one back.
+    ``kernels.events_kernel`` returns it, one per cell and mode in the
+    table of ``sweeps.run_events``; ``from_row`` reads one back.
     ``revival_amplitude`` is the largest concurrence reached after the
     first death (0 when no death occurs); region maps use it to separate
     visible revivals from threshold-level ones.

@@ -241,15 +241,18 @@ def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
     With ``clamp=False`` it returns max(K1, K2) without the clamp at zero
     (negative values certify a dip) and zeroes negative radicands silently;
     with the clamp a radicand below RADICAND_SLACK anywhere raises
-    InvalidStateError. ``tests/oracles.py`` holds the one-sample reference calls.
+    InvalidStateError, whose ``where`` marks the elements below it (rad1 is
+    a sum of squares). ``tests/oracles.py`` holds the one-sample reference calls.
     """
     rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
     prod = pGG * pEE
     rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
-    if clamp and np.any((rad1 < RADICAND_SLACK) | (prod < RADICAND_SLACK)
-                        | (rad2 < RADICAND_SLACK)):
-        raise InvalidStateError("concurrence radicand below tolerance: state not positive")
-    K1 = np.sqrt(np.where(rad1 < 0.0, 0.0, rad1)) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
+    low = (prod < RADICAND_SLACK) | (rad2 < RADICAND_SLACK)
+    if clamp and np.any(low):
+        error = InvalidStateError("concurrence radicand below tolerance: state not positive")
+        error.where = low
+        raise error
+    K1 = np.sqrt(rad1) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
     K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
     C = np.where(K1 > K2, K1, K2)
     if clamp:
@@ -317,9 +320,10 @@ def _evaluate(stack, rows, tau, clamp):
     on the expm fallback take one ``pops_at`` call, tau = 0 gives p0, and the
     concurrence is ``concurrence_kernel`` on the arrays. With the clamp, a
     radicand below RADICAND_SLACK raises InvalidStateError, unless taking
-    the rows that hold a negative population (eig roundoff, about eps *
-    cond) again on the nonnegative fallback mends it; without that retry,
-    every value is bitwise the one-sample reference in ``tests/oracles.py``.
+    again on the nonnegative fallback each row that fell below and holds a
+    negative population (eig roundoff, about eps * cond) mends it. A row is
+    decided on its own samples alone, so every value is bitwise the
+    one-sample reference in ``tests/oracles.py``.
     Populations that overflow at a huge tau, or whose trace is off 1 by more
     than DRIFT_TOL (zero-eigenvalue roundoff), raise ComputationError.
     """
@@ -328,8 +332,9 @@ def _evaluate(stack, rows, tau, clamp):
     coherences = stack.coherences[rows].T[..., None] * np.exp(-4.0 * stack.A1[rows, None] * tau)
     try:
         return pops, concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
-    except InvalidStateError:
-        pops = _populations(stack, rows, tau, expm | (pops < 0.0).any(axis=(1, 2)))
+    except InvalidStateError as error:
+        retry = error.where.any(axis=1) & (pops < 0.0).any(axis=(1, 2))
+        pops = _populations(stack, rows, tau, expm | retry)
         return pops, concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
 
 

@@ -3,9 +3,10 @@
 A SweepSpec fixes the physics of a panel (one initial state, polarisations,
 bath modes) and its grid: the a_over_omega x omega_L cells and, for curves,
 a tau axis; ``RunConfig.sweep_specs`` builds it from a checked config, and
-nothing here checks it again (a region map needs both bath modes). A result
-holds only what its run computed, cells and modes in the order of the
-spec's ``cells()`` (omega_L fastest) and ``bath_modes``.
+nothing here checks it again (a region map needs both bath modes). A run
+returns the arrays it computed, cells and modes in the order of the spec's
+``cells()`` (omega_L fastest) and ``bath_modes``; events rows are laid out
+as ``EVENT_FIELDS``, and region labels are codes indexing LABEL_NAMES.
 Every run_* function goes through one serial generator, ``_trajectories``,
 that sets up a group of cells of a fixed size on arrays, every (cell, bath
 mode) in a fixed order, as one ``kernels.TrajectoryStack``. Each group is
@@ -138,23 +139,10 @@ def _event_rows(stack, taus):
 # ---------------------------------------------------------------------------
 # events / maxima over the evolution
 
-@dataclass(frozen=True)
-class EventsResult:
-    table: np.ndarray   # (ncells, nmodes, len(EVENT_FIELDS)), rows laid out
-                        # as EVENT_FIELDS (EntanglementEvents.from_row reads one)
-
-    def column(self, name: str) -> np.ndarray:
-        """One field of every event row, shape (ncells, nmodes)."""
-        return self.table[..., EVENT_FIELDS.index(name)]
-
-
-def _events_result(spec, rows):
-    return EventsResult(np.concatenate(rows).reshape(-1, len(spec.bath_modes),
-                                                     len(EVENT_FIELDS)))
-
-
-def run_events(spec: SweepSpec) -> EventsResult:
-    """Entanglement events for every cell and mode on the HORIZON grid.
+def run_events(spec: SweepSpec) -> np.ndarray:
+    """Entanglement events for every cell and mode on the HORIZON grid: the
+    (ncells, nmodes, len(EVENT_FIELDS)) table, rows laid out as EVENT_FIELDS
+    (``EntanglementEvents.from_row`` reads one).
 
     Trajectories are scanned in blocks of BLOCK_SAMPLES samples and
     refined in groups of REFINE_TRAJECTORIES trajectories, every flagged
@@ -165,60 +153,39 @@ def run_events(spec: SweepSpec) -> EventsResult:
     assumed to be sampled finely enough for the best sample to sit on the
     winning bump.
     """
-    return _events_result(spec, [_event_rows(stack, HORIZON) for stack in _trajectories(spec)])
+    rows = [_event_rows(stack, HORIZON) for stack in _trajectories(spec)]
+    return np.concatenate(rows).reshape(-1, len(spec.bath_modes), len(EVENT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
 # curves
 
-@dataclass(frozen=True)
-class CurveResult:
-    concurrence: np.ndarray        # (ncells, nmodes, ntimes), ntimes on the tau axis
-    populations: np.ndarray        # (ncells, nmodes, ntimes, 4)
-    events: EventsResult | None = None
-
-
-def run_curve(spec: SweepSpec, events: bool = False) -> CurveResult:
-    """Concurrence and populations on the tau axis for every cell and mode.
-
-    With ``events`` the result also carries ``run_events(spec)``, computed
-    from the same trajectory stacks, so each generator is decomposed
-    once for both grids.
+def run_curve(spec: SweepSpec, events: bool = False) -> tuple:
+    """Concurrence (ncells, nmodes, ntimes) and populations (ncells, nmodes,
+    ntimes, 4) on the tau axis for every cell and mode, and the events
+    table of ``run_events(spec)`` when ``events`` is set (else None),
+    computed from the same trajectory stacks, so each generator is
+    decomposed once for both grids.
     """
     taus = np.asarray(spec.tau)
-    shape = (len(spec.a_over_omega) * len(spec.omega_L), len(spec.bath_modes), taus.size)
-    conc = np.empty((shape[0] * shape[1], taus.size))
-    pops = np.empty(conc.shape + (4,))
-    rows = []
-    start = 0
+    pops, conc, rows = [], [], []
     for stack in _trajectories(spec):
         for block_pops, block_conc in _scan(stack, taus):
-            stop = start + len(block_conc)
-            pops[start:stop], conc[start:stop] = block_pops, block_conc
-            start = stop
+            pops.append(block_pops)
+            conc.append(block_conc)
         if events:
             rows.append(_event_rows(stack, HORIZON))
-    return CurveResult(concurrence=conc.reshape(shape),
-                       populations=pops.reshape(shape + (4,)),
-                       events=_events_result(spec, rows) if events else None)
+    shape = (-1, len(spec.bath_modes), taus.size)
+    return (np.concatenate(conc).reshape(shape), np.concatenate(pops).reshape(shape + (4,)),
+            np.concatenate(rows).reshape(shape[:2] + (len(EVENT_FIELDS),)) if events else None)
 
 
 # ---------------------------------------------------------------------------
 # region maps
 
-@dataclass(frozen=True)
-class RegionMap:
-    """Per-cell classification over the (a_over_omega, omega_L) grid."""
-
-    labels: np.ndarray    # (na, nL) int8, indexes LABEL_NAMES
-
-    def counts(self) -> dict:
-        return {name: int((self.labels == code).sum())
-                for code, name in enumerate(LABEL_NAMES)}
-
-
-def run_region_map(spec: SweepSpec) -> RegionMap:
-    """Classify every (a, L) cell by which bath modes show the event.
+def run_region_map(spec: SweepSpec) -> np.ndarray:
+    """Classify every (a, L) cell by which bath modes show the event: an
+    (na, nL) int8 grid of codes indexing LABEL_NAMES.
 
     A revival counts when the detector flags it and the post-death
     concurrence exceeds REGION_MIN_AMPLITUDE; an enhancement
@@ -227,15 +194,13 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     the detector's roundoff-level threshold.
     """
     modes = spec.bath_modes
-    result = run_events(spec)
+    column = dict(zip(EVENT_FIELDS, np.moveaxis(run_events(spec), 2, 0)))
     floor = REGION_MIN_AMPLITUDE
     if spec.event_kind == "enhancement":
-        amp = np.where(result.column("enhancement") > 0.5,
-                       result.column("max_concurrence") - concurrence_x(spec.initial_state()),
-                       0.0)
+        amp = np.where(column["enhancement"] > 0.5,
+                       column["max_concurrence"] - concurrence_x(spec.initial_state()), 0.0)
     else:
-        amp = np.where(result.column("revival") > 0.5,
-                       result.column("revival_amplitude"), 0.0)
+        amp = np.where(column["revival"] > 0.5, column["revival_amplitude"], 0.0)
     amp_a = amp[:, modes.index(BathKind.ACCELERATED_VACUUM)]
     amp_t = amp[:, modes.index(BathKind.THERMAL_AT_UNRUH)]
     # tie-to-agreement deadband: amplitudes within 10% below the floor are
@@ -250,4 +215,4 @@ def run_region_map(spec: SweepSpec) -> RegionMap:
     only_a = hard_a & ~soft_t
     only_t = hard_t & ~soft_a
     codes = np.where(both, 3, np.where(only_a, 1, np.where(only_t, 2, 0)))
-    return RegionMap(codes.reshape(len(spec.a_over_omega), len(spec.omega_L)).astype(np.int8))
+    return codes.reshape(len(spec.a_over_omega), len(spec.omega_L)).astype(np.int8)

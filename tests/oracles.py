@@ -20,8 +20,10 @@ it:
 - ``pops_at`` is the state of one row of a ``TrajectoryStack`` at one
   time, by the scalar eig formula V @ (c exp(w tau)), the expm fallback
   or p0 at tau = 0, and ``_conc_at`` adds ``concurrence_kernel`` on one
-  sample: the reference that ``atompair.kernels._evaluate`` must match bit
-  for bit at every sample;
+  sample, taken again on the fallback when the clamped concurrence finds
+  the sample not positive and it holds a negative population: the
+  reference that ``atompair.kernels._evaluate`` must match bit for bit at
+  every sample of a refinement call;
 - ``events_kernel`` is the one-trajectory scalar event refinement of one
   row of a ``TrajectoryStack``, one bisection or golden-section evaluation
   at a time, that the grouped ``atompair.kernels.events_kernel`` must
@@ -41,7 +43,7 @@ from scipy.integrate import quad
 
 from atompair import kernels
 from atompair.dynamics import XState
-from atompair.errors import AtompairError, DomainError
+from atompair.errors import AtompairError, DomainError, InvalidStateError
 
 
 class NonConvergenceError(AtompairError, RuntimeError):
@@ -362,17 +364,18 @@ def basis_transform(state: XState) -> np.ndarray:
 def refinement_boundary_cells(coarse, fine) -> list:
     """Coarse cells flipped under grid doubling despite a uniform
     neighbourhood; these localise the region boundary, they are not
-    errors. ``fine`` must hold 2n-1 points per axis on the same range."""
-    na, nL = coarse.labels.shape
-    if fine.labels.shape != (2 * na - 1, 2 * nL - 1):
+    errors. ``coarse`` and ``fine`` are label grids of ``run_region_map``;
+    ``fine`` must hold 2n-1 points per axis on the same range."""
+    na, nL = coarse.shape
+    if fine.shape != (2 * na - 1, 2 * nL - 1):
         raise DomainError("fine map must have 2n-1 points per axis")
     flipped = []
     for i in range(1, na - 1):
         for j in range(1, nL - 1):
-            lab = coarse.labels[i, j]
-            if (coarse.labels[i - 1, j] == lab and coarse.labels[i + 1, j] == lab
-                    and coarse.labels[i, j - 1] == lab and coarse.labels[i, j + 1] == lab):
-                if fine.labels[2 * i, 2 * j] != lab:
+            lab = coarse[i, j]
+            if (coarse[i - 1, j] == lab and coarse[i + 1, j] == lab
+                    and coarse[i, j - 1] == lab and coarse[i, j + 1] == lab):
+                if fine[2 * i, 2 * j] != lab:
                     flipped.append((i, j))
     return flipped
 
@@ -401,21 +404,29 @@ REFINE_TOL = kernels.REFINE_TOL
 _INVGOLD = kernels._INVGOLD
 
 
-def pops_at(stack, i, tau):
-    """Populations of row i of a TrajectoryStack at one time."""
+def pops_at(stack, i, tau, fallback=False):
+    """Populations of row i of a TrajectoryStack at one time; the row's
+    fallback is taken when ``fallback`` is set."""
     if tau == 0.0:
         return stack.p0[i].copy()
-    if stack.use_expm[i]:
+    if stack.use_expm[i] or fallback:
         return kernels.pops_at(stack.M[i, None], stack.p0[i, None], np.array([[tau]]))[0, 0]
     return (stack.V[i] @ (stack.c[i] * np.exp(stack.w[i] * tau))).real
 
 
-def _conc_at(stack, i, tau, clamp=True):
-    # pops_at and concurrence_kernel at one time of row i of a TrajectoryStack
-    p = pops_at(stack, i, tau)
+def _conc_at(stack, i, tau, clamp=True, fallback=False):
+    # pops_at and concurrence_kernel at one time of row i of a TrajectoryStack;
+    # a sample found not positive with a negative population is taken again
+    # on the fallback
+    p = pops_at(stack, i, tau, fallback)
     reAS, imAS, reGE, imGE = stack.coherences[i] * np.exp(-4.0 * stack.A1[i] * tau)
-    return float(kernels.concurrence_kernel(p[0], p[1], p[2], p[3],
-                                            reAS, imAS, reGE, imGE, clamp))
+    try:
+        return float(kernels.concurrence_kernel(p[0], p[1], p[2], p[3],
+                                                reAS, imAS, reGE, imGE, clamp))
+    except InvalidStateError:
+        if fallback or not (p < 0.0).any():
+            raise
+        return _conc_at(stack, i, tau, clamp, True)
 
 
 def _conc_raw_at(stack, i, tau):

@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 import atompair as ap
-from atompair import BathKind, EntanglementEvents, XState, catalogue_state
+from atompair import BathKind, EntanglementEvents, catalogue_state
 from atompair.cli import main as cli_main
 from atompair.config import load_preset, parse_config
+from atompair.entanglement import EVENT_FIELDS
 from atompair.kernels import f11_kernel, f12_kernel, f12_thermal_kernel
-from atompair.sweeps import run_curve, run_events, run_region_map
+from atompair.sweeps import LABEL_NAMES, run_curve, run_events, run_region_map
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
 from oracles import basis_transform, fourier_oracle, shape_tensor
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 EPS_DEAD = 1e-12
+MAX_C = EVENT_FIELDS.index("max_concurrence")
 
 
 def _ok(n, text):
@@ -153,28 +155,22 @@ def test_criterion_6_concurrence_oracle(rng):
 
 def _curves(preset_name):
     cfg = load_preset(preset_name)
-    return {label: (spec, run_curve(spec))
+    return {label: (spec, run_curve(spec)[0])
             for label, spec in cfg.sweep_specs("evolve")}
 
 
-def _events_by_mode(spec, result, cell_index):
-    return {mode: EntanglementEvents.from_row(result.table[cell_index, mi])
+def _events_by_mode(spec, table, cell_index):
+    return {mode: EntanglementEvents.from_row(table[cell_index, mi])
             for mi, mode in enumerate(spec.bath_modes)}
 
 
-def _alive_mask(curve, ci):
-    acc = curve.concurrence[ci, 0]
-    th = curve.concurrence[ci, 1]
-    return (acc > EPS_DEAD) | (th > EPS_DEAD)
-
-
 def test_criterion_7_fig1():
-    for label, (spec, curve) in _curves("fig1").items():
+    for label, (spec, concurrence) in _curves("fig1").items():
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        for ci in range(len(curve.concurrence)):
-            acc = curve.concurrence[ci, ai]
-            th = curve.concurrence[ci, ti]
+        for ci in range(len(concurrence)):
+            acc = concurrence[ci, ai]
+            th = concurrence[ci, ti]
             live = ((acc > EPS_DEAD) | (th > EPS_DEAD))[1:]
             assert np.all(acc[1:][live] < th[1:][live]), (label, ci)
     _ok("7/fig1", "parallel dipoles: accelerated concurrence decays below the "
@@ -183,12 +179,12 @@ def test_criterion_7_fig1():
 
 def test_criterion_7_fig2():
     curves = _curves("fig2")
-    for label, (spec, curve) in curves.items():
+    for label, (spec, concurrence) in curves.items():
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
         for ci, a in enumerate(spec.cells()[0]):
-            acc = curve.concurrence[ci, ai]
-            th = curve.concurrence[ci, ti]
+            acc = concurrence[ci, ai]
+            th = concurrence[ci, ti]
             live = ((acc > EPS_DEAD) | (th > EPS_DEAD))[1:]
             if label.startswith("S"):
                 assert np.all(acc[1:][live] < th[1:][live]), (label, a)
@@ -228,12 +224,33 @@ def test_criterion_7_fig4():
         result = run_events(spec)
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        acc_intervals = _entangled_intervals(result.table[:, ai, 4])
-        th_intervals = _entangled_intervals(result.table[:, ti, 4])
+        acc_intervals = _entangled_intervals(result[:, ai, MAX_C])
+        th_intervals = _entangled_intervals(result[:, ti, MAX_C])
         assert th_intervals >= 2, "static bath should show a dark interval"
         assert acc_intervals == 1, "accelerated pair should not"
     _ok("7/fig4", "y-polarized static bath at a/omega=2/3 shows a dark "
                   "separation interval; the accelerated pair does not")
+
+
+def test_criterion_7_fig5():
+    peaks = {}
+    for preset in ("fig4", "fig5"):
+        for label, spec in load_preset(preset).sweep_specs("sweep"):
+            result = run_events(spec)
+            acc = result[:, spec.bath_modes.index(AV), MAX_C]
+            th = result[:, spec.bath_modes.index(TH), MAX_C]
+            peaks[preset] = max(peaks.get(preset, 0.0), acc.max(), th.max())
+            if preset != "fig5":
+                continue
+            assert np.sum(acc > EPS_DEAD) < np.sum(th > EPS_DEAD), label
+            if label.endswith("yy"):
+                # fig4's dark separation interval has closed at a/omega = 1
+                assert _entangled_intervals(th) == 1
+                assert _entangled_intervals(acc) == 1
+    assert peaks["fig5"] < peaks["fig4"], peaks
+    _ok("7/fig5", "at a/omega=1 the y-polarized static bath has a single entangled "
+                  "separation interval, the accelerated pair is entangled over fewer "
+                  "separations than the static one, and the peak is below fig4's")
 
 
 def test_criterion_7_fig6():
@@ -243,9 +260,9 @@ def test_criterion_7_fig6():
         result = run_events(spec)
         ai = spec.bath_modes.index(AV)
         ti = spec.bath_modes.index(TH)
-        th = result.table[:, ti, 4]
+        th = result[:, ti, MAX_C]
         assert np.all(np.diff(th) <= 1e-12), f"static max-C must be monotone ({label})"
-        acc = result.table[:, ai, 4]
+        acc = result[:, ai, MAX_C]
         nonmonotone.append(bool(np.any(np.diff(acc) > 1e-6)))
     assert any(nonmonotone)
     _ok("7/fig6", "at omega L=1/2 the static maximum falls monotonically with "
@@ -291,7 +308,8 @@ def test_criterion_7_region_maps():
     for preset in ("fig10", "fig11", "fig12"):
         cfg = downsampled(preset, 80)
         (label, spec), = cfg.sweep_specs("region")
-        maps[preset] = run_region_map(spec).counts()
+        labels = run_region_map(spec).ravel()
+        maps[preset] = dict(zip(LABEL_NAMES, np.bincount(labels, minlength=len(LABEL_NAMES))))
     for preset in ("fig10", "fig11"):
         counts = maps[preset]
         assert counts["accelerated-only"] == 0, (preset, counts)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from atompair import (BathKind, CoefficientSet, DomainError, EntanglementEvents, SystemParams,
-                      XState, assemble, catalogue_state, compute_trajectory, detect_events,
-                      kernels, sweeps)
+from atompair import (BathKind, CoefficientSet, DomainError, EntanglementEvents,
+                      InvalidStateError, SystemParams, assemble, catalogue_state,
+                      compute_trajectory, detect_events, kernels, sweeps)
 from atompair.dynamics import prepare
+from atompair.entanglement import EVENT_FIELDS
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
                              run_region_map, time_grid)
 from conftest import AXES, random_coeffs, random_xstate
@@ -61,21 +62,22 @@ def test_time_grid_shapes():
 
 def test_run_curve_shapes_and_modes():
     spec = make_spec(a_over_omega=(0.25, 1.0), tau=tuple(time_grid(8.0, 40)))
-    result = run_curve(spec)
-    assert result.concurrence.shape == (2, 2, 40)
-    assert result.populations.shape == (2, 2, 40, 4)
+    concurrence, populations, events = run_curve(spec)
+    assert concurrence.shape == (2, 2, 40)
+    assert populations.shape == (2, 2, 40, 4)
+    assert events is None
     assert spec.cells()[0].tolist() == [0.25, 1.0]
     # initial sample reproduces the initial state
-    assert result.concurrence[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(result.populations[:, :, 0, 1], 0.25, atol=1e-15)
+    assert concurrence[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(populations[:, :, 0, 1], 0.25, atol=1e-15)
 
 
 def test_repeated_runs_identical():
     spec = make_spec(a_over_omega=(0.6,), omega_L=(0.9,), tau=tuple(time_grid(10.0, 50)))
-    a = run_curve(spec)
-    b = run_curve(spec)
-    assert np.array_equal(a.concurrence, b.concurrence)
-    assert np.array_equal(a.populations, b.populations)
+    a_conc, a_pops, _ = run_curve(spec)
+    b_conc, b_pops, _ = run_curve(spec)
+    assert np.array_equal(a_conc, b_conc)
+    assert np.array_equal(a_pops, b_pops)
 
 
 def test_cells_are_the_a_by_L_grid():
@@ -85,26 +87,27 @@ def test_cells_are_the_a_by_L_grid():
     a, L = spec.cells()
     assert a.tolist() == [0.6666666666666666] * 3 + [1.5] * 3
     assert L.tolist() == [1.0, 2.0, 3.0] * 2
-    result = run_events(spec)
-    assert result.table.shape[:2] == (6, 2)
+    table = run_events(spec)
+    assert table.shape == (6, 2, len(EVENT_FIELDS))
     for ci, (a_k, L_k) in enumerate(zip(a, L)):
         for mi, mode in enumerate(spec.bath_modes):
             direct = detect_events(compute_trajectory(
                 spec.initial_state(), _coeffs_for(spec, mode, a_k, L_k), sweeps.HORIZON))
-            assert EntanglementEvents.from_row(result.table[ci, mi]) == direct
+            assert EntanglementEvents.from_row(table[ci, mi]) == direct
     # psi2(0.2) and psi2(0.8) start at concurrence 0.8 and can only lose it
     for p in (0.2, 0.8):
         spec = make_spec(initial_label="psi2", p=p, a_over_omega=(0.6666666666666666,),
                          tau=None)
-        assert run_events(spec).table[0, 0, 4] == pytest.approx(0.8, abs=1e-9)
+        max_c = run_events(spec)[0, 0, EVENT_FIELDS.index("max_concurrence")]
+        assert max_c == pytest.approx(0.8, abs=1e-9)
 
 
 def test_run_events_matches_detect_events():
     spec = make_spec(tau=None)
-    result = run_events(spec)
+    table = run_events(spec)
     direct = detect_events(compute_trajectory(
         spec.initial_state(), _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
-    via_table = EntanglementEvents.from_row(result.table[0, 0])
+    via_table = EntanglementEvents.from_row(table[0, 0])
     assert via_table == direct
 
 
@@ -114,16 +117,22 @@ def _coeffs_for(spec, mode, a, L):
                                  dipole2=spec.dipole2, bath=mode), 12)
 
 
-def _scalar_scan(stack, i, taus):
+def _scalar_scan(stack, i, taus, fallback=False):
     """Reference for the block scan: pops_at and concurrence_kernel at each
-    tau, for row i of the stack."""
-    pops = np.array([oracles.pops_at(stack, i, tau) for tau in taus])
+    tau, for row i of the stack. A row with a sample found not positive and
+    a negative population is scanned again, whole, on the fallback."""
+    pops = np.array([oracles.pops_at(stack, i, tau, fallback) for tau in taus])
     C = []
-    for p, tau in zip(pops, taus):
-        amp = np.exp(-4.0 * stack.A1[i] * tau)
-        reAS, imAS, reGE, imGE = stack.coherences[i]
-        C.append(kernels.concurrence_kernel(
-            p[0], p[1], p[2], p[3], reAS * amp, imAS * amp, reGE * amp, imGE * amp))
+    try:
+        for p, tau in zip(pops, taus):
+            amp = np.exp(-4.0 * stack.A1[i] * tau)
+            reAS, imAS, reGE, imGE = stack.coherences[i]
+            C.append(kernels.concurrence_kernel(
+                p[0], p[1], p[2], p[3], reAS * amp, imAS * amp, reGE * amp, imGE * amp))
+    except InvalidStateError:
+        if fallback or not (pops < 0.0).any():
+            raise
+        return _scalar_scan(stack, i, taus, True)
     return pops, np.array(C)
 
 
@@ -141,6 +150,30 @@ NEGATIVE_RADICAND_ROW = ((0.1, 0.5, 0.0, 0.0), (0.0, 0.5, 0.5, 0.0), (0.5, 0.0, 
 FALLBACK_PAIR = (catalogue_state("psi1", 0.3),
                  CoefficientSet(A1=0.25, B1=0.25, A2=0.25, B2=0.25))
 
+# the thin cell, |E> at a/omega = 0.3, omega_L = 1e-4, z-z, in each bath: on
+# the eig path (cond 7e4) pGG dips below zero at small tau, where the clamped
+# concurrence finds the state not positive, so its rows are taken again on
+# the fallback
+THIN_PAIRS = {mode: (catalogue_state("E"),
+                     assemble(SystemParams(0.3, 1e-4, AXES["z"], AXES["z"], mode)))
+              for mode in (AV, TH)}
+# early samples, where the thin cell trips; the tests append a log grid
+EARLY_TAUS = np.linspace(0.0, 2e-6, 201)
+
+
+def _record_retries(monkeypatch):
+    # the eig-path rows that the oracle takes again on the fallback
+    retried = set()
+    pops_at = oracles.pops_at
+
+    def recording(stack, i, tau, fallback=False):
+        if fallback and not stack.use_expm[i]:
+            retried.add(i)
+        return pops_at(stack, i, tau, fallback)
+
+    monkeypatch.setattr(oracles, "pops_at", recording)
+    return retried
+
 
 def test_stack_setup_is_bitwise_per_row(rng):
     pairs = [(random_xstate(rng), random_coeffs(rng)) for _ in range(20)]
@@ -157,21 +190,25 @@ def test_stack_setup_is_bitwise_per_row(rng):
         assert stack.use_expm[i] == ((not np.isfinite(cond)) or cond > kernels.COND_LIMIT)
 
 
-def test_block_scan_is_bitwise_scalar(rng):
-    # eig-path trajectories around one on the expm fallback
+def test_block_scan_is_bitwise_scalar(rng, monkeypatch):
+    # eig-path trajectories around one on the expm fallback, and the thin
+    # cell in both baths, whose rows are scanned again on the fallback
     states = [catalogue_state("psi1", 0.25), catalogue_state("psi2", 0.8),
               catalogue_state("E"), random_xstate(rng), random_xstate(rng)]
     pairs = [(state, random_coeffs(rng)) for state in states]
     pairs.insert(2, FALLBACK_PAIR)
+    pairs += THIN_PAIRS.values()
     block = prepare(pairs)
     assert block.use_expm.tolist().count(True) == 1
-    taus = time_grid(20.0, 150)
+    taus = np.concatenate([EARLY_TAUS, time_grid(20.0, 150)[1:]])
     pops, C = kernels.trajectory_kernel(block, np.arange(len(pairs)), taus)
     assert pops.shape == (len(pairs), taus.size, 4) and C.shape == (len(pairs), taus.size)
+    retried = _record_retries(monkeypatch)
     for k in range(len(pairs)):
         want_pops, want_C = _scalar_scan(block, k, taus)
         assert np.array_equal(pops[k], want_pops)
         assert np.array_equal(C[k], want_C)
+    assert retried == {len(pairs) - 2, len(pairs) - 1}
 
 
 def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
@@ -181,14 +218,14 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     cells = dict(a_over_omega=(0.05, 1.23, 2.41), omega_L=(0.05, 1.04, 3.02))
     assert (9 * 2) % (sweeps.BLOCK_SAMPLES // taus.size) != 0
     spec = make_spec(**cells, tau=tuple(taus))
-    curve = run_curve(spec)
+    concurrence, populations, _ = run_curve(spec)
     for ci, (a, L) in enumerate(zip(*spec.cells())):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, a, L)
             traj = prepare([(spec.initial_state(), cs)])
             want_pops, want_C = _scalar_scan(traj, 0, taus)
-            assert np.array_equal(curve.populations[ci, mi], want_pops)
-            assert np.array_equal(curve.concurrence[ci, mi], want_C)
+            assert np.array_equal(populations[ci, mi], want_pops)
+            assert np.array_equal(concurrence[ci, mi], want_C)
     # event rows: the same as detect_events cell by cell, dip branch included
     dips = []
     golden = kernels._golden_extremum
@@ -199,14 +236,34 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
 
     monkeypatch.setattr(kernels, "_golden_extremum", counting)
     spec = make_spec(**cells, tau=None)
-    result = run_events(spec)
+    table = run_events(spec)
     assert any(dips)
     for ci, (a, L) in enumerate(zip(*spec.cells())):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, a, L)
             direct = detect_events(compute_trajectory(spec.initial_state(), cs,
                                                       sweeps.HORIZON))
-            assert EntanglementEvents.from_row(result.table[ci, mi]) == direct
+            assert EntanglementEvents.from_row(table[ci, mi]) == direct
+
+
+def test_a_row_is_its_own_beside_a_row_taken_again():
+    # |E> at a/omega = 0.3, omega_L = 0.1 holds roundoff-negative populations
+    # but never trips the radicand check: sharing its scan and refinement
+    # calls with the thin cell, whose row is taken again on the fallback,
+    # leaves every value bitwise its own
+    taus = np.concatenate([EARLY_TAUS, sweeps.HORIZON[1:]])
+    for mode in (AV, TH):
+        bystander = (catalogue_state("E"),
+                     assemble(SystemParams(0.3, 0.1, AXES["z"], AXES["z"], mode)))
+        shared = prepare([bystander, THIN_PAIRS[mode]])
+        alone = prepare([bystander])
+        pops, C = kernels.trajectory_kernel(shared, np.arange(2), taus)
+        own_pops, own_C = kernels.trajectory_kernel(alone, np.arange(1), taus)
+        assert own_pops.min() < 0.0 <= pops[1].min()
+        assert np.array_equal(pops[0], own_pops[0])
+        assert np.array_equal(C[0], own_C[0])
+        assert np.array_equal(kernels.events_kernel(shared, taus, C)[0],
+                              kernels.events_kernel(alone, taus, own_C)[0], equal_nan=True)
 
 
 def test_block_scan_rejects_negative_radicand():
@@ -225,7 +282,10 @@ def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
     # (dips that stay above threshold, rows with no death), the expm
     # fallback, psi1(1/4) dips certified at machine depth and far below
     # zero, and best samples at index 0
-    pairs = [(random_xstate(rng), random_coeffs(rng)) for _ in range(200)]
+    # the thin cell in both baths first: its thermal row's refinement
+    # evaluates again on the fallback in calls shared with every other row
+    pairs = [*THIN_PAIRS.values()]
+    pairs += [(random_xstate(rng), random_coeffs(rng)) for _ in range(200)]
     pairs.append(FALLBACK_PAIR)
     for a, L in ((0.05, 0.05), (0.5, 0.05), (2.41, 1.04)):
         for mode in (AV, TH):
@@ -246,8 +306,10 @@ def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
         return t, value
 
     monkeypatch.setattr(oracles, "_golden_extremum", recording)
+    retried = _record_retries(monkeypatch)
     want = np.array([oracles.events_kernel(trajs, i, taus, C[i]) for i in rows], dtype=float)
     assert np.array_equal(kernels.events_kernel(trajs, taus, C), want, equal_nan=True)
+    assert retried == {1}
     assert trajs.use_expm.tolist().count(True) == 1
     assert min(dips) <= kernels.EPS_DEAD < max(dips)
     assert np.isnan(want[:, 0]).any() and (want[:, 2] == 1).any()
@@ -286,41 +348,43 @@ def test_events_same_for_any_refinement_group(monkeypatch):
     taus = time_grid(10.0, 60)
     spec = make_spec(a_over_omega=(0.05, 1.23, 2.41), omega_L=(0.05, 1.04, 3.02),
                      tau=tuple(taus))
-    assert run_curve(spec).events is None
-    want = run_events(spec).table
+    assert run_curve(spec)[2] is None
+    want = run_events(spec)
     assert sweeps.REFINE_TRAJECTORIES > want.shape[0] * want.shape[1]
     for size in (1, 16, None):
         if size is not None:
             monkeypatch.setattr(sweeps, "REFINE_TRAJECTORIES", size)
-        assert np.array_equal(run_events(spec).table, want, equal_nan=True)
-        curve = run_curve(spec, events=True)
-        assert np.array_equal(curve.events.table, want, equal_nan=True)
-        assert np.array_equal(curve.concurrence, run_curve(spec).concurrence)
+        assert np.array_equal(run_events(spec), want, equal_nan=True)
+        concurrence, _, events = run_curve(spec, events=True)
+        assert np.array_equal(events, want, equal_nan=True)
+        assert np.array_equal(concurrence, run_curve(spec)[0])
 
 
 def test_region_map_labels_and_counts():
-    m = run_region_map(region_spec(n=16))
-    counts = m.counts()
-    assert sum(counts.values()) == 16 * 16
-    assert set(counts) == set(LABEL_NAMES)
+    labels = run_region_map(region_spec(n=16))
+    assert labels.shape == (16, 16) and labels.dtype == np.int8
+    counts = np.bincount(labels.ravel(), minlength=len(LABEL_NAMES))
+    assert counts.sum() == 16 * 16
+    assert counts.size == len(LABEL_NAMES)
 
 
 def test_region_map_requires_a_by_L_cells():
     # the labels are an (na, nL) grid
-    m = run_region_map(make_spec(a_over_omega=(0.5, 1.0), omega_L=(0.5, 1.0, 2.0), tau=None))
-    assert m.labels.shape == (2, 3)
+    labels = run_region_map(make_spec(a_over_omega=(0.5, 1.0), omega_L=(0.5, 1.0, 2.0),
+                                      tau=None))
+    assert labels.shape == (2, 3)
 
 
 def test_region_cells_agree_with_single_mode_runs():
     # a cell labelled "both" must be flagged by each mode run individually
     spec = region_spec(n=12, initial=("psi1", 0.25))
-    m = run_region_map(spec)
+    labels = run_region_map(spec)
     taus = sweeps.HORIZON
     checked = 0
     a_values, L_values = spec.a_over_omega, spec.omega_L
-    for i in np.argsort(m.labels.ravel())[::-1][:3]:
+    for i in np.argsort(labels.ravel())[::-1][:3]:
         ai, lj = divmod(int(i), len(L_values))
-        if m.labels[ai, lj] != 3:
+        if labels[ai, lj] != 3:
             continue
         for mode in (AV, TH):
             cs = _coeffs_for(spec, mode, float(a_values[ai]), float(L_values[lj]))
