@@ -8,7 +8,9 @@ generated crossed, orthogonal and vector dipole pairs, which no preset has,
 ``evolve`` on generated cells whose eigenvectors are ill-conditioned,
 which no preset reaches, and ``evolve`` on a cell whose eig-path
 populations dip below zero, so that their rows are evaluated again on the
-matrix-exponential fallback. Prints one
+matrix-exponential fallback: once on the horizon grid, where only event
+refinement reaches the dip, and once on a linear grid through the dip,
+where the scan itself takes the retry. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -72,10 +74,25 @@ THIN_EVOLVE = {
     "outputs": ["curve", "events"],
 }
 
+# the thin cell on a linear grid up to tau = 2e-6: the thin run's grid
+# starts at tau = 1.9e-3, above the window where pGG dips below zero
+THIN_EARLY_EVOLVE = {
+    "name": "thin-early",
+    "initial_states": ["E"],
+    "polarizations": [["z", "z"]],
+    "fixed": {"a_over_omega": 0.3, "omega_L": 1.0e-4},
+    "grid": {"tau": {"stop": 2.0e-6, "num": 201, "spacing": "linear"}},
+    "outputs": ["curve"],
+}
+
+# (command, config) of every generated config
+GENERATED = (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE), ("evolve", THIN_EVOLVE),
+             ("evolve", THIN_EARLY_EVOLVE))
+
 
 def _runs(tmp):
     # (run name, argv without --out) for every preset, plus coeffs on fig4
-    # and the three generated configs
+    # and the generated configs
     for name in preset_names():
         command = COMMANDS[next(o for o in load_preset(name).outputs if o in COMMANDS)]
         if command != "region":
@@ -89,8 +106,7 @@ def _runs(tmp):
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{name}", [command, "--config", str(config)]
     yield "coeffs-fig4", ["coeffs", "--preset", "fig4"]
-    for command, data in (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE),
-                          ("evolve", THIN_EVOLVE)):
+    for command, data in GENERATED:
         config = tmp / f"{data['name']}.yaml"
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         yield f"{command}-{data['name']}", [command, "--config", str(config)]

@@ -4,9 +4,10 @@ In the coupled basis {G, A, S, E} the populations close on themselves under
 a constant 4x4 rate matrix and the two independent coherences decay as
 exp(-4 A1 tau), so the evolution is computed exactly: eigendecomposition of
 the rate matrix, or a matrix exponential that sums only nonnegative terms
-where its eigenvectors are ill-conditioned or their roundoff leaves a
-sampled state not positive. The stationary state is a closed form in the
-rates. Times are in units of the inverse emission rate.
+where its eigenvectors are ill-conditioned or (``kernels._evaluate``'s one
+rule, for ``evolve`` as for every scan) their roundoff leaves a sample not
+positive. The stationary state is a closed form in the rates. Times are in
+units of the inverse emission rate.
 """
 
 import functools
@@ -45,6 +46,10 @@ class XState:
 
     def populations(self) -> np.ndarray:
         return np.array([self.pGG, self.pAA, self.pSS, self.pEE])
+
+    def coherences(self) -> np.ndarray:
+        """(reAS, imAS, reGE, imGE), the coherence row of a TrajectoryStack."""
+        return np.array([self.cAS.real, self.cAS.imag, self.cGE.real, self.cGE.imag])
 
     def validate(self) -> "XState":
         """Check trace, positivity of populations and the two 2x2 blocks."""
@@ -113,42 +118,32 @@ def build_generator(coeffs: CoefficientSet) -> np.ndarray:
     return M
 
 
-def warn_on_fallback(stack: kernels.TrajectoryStack):
-    """Warn when the generator's eigenvectors force the expm fallback
-    (one-row stack)."""
+def _one_row_stack(initial: XState, coeffs: CoefficientSet) -> kernels.TrajectoryStack:
+    """The TrajectoryStack of one validated state under one coefficient set;
+    warns when the generator's eigenvectors force the expm fallback."""
+    initial.validate()
+    stack = kernels.TrajectoryStack(np.array([[coeffs.A1, coeffs.B1, coeffs.A2, coeffs.B2]]),
+                                    initial.populations(), initial.coherences())
     if stack.use_expm[0]:
         warnings.warn(
             "population generator eigenvectors are ill-conditioned "
             f"(cond ~ {stack.cond[0]:.3g}); using matrix-exponential fallback",
             RuntimeWarning, stacklevel=3)
-
-
-def state_rows(states):
-    """Initial populations (n, 4) and coherences (n, 4), as (reAS, imAS,
-    reGE, imGE), of a list of XStates: the state rows of a TrajectoryStack."""
-    p0 = np.array([state.populations() for state in states])
-    coherences = np.array([(state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag)
-                           for state in states])
-    return p0, coherences
-
-
-def prepare(pairs) -> kernels.TrajectoryStack:
-    """The exact evolution of a list of (XState, CoefficientSet) pairs, one
-    stack row per pair in order: generator, eigendecomposition and expm-fallback
-    flag. No validation and no fallback warning; callers do both where they
-    need them."""
-    coeffs = [(cs.A1, cs.B1, cs.A2, cs.B2) for _, cs in pairs]
-    return kernels.TrajectoryStack(np.array(coeffs), *state_rows([state for state, _ in pairs]))
+    return stack
 
 
 def evolve(initial: XState, coeffs: CoefficientSet, tau: float) -> XState:
-    """Exact state at time tau (units of the inverse emission rate)."""
-    initial.validate()
+    """Exact state at time tau (units of the inverse emission rate).
+
+    One unclamped ``kernels._evaluate`` sample (a state valid only within
+    XState's slack never raises) under the scan's retry rule: bitwise the
+    one-sample ``trajectory_kernel`` call on the same one-row stack, but not
+    always a sample of a longer grid, whose row may retry for another sample
+    (up to 7.7e-12 apart for |E> at a/omega = 0.3, omega_L = 1e-4, z-z).
+    """
     if not 0.0 <= tau < np.inf:
         raise DomainError(f"tau must be finite and >= 0, got {tau}")
-    stack = prepare([(initial, coeffs)])
-    warn_on_fallback(stack)
-    # unclamped: a state valid only within XState's slack never raises here
+    stack = _one_row_stack(initial, coeffs)
     p = kernels._evaluate(stack, np.arange(1), np.array([[float(tau)]]), False)[0][0, 0]
     damp = np.exp(-4.0 * coeffs.A1 * tau)
     return XState(p[0], p[1], p[2], p[3],

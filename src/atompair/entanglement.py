@@ -2,7 +2,8 @@
 
 ``concurrence_x`` is the closed form for X states used on the production
 path; ``concurrence_wootters`` is the general spin-flip construction kept
-as an independent oracle. ``detect_events`` scans a trajectory for sudden
+as an independent oracle. ``compute_trajectory`` samples the one-row stack
+of ``dynamics.evolve``; ``detect_events`` scans a trajectory for sudden
 death, (delayed or revived) birth, revival and enhancement, refining every
 threshold crossing by bisection on the exact propagator.
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientSet
-from .dynamics import XState, prepare, warn_on_fallback
+from .dynamics import XState, _one_row_stack
 from .errors import DomainError, InvalidStateError
 
 
@@ -72,9 +73,7 @@ def concurrence_x(state: XState) -> float:
     more negative signals a positivity violation upstream and raises
     InvalidStateError.
     """
-    return float(kernels.concurrence_kernel(
-        state.pGG, state.pAA, state.pSS, state.pEE,
-        state.cAS.real, state.cAS.imag, state.cGE.real, state.cGE.imag))
+    return float(kernels.concurrence_kernel(*state.populations(), *state.coherences()))
 
 
 def concurrence_wootters(rho: np.ndarray) -> float:
@@ -108,16 +107,15 @@ def concurrence_wootters(rho: np.ndarray) -> float:
 
 def compute_trajectory(initial: XState, coeffs: CoefficientSet,
                        taus: np.ndarray) -> Trajectory:
-    """Evolve and attach the concurrence series."""
-    initial.validate()
+    """Evolve and attach the concurrence series: one clamped
+    ``trajectory_kernel`` call on a one-row stack built as ``evolve``'s is."""
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise DomainError("time grid must be a non-empty 1-d array")
     if taus[0] != 0.0 or not np.all(np.isfinite(taus)) or np.any(np.diff(taus) <= 0.0):
         raise DomainError("time grid must be finite, start at 0 and increase strictly")
-    stack = prepare([(initial, coeffs)])
+    stack = _one_row_stack(initial, coeffs)
     pops, C = kernels.trajectory_kernel(stack, np.arange(1), taus)
-    warn_on_fallback(stack)
     damp = np.exp(-4.0 * coeffs.A1 * taus)
     return Trajectory(times=taus, populations=pops[0],
                       cAS=initial.cAS * damp, cGE=initial.cGE * damp,

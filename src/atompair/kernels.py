@@ -234,29 +234,31 @@ def pops_at(M, p0, tau):
     return (E @ p0[:, None, :, None])[..., 0]
 
 
-def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
-    """X-state concurrence max{0, K1, K2} from the eight real components,
-    elementwise on scalars or broadcastable arrays.
-
-    With ``clamp=False`` it returns max(K1, K2) without the clamp at zero
-    (negative values certify a dip) and zeroes negative radicands silently;
-    with the clamp a radicand below RADICAND_SLACK anywhere raises
-    InvalidStateError, whose ``where`` marks the elements below it (rad1 is
-    a sum of squares). ``tests/oracles.py`` holds the one-sample reference calls.
-    """
+def _concurrence(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp):
+    # concurrence_kernel without its raise: C and the mask of the radicands
+    # below RADICAND_SLACK (rad1 is a sum of squares), from one pass
     rad1 = (pAA - pSS) * (pAA - pSS) + 4.0 * imAS * imAS
     prod = pGG * pEE
     rad2 = (pAA + pSS) * (pAA + pSS) - 4.0 * reAS * reAS
     low = (prod < RADICAND_SLACK) | (rad2 < RADICAND_SLACK)
-    if clamp and np.any(low):
-        error = InvalidStateError("concurrence radicand below tolerance: state not positive")
-        error.where = low
-        raise error
     K1 = np.sqrt(rad1) - 2.0 * np.sqrt(np.where(prod < 0.0, 0.0, prod))
     K2 = 2.0 * np.hypot(reGE, imGE) - np.sqrt(np.where(rad2 < 0.0, 0.0, rad2))
     C = np.where(K1 > K2, K1, K2)
-    if clamp:
-        C = np.where(C > 0.0, C, 0.0)
+    return (np.where(C > 0.0, C, 0.0) if clamp else C), low
+
+
+def concurrence_kernel(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp=True):
+    """X-state concurrence max{0, K1, K2} from the eight real components,
+    elementwise on scalars or broadcastable arrays.
+
+    With the clamp a radicand below RADICAND_SLACK anywhere raises
+    InvalidStateError; with ``clamp=False`` it returns max(K1, K2) without
+    the clamp at zero (negative values certify a dip) and zeroes negative
+    radicands silently. ``_evaluate`` alone decides retries on the fallback.
+    """
+    C, low = _concurrence(pGG, pAA, pSS, pEE, reAS, imAS, reGE, imGE, clamp)
+    if clamp and np.any(low):
+        raise InvalidStateError("concurrence radicand below tolerance: state not positive")
     return C
 
 
@@ -265,7 +267,8 @@ class TrajectoryStack:
 
     ``coeffs`` (n, 4) holds the rows (A1, B1, A2, B2), ``p0`` (n, 4) the
     initial populations and ``coherences`` (n, 4) the initial (reAS, imAS,
-    reGE, imGE). Setup is done once per row: generator M, eigendecomposition
+    reGE, imGE), or one (4,) row each that every trajectory starts from.
+    Setup is done once per row: generator M, eigendecomposition
     (w, V and the condition estimate cond), the flag of the ``pops_at``
     fallback (cond not finite or above COND_LIMIT) and c = Vinv p0. The
     coherences decay as exp(-4 A1 tau).
@@ -284,10 +287,10 @@ class TrajectoryStack:
             self.w[i], self.V[i], Vinv[i], self.cond[i] = eig_decompose(self.M[i])
         self.use_expm = ~np.isfinite(self.cond) | (self.cond > COND_LIMIT)
         # one matrix-vector product per row, bitwise Vinv @ p0 of that row
-        self.c = (Vinv @ p0.astype(np.complex128)[..., None])[..., 0]
+        self.p0 = np.broadcast_to(p0, (n, 4))
+        self.c = (Vinv @ self.p0.astype(np.complex128)[..., None])[..., 0]
         self.A1 = coeffs[:, 0]
-        self.coherences = coherences
-        self.p0 = p0
+        self.coherences = np.broadcast_to(coherences, (n, 4))
 
 
 def _populations(stack, rows, tau, expm):
@@ -318,24 +321,25 @@ def _evaluate(stack, rows, tau, clamp):
     The one implementation of the state at a time: eig rows stack
     c*exp(w tau) and apply V by one batched matrix-vector product, the rows
     on the expm fallback take one ``pops_at`` call, tau = 0 gives p0, and the
-    concurrence is ``concurrence_kernel`` on the arrays. With the clamp, a
-    radicand below RADICAND_SLACK raises InvalidStateError, unless taking
-    again on the nonnegative fallback each row that fell below and holds a
-    negative population (eig roundoff, about eps * cond) mends it. A row is
-    decided on its own samples alone, so every value is bitwise the
-    one-sample reference in ``tests/oracles.py``.
+    concurrence is ``concurrence_kernel``'s formula on the arrays. The one
+    retry rule, clamped or not: a row with a radicand below RADICAND_SLACK
+    and a negative population (eig roundoff, about eps * cond) is taken
+    again, whole, on the nonnegative fallback; only then does the clamp
+    raise InvalidStateError on a radicand still below the slack. A row is
+    decided on its own samples, so it is bitwise its one-row call (for one
+    sample, the reference in ``tests/oracles.py``).
     Populations that overflow at a huge tau, or whose trace is off 1 by more
     than DRIFT_TOL (zero-eigenvalue roundoff), raise ComputationError.
     """
     expm = stack.use_expm[rows]
     pops = _populations(stack, rows, tau, expm)
     coherences = stack.coherences[rows].T[..., None] * np.exp(-4.0 * stack.A1[rows, None] * tau)
-    try:
-        return pops, concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
-    except InvalidStateError as error:
-        retry = error.where.any(axis=1) & (pops < 0.0).any(axis=(1, 2))
+    C, low = _concurrence(*pops.transpose(2, 0, 1), *coherences, clamp)
+    if low.any():
+        retry = low.any(axis=1) & (pops < 0.0).any(axis=(1, 2))
         pops = _populations(stack, rows, tau, expm | retry)
-        return pops, concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
+        C = concurrence_kernel(*pops.transpose(2, 0, 1), *coherences, clamp)
+    return pops, C
 
 
 def _conc_at(stack, rows, tau):
@@ -350,8 +354,8 @@ def _conc_raw_at(stack, rows, tau):
 
 def trajectory_kernel(stack, rows, taus):
     """Populations and concurrence of the stack rows ``rows`` (k,) on one
-    time grid. Returns (pops (k, t, 4), C (k, t)), every value bitwise
-    equal to the one-sample reference in ``tests/oracles.py``."""
+    time grid. Returns (pops (k, t, 4), C (k, t)), every row bitwise its
+    one-row call, whose retry on the fallback takes the whole row."""
     return _evaluate(stack, rows, np.broadcast_to(taus, (rows.size, taus.size)), True)
 
 

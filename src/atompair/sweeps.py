@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import BathKind, DipoleOrientation, coefficient_rows
-from .dynamics import XState, catalogue_state, state_rows
+from .dynamics import XState, catalogue_state
 from .entanglement import EVENT_FIELDS, concurrence_x
 from .errors import DomainError
 
@@ -114,12 +114,11 @@ def _trajectories(spec):
     a, L = spec.cells()
     nmodes = len(spec.bath_modes)
     size = max(1, REFINE_TRAJECTORIES // nmodes)
-    p0, coherences = state_rows([spec.initial_state()])
+    state = spec.initial_state()
     for start in range(0, a.size, size):
         coeffs = coefficient_rows(a[start:start + size], L[start:start + size],
                                   spec.dipole1, spec.dipole2, spec.bath_modes)
-        yield kernels.TrajectoryStack(coeffs, np.repeat(p0, len(coeffs), axis=0),
-                                      np.repeat(coherences, len(coeffs), axis=0))
+        yield kernels.TrajectoryStack(coeffs, state.populations(), state.coherences())
 
 
 def _scan(stack, taus):

@@ -17,11 +17,14 @@ it:
   ``atompair.concurrence_wootters`` and of the positivity checks;
 - ``refinement_boundary_cells`` compares a coarse region map with its
   grid-doubled refinement;
+- ``prepare`` builds the ``TrajectoryStack`` of a list of (XState,
+  CoefficientSet) pairs, one row each: the mixed-state stacks that the
+  sweeps, which start every row in one state, never build;
 - ``pops_at`` is the state of one row of a ``TrajectoryStack`` at one
   time, by the scalar eig formula V @ (c exp(w tau)), the expm fallback
   or p0 at tau = 0, and ``_conc_at`` adds ``concurrence_kernel`` on one
-  sample, taken again on the fallback when the clamped concurrence finds
-  the sample not positive and it holds a negative population: the
+  sample, taken again on the fallback, clamped or not, when a radicand
+  falls below the slack and the sample holds a negative population: the
   reference that ``atompair.kernels._evaluate`` must match bit for bit at
   every sample of a refinement call;
 - ``events_kernel`` is the one-trajectory scalar event refinement of one
@@ -404,6 +407,15 @@ REFINE_TOL = kernels.REFINE_TOL
 _INVGOLD = kernels._INVGOLD
 
 
+def prepare(pairs):
+    """The TrajectoryStack of (XState, CoefficientSet) pairs, one row per
+    pair in order; no validation and no fallback warning."""
+    coeffs = [(cs.A1, cs.B1, cs.A2, cs.B2) for _, cs in pairs]
+    return kernels.TrajectoryStack(np.array(coeffs),
+                                   np.array([state.populations() for state, _ in pairs]),
+                                   np.array([state.coherences() for state, _ in pairs]))
+
+
 def pops_at(stack, i, tau, fallback=False):
     """Populations of row i of a TrajectoryStack at one time; the row's
     fallback is taken when ``fallback`` is set."""
@@ -416,17 +428,19 @@ def pops_at(stack, i, tau, fallback=False):
 
 def _conc_at(stack, i, tau, clamp=True, fallback=False):
     # pops_at and concurrence_kernel at one time of row i of a TrajectoryStack;
-    # a sample found not positive with a negative population is taken again
-    # on the fallback
+    # a sample below the radicand slack (the clamped call raises) with a
+    # negative population is taken again on the fallback, clamped or not
     p = pops_at(stack, i, tau, fallback)
     reAS, imAS, reGE, imGE = stack.coherences[i] * np.exp(-4.0 * stack.A1[i] * tau)
+    args = (p[0], p[1], p[2], p[3], reAS, imAS, reGE, imGE)
     try:
-        return float(kernels.concurrence_kernel(p[0], p[1], p[2], p[3],
-                                                reAS, imAS, reGE, imGE, clamp))
+        kernels.concurrence_kernel(*args)
     except InvalidStateError:
-        if fallback or not (p < 0.0).any():
+        if not fallback and (p < 0.0).any():
+            return _conc_at(stack, i, tau, clamp, True)
+        if clamp:
             raise
-        return _conc_at(stack, i, tau, clamp, True)
+    return float(kernels.concurrence_kernel(*args, clamp))
 
 
 def _conc_raw_at(stack, i, tau):

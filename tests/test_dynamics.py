@@ -13,8 +13,9 @@ from atompair import (BathKind, CoefficientSet, ComputationError,
                       DegenerateGeneratorError, DomainError, InvalidStateError,
                       SystemParams, XState, assemble, asymptotic_state,
                       build_generator, catalogue_state, compute_trajectory,
-                      detect_events, evolve)
+                      concurrence_x, detect_events, evolve)
 from atompair import kernels
+from atompair.dynamics import _one_row_stack
 from atompair.sweeps import HORIZON, HORIZON_TAU
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
 from oracles import basis_transform
@@ -438,6 +439,22 @@ def test_negative_eig_populations_are_evaluated_again_on_the_fallback():
         np.testing.assert_allclose(traj.populations, want, rtol=0.0, atol=1e-9)
         events = detect_events(compute_trajectory(catalogue_state("E"), cs, HORIZON))
         assert events.death_time is None and events.max_concurrence == 0.0
+
+
+def test_evolve_takes_the_retry_of_a_one_sample_call():
+    # the thin cell of the test above, sample by sample: evolve is unclamped,
+    # yet it takes the row again on the fallback exactly where the clamped
+    # one-sample trajectory call does, so the state it returns is positive
+    z = AXES["z"]
+    for bath in BathKind:
+        cs = assemble(SystemParams(0.3, 1e-4, z, z, bath))
+        stack = _one_row_stack(catalogue_state("E"), cs)
+        for tau in np.linspace(0.0, 2e-6, 201)[1:]:
+            state = evolve(catalogue_state("E"), cs, float(tau))
+            pops, C = kernels.trajectory_kernel(stack, np.arange(1), np.array([tau]))
+            assert state.populations().min() >= 0.0
+            np.testing.assert_array_equal(state.populations(), pops[0, 0])
+            assert concurrence_x(state) == C[0, 0]
 
 
 def test_fallback_beyond_float_range_raises():

@@ -5,12 +5,11 @@ import oracles
 from atompair import (BathKind, CoefficientSet, DomainError, EntanglementEvents,
                       InvalidStateError, SystemParams, assemble, catalogue_state,
                       compute_trajectory, detect_events, kernels, sweeps)
-from atompair.dynamics import prepare
 from atompair.entanglement import EVENT_FIELDS
 from atompair.sweeps import (LABEL_NAMES, SweepSpec, run_curve, run_events,
                              run_region_map, time_grid)
 from conftest import AXES, random_coeffs, random_xstate
-from oracles import refinement_boundary_cells
+from oracles import prepare, refinement_boundary_cells
 
 AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 
@@ -314,6 +313,14 @@ def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
     assert min(dips) <= kernels.EPS_DEAD < max(dips)
     assert np.isnan(want[:, 0]).any() and (want[:, 2] == 1).any()
     assert (np.argmax(C, axis=1) == 0).any()
+    # the unclamped evaluation of the dip search takes a thin-row sample
+    # below tau = 1e-6 again on the fallback by the same rule
+    early = EARLY_TAUS[1:101]
+    for i in (0, 1):
+        retried.clear()
+        raw = [oracles._conc_raw_at(trajs, i, tau) for tau in early]
+        assert np.array_equal(kernels._conc_raw_at(trajs, np.full(early.size, i), early), raw)
+        assert retried == {i}
 
     # a one-sample grid: every evaluation is at tau = 0, where pops are p0
     one = np.zeros(1)
