@@ -10,7 +10,9 @@ which no preset reaches, and ``evolve`` on a cell whose eig-path
 populations dip below zero, so that their rows are evaluated again on the
 matrix-exponential fallback: once on the horizon grid, where only event
 refinement reaches the dip, and once on a linear grid through the dip,
-where the scan itself takes the retry. Prints one
+where the scan itself takes the retry, plus ``coeffs`` and ``region`` on a
+grid through a/omega = 1e-300, below the magnitudes ``format_rows``
+certifies, so that their rows are printed by its ``%`` fallback. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -85,9 +87,20 @@ THIN_EARLY_EVOLVE = {
     "outputs": ["curve"],
 }
 
+# a/omega = 1e-300 on the grid: the coeffs and region rows that hold it are
+# printed by format_rows' % fallback, beside rows it prints itself
+TINY_A = {
+    "name": "tiny-a",
+    "initial_states": [{"family": "psi2", "p": 0.2}],
+    "polarizations": [["z", "z"], ["x", "z"]],
+    "grid": {"a_over_omega": {"start": 0.0, "stop": 2.0e-300, "num": 3},
+             "omega_L": {"start": 0.002, "stop": 5.0, "num": 3}},
+    "outputs": ["region"],
+}
+
 # (command, config) of every generated config
 GENERATED = (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE), ("evolve", THIN_EVOLVE),
-             ("evolve", THIN_EARLY_EVOLVE))
+             ("evolve", THIN_EARLY_EVOLVE), ("coeffs", TINY_A), ("region", TINY_A))
 
 
 def _runs(tmp):

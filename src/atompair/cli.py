@@ -5,11 +5,13 @@ Subcommands: ``coeffs``, ``evolve``, ``sweep``, ``region``; each takes
 config is validated in full before the output directory is created. Output
 tables are UTF-8 CSV with LF line endings, a fixed column order and 17
 significant digits; every table comes with a JSON metadata sidecar carrying
-the resolved parameters, package version and a sha256 checksum. Float
-fields are exactly ``"%.17g" % x``: ``format_rows`` prints a whole table
-at once on arrays, with digits certified from a double-double product, and
-leaves each row holding a value it cannot certify (nan, inf, an exact
-decimal tie, a magnitude outside about 1e-250..1e250) to Python's ``%``.
+the resolved parameters, package version and a sha256 checksum. Every
+float field of every table is printed by ``format_rows``, exactly
+``"%.17g" % x``: it prints a whole table at once on arrays, with digits
+certified from a double-double product, and leaves each row holding a
+value it cannot certify (nan, inf, an exact decimal tie, a magnitude
+outside about 1e-250..1e250) to Python's ``%``. The text columns of the
+``coeffs`` and ``region`` tables are joined to its lines row by row.
 The tables are the arrays the sweeps return, their event columns named by
 ``EVENT_FIELDS``; an events JSON reads each row by ``EntanglementEvents.from_row``.
 Grid cells run in one process, scanned in blocks of a fixed size;
@@ -45,10 +47,6 @@ EXIT_IO = 4
 
 _POP_NAMES = ("pGG", "pAA", "pSS", "pEE")
 _CELL_COLUMNS = ("a_over_omega", "omega_L")
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 # format_rows: one 48-byte field per value, every byte a format may print at
@@ -228,11 +226,6 @@ def format_rows(values) -> bytes:
     return b"".join(parts)
 
 
-def _text_rows(rows) -> bytes:
-    """CSV body of rows already joined with commas."""
-    return "".join(row + "\n" for row in rows).encode()
-
-
 def _write_text(path: Path, parts) -> str:
     """Write the byte strings ``parts`` to ``path`` in order; returns the
     sha256 of the file. No part is joined to another first."""
@@ -292,11 +285,14 @@ def cmd_coeffs(config: RunConfig, out_dir):
         # rows by a, then omega_L, bath and atom order; the order 21 is the
         # order 12 of the swapped pair
         table = np.stack([coefficient_rows(a, L, d1, d2, config.bath_modes),
-                          coefficient_rows(a, L, d2, d1, config.bath_modes)], axis=1)
+                          coefficient_rows(a, L, d2, d1, config.bath_modes)],
+                         axis=1).reshape(-1, 4)
+        cells = np.repeat(np.column_stack([a, L]), 2 * len(config.bath_modes), axis=0)
+        numbers = format_rows(np.column_stack([cells, table])).decode().splitlines()
         keys = itertools.product(a_values, L_values, config.bath_modes, ("12", "21"))
-        for (a_k, L_k, bath, order), cs in zip(keys, table.reshape(-1, 4).tolist()):
-            rows.append(",".join([pol_label, _fmt(a_k), _fmt(L_k), bath.value, order,
-                                  *map(_fmt, cs)]))
+        for (a_k, L_k, bath, order), cs, line in zip(keys, table.tolist(), numbers):
+            a_text, L_text, cs_text = line.split(",", 2)
+            rows.append(f"{pol_label},{a_text},{L_text},{bath.value},{order},{cs_text}\n")
             pretty.append([pol_label, f"{a_k:g}", f"{L_k:g}", bath.value, order,
                            *(f"{v:.8f}" for v in cs)])
     widths = [max(len(columns[k]), max(len(r[k]) for r in pretty))
@@ -306,7 +302,7 @@ def cmd_coeffs(config: RunConfig, out_dir):
         print("  ".join(v.rjust(widths[k]) for k, v in enumerate(row)))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_outputs(config, out_dir, "coeffs", "", f"{config.name}_coeffs",
-                   columns, [_text_rows(rows)])
+                   columns, ["".join(rows).encode()])
     return EXIT_OK
 
 
@@ -363,12 +359,13 @@ def cmd_region(config: RunConfig, out_dir):
     for panel, spec in specs:
         labels = run_region_map(spec).ravel()
         columns = [*_CELL_COLUMNS, "label"]
-        rows = [",".join([_fmt(a), _fmt(L), LABEL_NAMES[code]])
-                for a, L, code in zip(*spec.cells(), labels.tolist())]
+        cells = format_rows(np.column_stack(spec.cells())).decode().splitlines()
+        body = "".join(f"{cell},{LABEL_NAMES[code]}\n"
+                       for cell, code in zip(cells, labels.tolist())).encode()
         counts = dict(zip(LABEL_NAMES,
                           np.bincount(labels, minlength=len(LABEL_NAMES)).tolist()))
         _write_outputs(config, out_dir, "region", panel,
-                       f"{spec.label}_region", columns, [_text_rows(rows)],
+                       f"{spec.label}_region", columns, [body],
                        extra={"label_counts": counts, "criterion": spec.event_kind})
         print(f"{config.name} {panel} [{spec.event_kind}]: "
               + ", ".join(f"{k}={v}" for k, v in counts.items()))

@@ -379,6 +379,8 @@ def _golden_extremum(f, rows, lo, hi, sign, tol):
     # of trajectory rows[i] shrinks until it is tol[i] wide
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    if not lo.size:   # no bracket: no evaluation on empty arrays
+        return lo, hi
     tol = np.broadcast_to(tol, lo.shape)
     x1 = hi - _INVGOLD * (hi - lo)
     x2 = lo + _INVGOLD * (hi - lo)

@@ -19,7 +19,10 @@ it:
   grid-doubled refinement;
 - ``prepare`` builds the ``TrajectoryStack`` of a list of (XState,
   CoefficientSet) pairs, one row each: the mixed-state stacks that the
-  sweeps, which start every row in one state, never build;
+  sweeps, which start every row in one state, never build, and
+  ``eig_decompose`` is the one-generator decomposition (``eig`` of the
+  complex cast, ``inv``, product of Frobenius norms) that the stack's
+  set-up must match row by row;
 - ``pops_at`` is the state of one row of a ``TrajectoryStack`` at one
   time, by the scalar eig formula V @ (c exp(w tau)), the expm fallback
   or p0 at tau = 0, and ``_conc_at`` adds ``concurrence_kernel`` on one
@@ -414,6 +417,13 @@ def prepare(pairs):
     return kernels.TrajectoryStack(np.array(coeffs),
                                    np.array([state.populations() for state, _ in pairs]),
                                    np.array([state.coherences() for state, _ in pairs]))
+
+
+def eig_decompose(M):
+    """(w, V, Vinv, cond) of one 4x4 generator, one matrix at a time."""
+    w, V = np.linalg.eig(M.astype(np.complex128))
+    Vinv = np.linalg.inv(V)
+    return w, V, Vinv, np.linalg.norm(V) * np.linalg.norm(Vinv)
 
 
 def pops_at(stack, i, tau, fallback=False):

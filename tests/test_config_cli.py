@@ -84,6 +84,15 @@ def test_unknown_keys_rejected(tmp_path, capsys):
             load_config(cfg)
         assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
+    # a file that is not YAML, or is empty, exits 2 naming the file
+    for text, message in (("name: [unclosed\n", "YAML parse error"), ("", "empty config")):
+        cfg = tmp_path / "raw.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"raw.yaml: {message}"):
+            load_config(cfg)
+        assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"raw.yaml: {message}" in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -189,7 +198,32 @@ def test_run_input_rules_are_config_errors(tmp_path, capsys):
             ("sweep", dict(sweep, fixed={"a_over_omega": 1.0, "omega_L": [0.5, 2.0]}, grid={}),
              "grid"),
             ("sweep", dict(sweep, fixed={}, grid={"a_over_omega": small, "omega_L": small}),
-             "grid")):
+             "grid"),
+            ("evolve", dict(MINIMAL, outputs=["events"]), "outputs"),
+            # the parser's own rules on the shape and range of each entry
+            ("evolve", dict(MINIMAL, name="a/b"), "name"),
+            ("evolve", dict(MINIMAL, title=5), "title"),
+            ("evolve", dict(MINIMAL, fixed=[1.0, 1.0]), "fixed"),
+            ("evolve", dict(MINIMAL, fixed={"a_over_omega": "fast", "omega_L": 1.0}),
+             "fixed.a_over_omega"),
+            ("evolve", dict(MINIMAL, initial_states=[{"family": "psi3", "p": 0.2}]),
+             "initial_states[0].family"),
+            ("evolve", dict(MINIMAL, initial_states=[5]), "initial_states[0]"),
+            ("evolve", dict(MINIMAL, polarizations=[]), "polarizations"),
+            ("evolve", dict(MINIMAL, polarizations=[["w", "z"]]), "polarizations[0][0]"),
+            ("evolve", dict(MINIMAL, polarizations=[[[1.0, 0.0], "z"]]), "polarizations[0][0]"),
+            ("evolve", dict(MINIMAL, outputs=[]), "outputs"),
+            ("evolve", dict(MINIMAL, outputs=["curve", "curve"]), "outputs[1]"),
+            ("evolve", dict(MINIMAL, grid={"tau": {"num": 40}}), "grid.tau.stop"),
+            ("evolve", dict(MINIMAL, grid={"tau": {"stop": 5.0, "num": 4.5}}), "grid.tau.num"),
+            ("evolve", dict(MINIMAL, grid={"tau": {"stop": 5.0, "num": 1}}), "grid.tau.num"),
+            ("region", dict(region, grid={"a_over_omega": dict(small, start=-1.0),
+                                          "omega_L": small}), "grid.a_over_omega.start"),
+            ("region", dict(region, grid={"a_over_omega": small,
+                                          "omega_L": dict(small, start=0.0)}),
+             "grid.omega_L.start"),
+            ("region", dict(region, grid={"a_over_omega": dict(small, stop=0.5),
+                                          "omega_L": small}), "grid.a_over_omega.stop")):
         cfg = write_config(tmp_path, data, "rule.yaml")
         with pytest.raises(ConfigError, match=f": {re.escape(key)}: "):
             load_config(cfg).sweep_specs(command)

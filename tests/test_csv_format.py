@@ -7,10 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import atompair
-from atompair.cli import format_rows
+from atompair import SystemParams, assemble
+from atompair.cli import format_rows, main
+from atompair.config import load_config
+from atompair.sweeps import LABEL_NAMES, run_region_map
 import oracles
+
+# a/omega = 1e-300 lies below the range format_rows certifies: its rows
+# are printed by the % fallback
+TINY_A = {"a_over_omega": {"start": 0.0, "stop": 2.0e-300, "num": 3},
+          "omega_L": {"start": 0.5, "stop": 2.0, "num": 2}}
 
 
 def _powers_of_ten():
@@ -83,3 +92,44 @@ def test_format_tables_built_on_first_call():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "1"]
+
+
+def _body(path):
+    return path.read_bytes().split(b"\n", 1)[1].decode()
+
+
+def _fields(*values):
+    return oracles.format_rows(np.array([values])).decode().rstrip("\n").split(",")
+
+
+def test_coeffs_and_region_tables_print_each_field_as_python(tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump({
+        "name": "tiny", "initial_states": [{"family": "psi2", "p": 0.2}],
+        "polarizations": [["z", "z"], ["x", "z"]], "grid": TINY_A,
+        "outputs": ["region"]}), encoding="utf-8")
+    config = load_config(path)
+    for command in ("coeffs", "region"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+
+    want = []
+    for d1, d2, label in config.polarizations:
+        for a in config.axis_values("a_over_omega"):
+            for L in config.axis_values("omega_L"):
+                for mode in config.bath_modes:
+                    for order in (12, 21):
+                        cs = assemble(SystemParams(a, L, d1, d2, mode), order)
+                        a_text, L_text, *cs_text = _fields(a, L, cs.A1, cs.B1, cs.A2, cs.B2)
+                        want.append(",".join([label, a_text, L_text, mode.value, str(order),
+                                              *cs_text]))
+    body = _body(tmp_path / "coeffs" / "tiny_coeffs.csv")
+    assert body == "".join(line + "\n" for line in want)
+    assert ",1e-300," in body
+
+    for _, spec in config.sweep_specs("region"):
+        labels = run_region_map(spec).ravel().tolist()
+        want = [",".join([*_fields(a, L), LABEL_NAMES[code]])
+                for a, L, code in zip(*spec.cells(), labels)]
+        body = _body(tmp_path / "region" / f"{spec.label}_region.csv")
+        assert body == "".join(line + "\n" for line in want)
+        assert "\n1e-300," in body

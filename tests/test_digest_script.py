@@ -1,4 +1,5 @@
-"""The byte-identity tool keeps running and keeps covering the retry.
+"""The byte-identity tool keeps running and keeps covering the retry and
+the CSV formatter's fallback.
 
 ``scripts/preset_digests.py`` is how two checkouts are compared output by
 output. A generated config that the schema stops accepting would make it
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from atompair import kernels, sweeps
+from atompair import cli, kernels, sweeps
 from atompair.config import parse_config
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "preset_digests.py"
@@ -35,6 +36,12 @@ def test_generated_configs_parse(tmp_path):
                 config.check_command(argv[0])
             names.add(config.name)
     assert {data["name"] for _, data in digests.GENERATED} <= names
+    # coeffs and region run on a grid with a nonzero a/omega that
+    # format_rows leaves to Python's %
+    assert {("coeffs", "tiny-a"), ("region", "tiny-a")} <= {
+        (command, data["name"]) for command, data in digests.GENERATED}
+    a = parse_config(digests.TINY_A).axis_values("a_over_omega")
+    assert any(0.0 < value < cli._CERTAIN[0] for value in a)
 
 
 def test_thin_early_scan_takes_the_retry(monkeypatch):

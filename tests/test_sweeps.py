@@ -189,6 +189,22 @@ def test_stack_setup_is_bitwise_per_row(rng):
         assert stack.use_expm[i] == ((not np.isfinite(cond)) or cond > kernels.COND_LIMIT)
 
 
+def test_stack_setup_matches_the_per_matrix_oracle(rng):
+    # the set-up against a decomposition outside the package: w, V, c and
+    # use_expm bitwise, cond to roundoff of its norms
+    pairs = [(random_xstate(rng), random_coeffs(rng)) for _ in range(20)]
+    pairs += [FALLBACK_PAIR, *THIN_PAIRS.values()]
+    stack = prepare(pairs)
+    for i, (state, cs) in enumerate(pairs):
+        w, V, Vinv, cond = oracles.eig_decompose(
+            kernels.generator_kernel(cs.A1, cs.B1, cs.A2, cs.B2))
+        assert np.array_equal(stack.w[i], w) and np.array_equal(stack.V[i], V)
+        assert np.array_equal(stack.c[i], Vinv @ state.populations().astype(np.complex128))
+        assert stack.cond[i] == pytest.approx(cond, rel=1e-15, abs=0)
+        assert stack.use_expm[i] == ((not np.isfinite(cond)) or cond > kernels.COND_LIMIT)
+    assert stack.use_expm.any() and not stack.use_expm.all()
+
+
 def test_block_scan_is_bitwise_scalar(rng, monkeypatch):
     # eig-path trajectories around one on the expm fallback, and the thin
     # cell in both baths, whose rows are scanned again on the fallback
@@ -346,6 +362,27 @@ def test_grouped_refinement_rejects_negative_radicand():
         kernels.events_kernel(group, taus, np.array([row, row]))
     assert str(grouped.value) == str(scalar.value)
     assert "radicand below tolerance" in str(grouped.value)
+
+
+def test_refinement_skips_searches_with_no_bracket(monkeypatch):
+    # |A> decays without a sampled dip or a revival: the dip search and the
+    # search after the death have no bracket and evaluate nothing
+    group = prepare([(catalogue_state("A"), assemble(SystemParams(0.5, 1.0, AXES["z"],
+                                                                  AXES["z"], mode)))
+                     for mode in (AV, TH)])
+    taus = time_grid(50.0, 400)
+    _, C = kernels.trajectory_kernel(group, np.arange(2), taus)
+    sizes = {"_conc_at": [], "_conc_raw_at": []}
+    for name, calls in sizes.items():
+        def recording(stack, rows, tau, original=getattr(kernels, name), calls=calls):
+            calls.append(rows.size)
+            return original(stack, rows, tau)
+
+        monkeypatch.setattr(kernels, name, recording)
+    events = kernels.events_kernel(group, taus, C)
+    assert not events[:, 2].any()
+    assert sizes["_conc_raw_at"] == []
+    assert sizes["_conc_at"] and min(sizes["_conc_at"]) > 0
 
 
 def test_events_same_for_any_refinement_group(monkeypatch):
