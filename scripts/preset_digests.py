@@ -12,7 +12,10 @@ matrix-exponential fallback: once on the horizon grid, where only event
 refinement reaches the dip, and once on a linear grid through the dip,
 where the scan itself takes the retry, plus ``coeffs`` and ``region`` on a
 grid through a/omega = 1e-300, below the magnitudes ``format_rows``
-certifies, so that their rows are printed by its ``%`` fallback. Prints one
+certifies, so that their rows are printed by its ``%`` fallback, plus
+``evolve`` on psi1(1/4) cells whose concurrence dips through zero between
+samples, so that the events output prints the refined times of 18 such
+dips. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -98,9 +101,22 @@ TINY_A = {
     "outputs": ["region"],
 }
 
+# psi1(1/4) at small a/omega: 18 sampled minima above threshold whose
+# unclamped concurrence goes below it, each refined as a death and a birth
+# that the events output prints (fig7 prints one, the fallback run eight)
+DIPS_EVOLVE = {
+    "name": "dips",
+    "initial_states": [{"family": "psi1", "p": 0.25}],
+    "polarizations": [["z", "x"], ["z", "z"]],
+    "fixed": {"a_over_omega": [0.05, 0.2], "omega_L": [0.8, 1.2, 2.0]},
+    "grid": {"tau": {"stop": 12.0, "num": 400}},
+    "outputs": ["curve", "events"],
+}
+
 # (command, config) of every generated config
 GENERATED = (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE), ("evolve", THIN_EVOLVE),
-             ("evolve", THIN_EARLY_EVOLVE), ("coeffs", TINY_A), ("region", TINY_A))
+             ("evolve", THIN_EARLY_EVOLVE), ("coeffs", TINY_A), ("region", TINY_A),
+             ("evolve", DIPS_EVOLVE))
 
 
 def _runs(tmp):

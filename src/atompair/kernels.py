@@ -3,7 +3,7 @@
 Populations and concurrence are sampled for a block of rows of a
 ``TrajectoryStack`` at once, on arrays (``trajectory_kernel``), and event
 refinement (bisection, golden section) steps every flagged bracket of a
-group of trajectories at once (``events_kernel``). The kernels do not
+group at once, one pass per search (``events_kernel``). The kernels do not
 validate their arguments: the config parser (:mod:`atompair.config`) and
 the public dataclasses (``SystemParams``, ``CoefficientSet``,
 ``DipoleOrientation``, ``XState``) check every input before it reaches them.
@@ -422,16 +422,17 @@ def events_kernel(stack, taus, C):
     downward then an upward one. revival_amplitude is the
     largest concurrence after the first death, 0 when there is no death.
 
-    Every bracket of the group is refined in the same array pass, so each
-    bisection or golden-section step is one evaluation call for the whole
-    group; the steps that need earlier results (bisecting certified dips,
-    the maximum after the death) run after them. Each bracket takes the
-    steps the one-trajectory scalar search takes, so rows are bitwise
+    Three array passes refine the group: a golden section into every
+    sampled minimum, one bisection of every crossing (between samples, and
+    either side of each certified dip), then one golden section around
+    every maximum (the best sample, and the best after the first death).
+    Each step is one evaluation call for the group, and each bracket takes
+    the steps the one-trajectory scalar search takes, so rows are bitwise
     equal to it.
     """
     conc = functools.partial(_conc_at, stack)
     n = taus.size
-    rows = np.arange(len(C))
+    m = len(C)
     above = C > EPS_DEAD
     crossing = np.zeros(C.shape, dtype=bool)
     crossing[:, 1:] = above[:, 1:] != above[:, :-1]
@@ -439,10 +440,6 @@ def events_kernel(stack, taus, C):
     dip[:, 1:-1] = (above[:, :-2] & above[:, 1:-1] & above[:, 2:]
                     & (C[:, 1:-1] <= C[:, :-2]) & (C[:, 1:-1] <= C[:, 2:]))
 
-    # threshold crossings between samples
-    rc, kc = np.nonzero(crossing)
-    upward = above[rc, kc]
-    tc = _bisect_crossing(conc, rc, taus[kc - 1], taus[kc], upward)
     # local minima above threshold: the true dip may cross between samples;
     # certify at machine depth (a zero-temperature dip is a V touching zero
     # over a vanishing time window)
@@ -450,43 +447,42 @@ def events_kernel(stack, taus, C):
     tmin, fmin = _golden_extremum(functools.partial(_conc_raw_at, stack), rd,
                                   taus[kd - 1], taus[kd + 1], -1.0,
                                   1e-12 * np.maximum(1.0, taus[kd + 1]))
-    # golden-section refinement of the sampled maximum (first best sample)
-    kbest = np.argmax(C, axis=1)
-    tmax, fmax = _golden_extremum(conc, rows, taus[np.maximum(kbest - 1, 0)],
-                                  taus[np.minimum(kbest + 1, n - 1)], 1.0, REFINE_TOL)
-
-    # a certified dip is a death and a birth, bisected on either side
     certified = fmin <= EPS_DEAD
     rd, kd, tmin = rd[certified], kd[certified], tmin[certified]
-    ndip = rd.size
-    tdip = _bisect_crossing(conc, np.concatenate([rd, rd]),
-                            np.concatenate([taus[kd - 1], tmin]),
-                            np.concatenate([tmin, taus[kd + 1]]),
-                            np.repeat([False, True], ndip))
 
-    # first death and first birth in time: the earliest candidate of each
-    # row, NaN where there is none (fmin skips the NaN of the other direction)
-    cand_rows = np.concatenate([rc, rd])
-    death = np.full(rows.size, np.nan)
-    birth = np.full(rows.size, np.nan)
-    np.fmin.at(death, cand_rows, np.concatenate([np.where(upward, np.nan, tc), tdip[:ndip]]))
-    np.fmin.at(birth, cand_rows, np.concatenate([np.where(upward, tc, np.nan), tdip[ndip:]]))
+    # threshold crossings between samples, then each certified dip as a
+    # death and a birth, bisected on either side
+    rc, kc = np.nonzero(crossing)
+    rx = np.concatenate([rc, rd, rd])
+    upward = np.concatenate([above[rc, kc], np.repeat([False, True], rd.size)])
+    tx = _bisect_crossing(conc, rx, np.concatenate([taus[kc - 1], taus[kd - 1], tmin]),
+                          np.concatenate([taus[kc], tmin, taus[kd + 1]]), upward)
 
-    cbest = C[rows, kbest]
-    better = fmax > cbest
-    max_c = np.where(better, fmax, cbest)
-    max_t = np.where(better, tmax, taus[kbest])
+    # first death and first birth in time: the earliest downward and upward
+    # candidate of each row, NaN where there is none
+    first = np.full((2, m), np.nan)
+    np.fmin.at(first, (upward.astype(int), rx), tx)
+    death, birth = first
 
-    # largest concurrence after the first death (no samples without one)
+    # golden section around each row's first best sample, and around its
+    # best sample after the first death (no samples without one), a bracket
+    # that starts no earlier than the death
     after = np.where(taus > death[:, None], C, -np.inf)
     revived = np.flatnonzero(after.max(axis=1) > 0.0)
-    kpost = np.argmax(after[revived], axis=1)
-    cpost = C[revived, kpost]
-    _, fpost = _golden_extremum(conc, revived,
-                                np.maximum(taus[np.maximum(kpost - 1, 0)], death[revived]),
-                                taus[np.minimum(kpost + 1, n - 1)], 1.0, REFINE_TOL)
-    rev_amp = np.zeros(rows.size)
-    rev_amp[revived] = np.where(cpost > fpost, cpost, fpost)
+    rm = np.concatenate([np.arange(m), revived])
+    km = np.concatenate([np.argmax(C, axis=1), np.argmax(after[revived], axis=1)])
+    lo = taus[np.maximum(km - 1, 0)]
+    lo[m:] = np.maximum(lo[m:], death[revived])
+    tm, fm = _golden_extremum(conc, rm, lo, taus[np.minimum(km + 1, n - 1)], 1.0, REFINE_TOL)
+    # the sampled or the refined value, whichever is larger (fm is never
+    # NaN: non-finite populations raise first)
+    cm = C[rm, km]
+    better = fm > cm
+    best = np.where(better, fm, cm)
+    max_c = best[:m]
+    max_t = np.where(better, tm, taus[km])[:m]
+    rev_amp = np.zeros(m)
+    rev_amp[revived] = best[m:]
 
     revival = ~np.isnan(death) & ~np.isnan(birth) & (birth > death)
     enhancement = max_c > C[:, 0] + EPS_ENH

@@ -11,8 +11,8 @@ Every run_* function goes through one serial generator, ``_trajectories``,
 that sets up a group of cells of a fixed size on arrays, every (cell, bath
 mode) in a fixed order, as one ``kernels.TrajectoryStack``. Each group is
 scanned on arrays in blocks of a fixed size: curves sample it on the tau
-axis, event runs on the horizon grid, and the flagged brackets of the whole
-group are then refined together in one array pass (``kernels.events_kernel``).
+axis, event runs on the horizon grid, and ``kernels.events_kernel`` then
+refines the flagged brackets of the whole group, one array pass per search.
 Group sizes are fixed and block sizes depend only on the tau axis length, so
 outputs are bit-identical from run to run.
 """
@@ -39,9 +39,9 @@ _LOG_GRID_BETA = 6.0
 BLOCK_SAMPLES = 16 * HORIZON_SAMPLES
 # trajectories refined as one group. A refinement step evaluates one
 # sample per bracket, so small groups pay numpy's per-call overhead:
-# against 128, 512 halves the refinement time of sweep fig4 (375 -> 112
-# calls) for 4 MB more peak RSS (39.8 -> 43.8 MB); a group keeps only its
-# concurrence rows (1.6 MB).
+# against 128, 512 cuts the refinement calls of sweep fig4 from 327 to
+# 100 for 2-4 MB more peak RSS; a group keeps only its concurrence rows
+# (1.6 MB).
 REFINE_TRAJECTORIES = 512
 # region maps count an event only above this concurrence scale; the
 # detector itself works at the 1e-12 threshold, which sits at the
@@ -144,11 +144,11 @@ def run_events(spec: SweepSpec) -> np.ndarray:
     (``EntanglementEvents.from_row`` reads one).
 
     Trajectories are scanned in blocks of BLOCK_SAMPLES samples and
-    refined in groups of REFINE_TRAJECTORIES trajectories, every flagged
-    bracket of a group in one array pass. The max_concurrence and max_time
-    columns are the maximum concurrence over the evolution and its time:
-    the sampled maximum refined by golden section around the best sample,
-    to ``kernels.REFINE_TOL`` in scaled time. Multi-bump trajectories are
+    refined in groups of REFINE_TRAJECTORIES trajectories, one array pass
+    per search. The max_concurrence and max_time columns are the maximum
+    concurrence over the evolution and its time: the sampled maximum
+    refined by golden section around the best sample, to
+    ``kernels.REFINE_TOL`` in scaled time. Multi-bump trajectories are
     assumed to be sampled finely enough for the best sample to sit on the
     winning bump.
     """

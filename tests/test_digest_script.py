@@ -1,10 +1,11 @@
-"""The byte-identity tool keeps running and keeps covering the retry and
-the CSV formatter's fallback.
+"""The byte-identity tool keeps running and keeps covering the retry, the
+CSV formatter's fallback and the refinement of certified dips.
 
 ``scripts/preset_digests.py`` is how two checkouts are compared output by
 output. A generated config that the schema stops accepting would make it
-exit early, and a run that no longer reaches the retry on the fallback
-would let a change of that rule pass unseen. These tests fail instead.
+exit early, and a run that no longer reaches the retry on the fallback,
+or no longer certifies dips, would let a change of that rule pass unseen.
+These tests fail instead.
 """
 
 import importlib.util
@@ -42,6 +43,25 @@ def test_generated_configs_parse(tmp_path):
         (command, data["name"]) for command, data in digests.GENERATED}
     a = parse_config(digests.TINY_A).axis_values("a_over_omega")
     assert any(0.0 < value < cli._CERTAIN[0] for value in a)
+    assert ("evolve", "dips") in {(command, data["name"]) for command, data in digests.GENERATED}
+
+
+def test_dips_run_certifies_dips(monkeypatch):
+    # the dip search of the dips run's events goes below the death
+    # threshold at least ten times, each a death and a birth in its output
+    certified = []
+    golden = kernels._golden_extremum
+
+    def recording(f, rows, lo, hi, sign, tol):
+        t, value = golden(f, rows, lo, hi, sign, tol)
+        if sign < 0:
+            certified.extend(value <= kernels.EPS_DEAD)
+        return t, value
+
+    monkeypatch.setattr(kernels, "_golden_extremum", recording)
+    for _, spec in parse_config(_load_script().DIPS_EVOLVE).sweep_specs("evolve"):
+        sweeps.run_curve(spec, events=True)
+    assert sum(certified) >= 10
 
 
 def test_thin_early_scan_takes_the_retry(monkeypatch):

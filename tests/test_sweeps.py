@@ -329,6 +329,11 @@ def test_grouped_refinement_is_bitwise_scalar(rng, monkeypatch):
     assert min(dips) <= kernels.EPS_DEAD < max(dips)
     assert np.isnan(want[:, 0]).any() and (want[:, 2] == 1).any()
     assert (np.argmax(C, axis=1) == 0).any()
+    # a best sample after the death whose lower neighbour lies before it:
+    # that bracket starts at the death the crossing pass refined
+    after = np.where(taus > want[:, None, 0], C, -np.inf)
+    kpost = np.argmax(after, axis=1)
+    assert ((after.max(axis=1) > 0.0) & (taus[kpost - 1] < want[:, 0])).any()
     # the unclamped evaluation of the dip search takes a thin-row sample
     # below tau = 1e-6 again on the fallback by the same rule
     early = EARLY_TAUS[1:101]
@@ -383,6 +388,32 @@ def test_refinement_skips_searches_with_no_bracket(monkeypatch):
     assert not events[:, 2].any()
     assert sizes["_conc_raw_at"] == []
     assert sizes["_conc_at"] and min(sizes["_conc_at"]) > 0
+
+
+def test_refinement_makes_one_pass_per_search(monkeypatch):
+    # psi1(1/4) z-z cells with certified dips and revivals: the crossings
+    # (between samples and around the dips) take one bisection call, the
+    # dips and the maxima (best samples and best after the death) one
+    # golden-section call each
+    group = prepare([(catalogue_state("psi1", 0.25), assemble(
+        SystemParams(a, L, AXES["z"], AXES["z"], mode)))
+        for a, L in ((0.05, 0.05), (0.5, 0.05), (2.41, 1.04)) for mode in (AV, TH)])
+    taus = time_grid(50.0, 400)
+    _, C = kernels.trajectory_kernel(group, np.arange(6), taus)
+    calls = {"_bisect_crossing": [], "_golden_extremum": []}
+    for name, made in calls.items():
+        def recording(*args, original=getattr(kernels, name), made=made):
+            result = original(*args)
+            made.append((args, result))
+            return result
+
+        monkeypatch.setattr(kernels, name, recording)
+    events = kernels.events_kernel(group, taus, C)
+    assert events[:, 2].any()
+    assert len(calls["_bisect_crossing"]) == 1 and len(calls["_golden_extremum"]) == 2
+    (dip_args, (_, dip_values)), (max_args, _) = calls["_golden_extremum"]
+    assert dip_args[4] < 0 < max_args[4]
+    assert (dip_values <= kernels.EPS_DEAD).any()
 
 
 def test_events_same_for_any_refinement_group(monkeypatch):
