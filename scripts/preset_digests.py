@@ -15,7 +15,8 @@ grid through a/omega = 1e-300, below the magnitudes ``format_rows``
 certifies, so that their rows are printed by its ``%`` fallback, plus
 ``evolve`` on psi1(1/4) cells whose concurrence dips through zero between
 samples, so that the events output prints the refined times of 18 such
-dips. Prints one
+dips, plus ``region``, ``evolve`` and ``sweep`` with the bath modes in the
+other order or one mode alone, which no preset lists. Prints one
 ``sha256  name`` line per output file and per captured stdout, sorted.
 The package is imported from the ``src`` next to this script, so
 
@@ -113,10 +114,44 @@ DIPS_EVOLVE = {
     "outputs": ["curve", "events"],
 }
 
+# every preset lists [accelerated, thermal]; these list the modes the other
+# way round or one alone, since the region map picks its columns by mode and
+# the curve, maxima and events outputs name theirs per mode
+THERMAL_FIRST_REGION = {
+    "name": "thermal-first-region",
+    "initial_states": [{"family": "psi2", "p": 0.2}],
+    "polarizations": [["z", "z"]],
+    "bath_modes": ["thermal", "accelerated"],
+    "grid": {"a_over_omega": {"start": 0.015, "stop": 3.0, "num": 6},
+             "omega_L": {"start": 0.025, "stop": 5.0, "num": 6}},
+    "outputs": ["region"],
+}
+
+THERMAL_FIRST_EVOLVE = {
+    "name": "thermal-first-evolve",
+    "initial_states": [{"family": "psi1", "p": 0.25}],
+    "polarizations": [["z", "x"]],
+    "bath_modes": ["thermal", "accelerated"],
+    "fixed": {"a_over_omega": [0.2, 1.0], "omega_L": [0.5, 1.5]},
+    "grid": {"tau": {"stop": 12.0, "num": 200}},
+    "outputs": ["curve", "events"],
+}
+
+THERMAL_ONLY_SWEEP = {
+    "name": "thermal-only-sweep",
+    "initial_states": ["E"],
+    "polarizations": [["y", "y"]],
+    "bath_modes": ["thermal"],
+    "fixed": {"a_over_omega": 0.6666666666666666},
+    "grid": {"omega_L": {"start": 0.05, "stop": 8.0, "num": 24}},
+    "outputs": ["max_concurrence", "events"],
+}
+
 # (command, config) of every generated config
 GENERATED = (("coeffs", PAIRS_COEFFS), ("evolve", FALLBACK_EVOLVE), ("evolve", THIN_EVOLVE),
              ("evolve", THIN_EARLY_EVOLVE), ("coeffs", TINY_A), ("region", TINY_A),
-             ("evolve", DIPS_EVOLVE))
+             ("evolve", DIPS_EVOLVE), ("region", THERMAL_FIRST_REGION),
+             ("evolve", THERMAL_FIRST_EVOLVE), ("sweep", THERMAL_ONLY_SWEEP))
 
 
 def _runs(tmp):

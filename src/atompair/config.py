@@ -15,7 +15,7 @@ Schema (defaults in parentheses):
       - {family: psi1, p: 0.25}     # psi1/psi2 with their weight, 0 < p < 1
     polarizations:                  # required; entries are pairs
       - [z, x]                      # axis letters or unit 3-vectors
-    bath_modes: [accelerated, thermal]   # (both)
+    bath_modes: [accelerated, thermal]   # distinct names (both)
     fixed:                          # scalar or list per axis
       a_over_omega: [0.25, 1.0]
       omega_L: 1.0
@@ -23,7 +23,7 @@ Schema (defaults in parentheses):
       tau: {stop: 8.0, num: 400, spacing: log}   # spacing: log|linear (log)
       a_over_omega: {start: 0.015, stop: 3.0, num: 200}
       omega_L: {start: 0.025, stop: 5.0, num: 200}
-    outputs: [curve, events]        # curve | events | max_concurrence | region
+    outputs: [curve, events]        # distinct: curve | events | max_concurrence | region
     events:
       kind: revival                 # (revival) | enhancement
 
@@ -49,7 +49,6 @@ from .sweeps import SweepSpec, time_grid
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _STATE_NAMES = ("G", "A", "S", "E")
 _AXIS_LETTERS = ("x", "y", "z")
-_MODE_BY_NAME = {kind.value: kind for kind in BathKind}
 _PHYSICAL_AXES = ("a_over_omega", "omega_L")
 _OUTPUTS = ("curve", "events", "max_concurrence", "region")
 
@@ -77,6 +76,18 @@ def _expect_number(source, path, value):
     if not math.isfinite(number):
         _fail(source, path, f"must be finite, got {value!r}")
     return number
+
+
+def _parse_choices(source, key, entries, allowed):
+    """A nonempty list of distinct names from ``allowed``, as a tuple."""
+    if not isinstance(entries, list) or not entries:
+        _fail(source, key, f"expected a nonempty list from {list(allowed)}, got {entries!r}")
+    for k, entry in enumerate(entries):
+        if entry not in allowed:
+            _fail(source, f"{key}[{k}]", f"must be one of {list(allowed)}, got {entry!r}")
+        if entry in entries[:k]:
+            _fail(source, f"{key}[{k}]", f"duplicate entry {entry!r}")
+    return tuple(entries)
 
 
 def _expect_int(source, path, value, minimum):
@@ -265,18 +276,9 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         label = l1 + l2 if "v" not in (l1, l2) else f"pol{k}"
         polarizations.append((d1, d2, label))
 
-    mode_names = data.get("bath_modes", ["accelerated", "thermal"])
-    if not isinstance(mode_names, list) or not mode_names:
-        _fail(source, "bath_modes", "must be a nonempty list")
-    modes = []
-    for k, entry in enumerate(mode_names):
-        kind = _MODE_BY_NAME.get(entry) if isinstance(entry, str) else None
-        if kind is None:
-            _fail(source, f"bath_modes[{k}]",
-                  f"must be one of {sorted(_MODE_BY_NAME)}, got {entry!r}")
-        if kind in modes:
-            _fail(source, f"bath_modes[{k}]", f"duplicate mode {entry!r}")
-        modes.append(kind)
+    mode_names = [kind.value for kind in BathKind]   # the default is both modes
+    modes = tuple(map(BathKind, _parse_choices(
+        source, "bath_modes", data.get("bath_modes", mode_names), mode_names)))
 
     fixed_body = _expect_mapping(source, "fixed", data.get("fixed", {}) or {},
                                  _PHYSICAL_AXES)
@@ -300,16 +302,7 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         if axis not in fixed and axis not in grid:
             _fail(source, axis, "must be given under fixed or grid")
 
-    outputs_entry = data.get("outputs")
-    if not isinstance(outputs_entry, list) or not outputs_entry:
-        _fail(source, "outputs", f"required nonempty list from {list(_OUTPUTS)}")
-    outputs = []
-    for k, entry in enumerate(outputs_entry):
-        if entry not in _OUTPUTS:
-            _fail(source, f"outputs[{k}]", f"unknown output {entry!r}")
-        if entry in outputs:
-            _fail(source, f"outputs[{k}]", f"duplicate output {entry!r}")
-        outputs.append(entry)
+    outputs = _parse_choices(source, "outputs", data.get("outputs"), _OUTPUTS)
 
     events_body = _expect_mapping(source, "events", data.get("events", {}) or {},
                                   ("kind",))
@@ -321,9 +314,9 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         name=name, source=source,
         initial_states=initial_states,
         polarizations=tuple(polarizations),
-        bath_modes=tuple(modes),
+        bath_modes=modes,
         fixed=fixed, grid=grid,
-        outputs=tuple(outputs),
+        outputs=outputs,
         event_kind=event_kind,
         raw=data)
 

@@ -10,7 +10,6 @@ positive. The stationary state is a closed form in the rates. Times are in
 units of the inverse emission rate.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -66,22 +65,6 @@ class XState:
             raise InvalidStateError("coherence |cGE|^2 exceeds pGG*pEE")
         return self
 
-    # --- the initial states used by the sweep presets ---
-
-    @classmethod
-    def psi1(cls, p: float) -> "XState":
-        """sqrt(p)|A> + sqrt(1-p)|S>, real coherence sqrt(p(1-p))."""
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"psi1 needs 0 < p < 1, got {p}")
-        return cls(0.0, p, 1.0 - p, 0.0, cAS=complex(np.sqrt(p * (1.0 - p))))
-
-    @classmethod
-    def psi2(cls, p: float) -> "XState":
-        """sqrt(p)|G> + sqrt(1-p)|E>, real coherence sqrt(p(1-p))."""
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"psi2 needs 0 < p < 1, got {p}")
-        return cls(p, 0.0, 0.0, 1.0 - p, cGE=complex(np.sqrt(p * (1.0 - p))))
-
 
 _CATALOGUE = {
     "G": XState(1.0, 0.0, 0.0, 0.0),
@@ -91,19 +74,25 @@ _CATALOGUE = {
 }
 
 
-@functools.cache
 def catalogue_state(name: str, p: float | None = None) -> XState:
-    """Resolve a named initial state; psi1/psi2 take the weight p. Cached:
-    XState is frozen, so equal arguments share one instance."""
+    """Resolve a named initial state: G, A, S, E, or with the weight
+    0 < p < 1, psi1 = sqrt(p)|A> + sqrt(1-p)|S> and
+    psi2 = sqrt(p)|G> + sqrt(1-p)|E>, each with the real coherence
+    sqrt(p(1-p))."""
     if name in _CATALOGUE:
         if p is not None:
             raise DomainError(f"state {name!r} takes no parameter p")
         return _CATALOGUE[name]
-    if name == "psi1" or name == "psi2":
-        if p is None:
-            raise DomainError(f"state {name!r} needs the weight p")
-        return XState.psi1(p) if name == "psi1" else XState.psi2(p)
-    raise DomainError(f"unknown initial state {name!r}")
+    if name != "psi1" and name != "psi2":
+        raise DomainError(f"unknown initial state {name!r}")
+    if p is None:
+        raise DomainError(f"state {name!r} needs the weight p")
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"{name} needs 0 < p < 1, got {p}")
+    c = complex(np.sqrt(p * (1.0 - p)))
+    if name == "psi1":
+        return XState(0.0, p, 1.0 - p, 0.0, cAS=c)
+    return XState(p, 0.0, 0.0, 1.0 - p, cGE=c)
 
 
 def build_generator(coeffs: CoefficientSet) -> np.ndarray:

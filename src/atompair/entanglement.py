@@ -53,15 +53,12 @@ EVENT_FIELDS = tuple(f.name for f in fields(EntanglementEvents))
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution of one initial state under one coefficient set."""
+    """Sampled populations and concurrence of one initial state under one
+    coefficient set (the coherences decay as exp(-4 A1 tau); see ``evolve``)."""
 
     times: np.ndarray
     populations: np.ndarray   # shape (n, 4), coupled-basis order G, A, S, E
-    cAS: np.ndarray
-    cGE: np.ndarray
     concurrence: np.ndarray
-    initial: XState
-    coeffs: CoefficientSet
     # the one-row stack the samples came from; detect_events refines on it
     stack: kernels.TrajectoryStack = field(compare=False, repr=False)
 
@@ -107,7 +104,7 @@ def concurrence_wootters(rho: np.ndarray) -> float:
 
 def compute_trajectory(initial: XState, coeffs: CoefficientSet,
                        taus: np.ndarray) -> Trajectory:
-    """Evolve and attach the concurrence series: one clamped
+    """Sample the populations and the concurrence on ``taus``: one clamped
     ``trajectory_kernel`` call on a one-row stack built as ``evolve``'s is."""
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -116,10 +113,7 @@ def compute_trajectory(initial: XState, coeffs: CoefficientSet,
         raise DomainError("time grid must be finite, start at 0 and increase strictly")
     stack = _one_row_stack(initial, coeffs)
     pops, C = kernels.trajectory_kernel(stack, np.arange(1), taus)
-    damp = np.exp(-4.0 * coeffs.A1 * taus)
-    return Trajectory(times=taus, populations=pops[0],
-                      cAS=initial.cAS * damp, cGE=initial.cGE * damp,
-                      concurrence=C[0], initial=initial, coeffs=coeffs, stack=stack)
+    return Trajectory(times=taus, populations=pops[0], concurrence=C[0], stack=stack)
 
 
 def detect_events(traj: Trajectory) -> EntanglementEvents:

@@ -214,6 +214,9 @@ def test_run_input_rules_are_config_errors(tmp_path, capsys):
             ("evolve", dict(MINIMAL, polarizations=[[[1.0, 0.0], "z"]]), "polarizations[0][0]"),
             ("evolve", dict(MINIMAL, outputs=[]), "outputs"),
             ("evolve", dict(MINIMAL, outputs=["curve", "curve"]), "outputs[1]"),
+            ("evolve", dict(MINIMAL, outputs="curve"), "outputs"),
+            ("evolve", dict(MINIMAL, bath_modes=["thermal", 1]), "bath_modes[1]"),
+            ("evolve", dict(MINIMAL, outputs=["curve", 1]), "outputs[1]"),
             ("evolve", dict(MINIMAL, grid={"tau": {"num": 40}}), "grid.tau.stop"),
             ("evolve", dict(MINIMAL, grid={"tau": {"stop": 5.0, "num": 4.5}}), "grid.tau.num"),
             ("evolve", dict(MINIMAL, grid={"tau": {"stop": 5.0, "num": 1}}), "grid.tau.num"),

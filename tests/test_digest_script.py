@@ -1,5 +1,6 @@
 """The byte-identity tool keeps running and keeps covering the retry, the
-CSV formatter's fallback and the refinement of certified dips.
+CSV formatter's fallback, the refinement of certified dips and the bath
+modes listed in either order or alone.
 
 ``scripts/preset_digests.py`` is how two checkouts are compared output by
 output. A generated config that the schema stops accepting would make it
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from atompair import cli, kernels, sweeps
+from atompair import BathKind, cli, kernels, sweeps
 from atompair.config import parse_config
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "preset_digests.py"
@@ -29,6 +30,7 @@ def _load_script():
 def test_generated_configs_parse(tmp_path):
     digests = _load_script()
     names = set()
+    orders = set()
     for _, argv in digests._runs(tmp_path):
         if "--config" in argv:
             path = Path(argv[argv.index("--config") + 1])
@@ -36,7 +38,11 @@ def test_generated_configs_parse(tmp_path):
             if argv[0] != "coeffs":   # the one command with no initial state
                 config.check_command(argv[0])
             names.add(config.name)
+            orders.add((argv[0], config.bath_modes))
     assert {data["name"] for _, data in digests.GENERATED} <= names
+    # region, evolve and sweep also run with the modes in the other order or alone
+    TH, AV = BathKind.THERMAL_AT_UNRUH, BathKind.ACCELERATED_VACUUM
+    assert {("region", (TH, AV)), ("evolve", (TH, AV)), ("sweep", (TH,))} <= orders
     # coeffs and region run on a grid with a nonzero a/omega that
     # format_rows leaves to Python's %
     assert {("coeffs", "tiny-a"), ("region", "tiny-a")} <= {

@@ -47,6 +47,13 @@ def test_xstate_catalogue():
         catalogue_state("psi1")
     with pytest.raises(DomainError):
         catalogue_state("psi2", 1.0)
+    for family in ("psi1", "psi2"):
+        for p in (0.0, -0.1, float("nan")):
+            with pytest.raises(DomainError, match=f"{family} needs 0 < p < 1"):
+                catalogue_state(family, p)
+    # at p = 1/2 every entry of the closed form is exact: sqrt(p(1-p)) = 1/2
+    assert catalogue_state("psi1", 0.5) == XState(0.0, 0.5, 0.5, 0.0, cAS=0.5 + 0.0j)
+    assert catalogue_state("psi2", 0.5) == XState(0.5, 0.0, 0.0, 0.5, cGE=0.5 + 0.0j)
     with pytest.raises(DomainError):
         catalogue_state("A", 0.3)
     with pytest.raises(DomainError):
