@@ -15,7 +15,8 @@ def _summarize():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return lambda parent, change, better, bound, failed=(0, 0): module.summarize(
+        parent, change, better, bound, failed)
 
 
 def test_summary_counts_wins_and_reads_the_bound():
@@ -55,8 +56,20 @@ def test_summary_names_a_wide_spread_unresolved():
     assert s["verdict"] == "within bound"
 
 
-def test_summary_leaves_out_pairs_with_a_missing_value():
+def test_summary_counts_a_missing_value_against_the_change():
     summarize = _summarize()
+    # wins are counted out of every pair run; a pair missing either value is no win
     s = summarize([1.0, None, 1.0], [0.5, 0.5, None], "lower", 0.25)
-    assert s["change_wins"] == "1/1" and s["parent"]["runs"] == [1.0]
-    assert summarize([None], [1.0], "lower", 0.25) == {"verdict": "unresolved", "pairs": 0}
+    assert s["change_wins"] == "1/3" and s["verdict"] != "gain met"
+    assert s["parent"]["runs"] == [1.0, 1.0] and s["change"]["runs"] == [0.5, 0.5]
+    # 9 wins of 10 with the tenth change value missing still meet a gain ...
+    s = summarize([1.0] * 10, [0.5] * 9 + [None], "lower", 0.25)
+    assert s["change_wins"] == "9/10" and s["verdict"] == "gain met"
+    # ... unless a run reported no failed count, or the change failed more
+    for failed in ((0, None), (None, 0), (0, 1)):
+        s = summarize([1.0] * 10, [0.5] * 10, "lower", 0.25, failed)
+        assert s["change_wins"] == "10/10" and s["verdict"] == "within bound"
+    assert summarize([1.0] * 10, [0.5] * 10, "lower", 0.25, (2, 1))["verdict"] == "gain met"
+    # a side with no value at all is unresolved
+    assert summarize([None], [1.0], "lower", 0.25) == {"change_wins": "0/1",
+                                                       "verdict": "unresolved"}
