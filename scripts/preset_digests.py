@@ -40,10 +40,9 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from atompair import cli  # noqa: E402
-from atompair.config import load_preset, preset_names  # noqa: E402
+from atompair.config import COMMAND_OUTPUTS, load_preset, preset_names  # noqa: E402
 
 REGION_NUM = 24
-COMMANDS = {"curve": "evolve", "max_concurrence": "sweep", "region": "region"}
 # non-parallel dipole pairs, each with its swap, on a grid through a/omega = 0
 # and an omega_L below the series switch (fig4 has only z-z and y-y)
 PAIRS_COEFFS = {
@@ -158,7 +157,8 @@ def _runs(tmp):
     # (run name, argv without --out) for every preset, plus coeffs on fig4
     # and the generated configs
     for name in preset_names():
-        command = COMMANDS[next(o for o in load_preset(name).outputs if o in COMMANDS)]
+        outputs = load_preset(name).outputs
+        command = next(c for c, output in COMMAND_OUTPUTS.items() if output in outputs)
         if command != "region":
             yield f"{command}-{name}", [command, "--preset", name]
             continue

@@ -7,8 +7,8 @@ yielding the four Kossakowski coefficients (A1, B1) for each atom alone and
 the single-atom spontaneous emission rate, with the transition frequency
 fixed at 1, so inputs are the dimensionless ratios a/omega and omega*L.
 The atoms in the order 21 are the swapped pair in the order 12. The sweeps
-and the ``coeffs`` table compute whole grids through ``coefficient_rows``;
-``check_coefficients`` is the one validity check of both paths.
+and the ``coeffs`` table compute whole grids through ``coefficient_rows``,
+``assemble`` one cell; ``check_coefficients`` also checks a CoefficientSet.
 """
 
 import enum
@@ -129,11 +129,11 @@ def check_coefficients(rows):
 
 def coefficient_rows(a, L, d1, d2, modes):
     """Checked rows (A1, B1, A2, B2), shape (len(a) * len(modes), 4) with the
-    bath modes innermost, of the cells (a[k], L[k]) for the dipoles d1, d2."""
+    bath modes innermost, of the cells (a[k], L[k]) or scalar (a, L), for d1, d2."""
     d1, d2 = d1.as_array(), d2.as_array()
     rows = np.stack([np.stack(kernels.assemble_kernel(
-        a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH), axis=1)
-        for mode in modes], axis=1).reshape(-1, 4)
+        a, L, d1, d2, mode is BathKind.THERMAL_AT_UNRUH), axis=-1)
+        for mode in modes], axis=-2).reshape(-1, 4)
     check_coefficients(rows)
     return rows
 
@@ -151,7 +151,6 @@ def assemble(params: SystemParams, atom_order: int = 12) -> CoefficientSet:
     d1, d2 = params.dipole1, params.dipole2
     if atom_order == 21:
         d1, d2 = d2, d1
-    A1, B1, A2, B2 = kernels.assemble_kernel(
-        params.a_over_omega, params.omega_L, d1.as_array(), d2.as_array(),
-        params.bath is BathKind.THERMAL_AT_UNRUH)
+    (A1, B1, A2, B2), = coefficient_rows(params.a_over_omega, params.omega_L, d1, d2,
+                                         (params.bath,))
     return CoefficientSet(A1=float(A1), B1=float(B1), A2=float(A2), B2=float(B2))

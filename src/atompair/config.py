@@ -24,11 +24,12 @@ Schema (defaults in parentheses):
       a_over_omega: {start: 0.015, stop: 3.0, num: 200}
       omega_L: {start: 0.025, stop: 5.0, num: 200}
     outputs: [curve, events]        # distinct: curve | events | max_concurrence | region
+                                    # `evolve` needs curve, `sweep` max_concurrence, `region` region
     events:
       kind: revival                 # (revival) | enhancement
 
-Each of a_over_omega and omega_L must appear in exactly one of
-``fixed``/``grid``; a panel's cells are their grid, omega_L fastest. The
+Each of a_over_omega (>= 0) and omega_L (> 0) must appear in exactly one
+of ``fixed``/``grid``; a panel's cells are their grid, omega_L fastest. The
 atoms in the other order are written as the swapped polarization pair.
 YAML 1.1 reads an exponent without a decimal point (``1e-4``) as text, so
 write ``1.0e-4``.
@@ -51,6 +52,7 @@ _STATE_NAMES = ("G", "A", "S", "E")
 _AXIS_LETTERS = ("x", "y", "z")
 _PHYSICAL_AXES = ("a_over_omega", "omega_L")
 _OUTPUTS = ("curve", "events", "max_concurrence", "region")
+COMMAND_OUTPUTS = {"evolve": "curve", "sweep": "max_concurrence", "region": "region"}
 
 
 def _fail(source, path, message):
@@ -150,19 +152,13 @@ class RunConfig:
         src = self.source
         if not self.initial_states:
             _fail(src, "initial_states", f"required for `{command}`")
-        if command == "evolve":
-            if "curve" not in self.outputs:
-                _fail(src, "outputs", "`evolve` needs the curve output")
-            if "tau" not in self.grid:
-                _fail(src, "grid.tau", "`evolve` needs a tau grid")
-        if command == "sweep":
-            if "max_concurrence" not in self.outputs:
-                _fail(src, "outputs", "`sweep` needs the max_concurrence output")
-            if sum(axis in self.grid for axis in _PHYSICAL_AXES) != 1:
-                _fail(src, "grid", "`sweep` needs exactly one swept physical axis")
+        if COMMAND_OUTPUTS[command] not in self.outputs:
+            _fail(src, "outputs", f"`{command}` needs the {COMMAND_OUTPUTS[command]} output")
+        if command == "evolve" and "tau" not in self.grid:
+            _fail(src, "grid.tau", "`evolve` needs a tau grid")
+        if command == "sweep" and sum(axis in self.grid for axis in _PHYSICAL_AXES) != 1:
+            _fail(src, "grid", "`sweep` needs exactly one swept physical axis")
         if command == "region":
-            if "region" not in self.outputs:
-                _fail(src, "outputs", "`region` needs the region output")
             for axis in _PHYSICAL_AXES:
                 if axis not in self.grid:
                     _fail(src, f"grid.{axis}", "`region` needs a swept range here")
@@ -202,7 +198,12 @@ def _parse_dipole(source, path, entry):
     _fail(source, path, f"expected an axis letter or a 3-vector, got {entry!r}")
 
 
-def _parse_values(source, path, entry, minimum, allow_equal=False):
+def _check_bound(source, path, axis, value):
+    if value < 0.0 or (value == 0.0 and axis == "omega_L"):
+        _fail(source, path, f"must be {'>' if axis == 'omega_L' else '>='} 0, got {value}")
+
+
+def _parse_values(source, path, axis, entry):
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
         values = (_expect_number(source, path, entry),)
     elif isinstance(entry, list) and entry:
@@ -211,9 +212,7 @@ def _parse_values(source, path, entry, minimum, allow_equal=False):
     else:
         _fail(source, path, f"expected a number or nonempty list, got {entry!r}")
     for v in values:
-        if v < minimum or (v == minimum and not allow_equal):
-            cmp = ">=" if allow_equal else ">"
-            _fail(source, path, f"values must be {cmp} {minimum}, got {v}")
+        _check_bound(source, path, axis, v)
     return values
 
 
@@ -230,11 +229,7 @@ def _parse_range(source, path, axis, entry):
     start = _expect_number(source, f"{path}.start", body.get("start"))
     stop = _expect_number(source, f"{path}.stop", body.get("stop"))
     num = _expect_int(source, f"{path}.num", body.get("num"), 2)
-    if axis == "a_over_omega":
-        if start < 0.0:
-            _fail(source, f"{path}.start", "must be >= 0")
-    elif start <= 0.0:
-        _fail(source, f"{path}.start", "must be > 0")
+    _check_bound(source, f"{path}.start", axis, start)
     if stop <= start:
         _fail(source, f"{path}.stop", "must exceed start")
     return tuple(np.linspace(start, stop, num))
@@ -282,13 +277,8 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
 
     fixed_body = _expect_mapping(source, "fixed", data.get("fixed", {}) or {},
                                  _PHYSICAL_AXES)
-    fixed = {}
-    if "a_over_omega" in fixed_body:
-        fixed["a_over_omega"] = _parse_values(
-            source, "fixed.a_over_omega", fixed_body["a_over_omega"], 0.0, True)
-    if "omega_L" in fixed_body:
-        fixed["omega_L"] = _parse_values(
-            source, "fixed.omega_L", fixed_body["omega_L"], 0.0, False)
+    fixed = {axis: _parse_values(source, f"fixed.{axis}", axis, fixed_body[axis])
+             for axis in _PHYSICAL_AXES if axis in fixed_body}
 
     grid_body = _expect_mapping(source, "grid", data.get("grid", {}) or {},
                                 ("tau", *_PHYSICAL_AXES))

@@ -186,11 +186,11 @@ def run_region_map(spec: SweepSpec) -> np.ndarray:
     """Classify every (a, L) cell by which bath modes show the event: an
     (na, nL) int8 grid of codes indexing LABEL_NAMES.
 
-    A revival counts when the detector flags it and the post-death
-    concurrence exceeds REGION_MIN_AMPLITUDE; an enhancement
-    counts when the maximum exceeds the initial concurrence by the same
-    margin. This keeps the map at the scale of visible features instead of
-    the detector's roundoff-level threshold.
+    A mode's amplitude is its post-death concurrence where a revival is
+    flagged, or its maximum less the initial concurrence where an
+    enhancement is, else 0. It shows the event above REGION_MIN_AMPLITUDE,
+    or above 0.9 of it while the other mode's is above it: the map keeps to
+    visible features, not the detector's roundoff-level threshold.
     """
     modes = spec.bath_modes
     column = dict(zip(EVENT_FIELDS, np.moveaxis(run_events(spec), 2, 0)))
@@ -206,12 +206,7 @@ def run_region_map(spec: SweepSpec) -> np.ndarray:
     # below the map's amplitude resolution; a mode clearly above the floor
     # drags an almost-there partner along instead of minting a one-mode
     # sliver where the two amplitude contours nearly coincide
-    hard_a = amp_a > floor
-    hard_t = amp_t > floor
-    soft_a = amp_a > 0.9 * floor
-    soft_t = amp_t > 0.9 * floor
-    both = (hard_a & soft_t) | (soft_a & hard_t)
-    only_a = hard_a & ~soft_t
-    only_t = hard_t & ~soft_a
-    codes = np.where(both, 3, np.where(only_a, 1, np.where(only_t, 2, 0)))
+    shows_a = (amp_a > floor) | ((amp_t > floor) & (amp_a > 0.9 * floor))
+    shows_t = (amp_t > floor) | ((amp_a > floor) & (amp_t > 0.9 * floor))
+    codes = shows_a + 2 * shows_t
     return codes.reshape(len(spec.a_over_omega), len(spec.omega_L)).astype(np.int8)

@@ -34,6 +34,10 @@ it:
   row of a ``TrajectoryStack``, one bisection or golden-section evaluation
   at a time, that the grouped ``atompair.kernels.events_kernel`` must
   match bit for bit on every row;
+- ``mp_generator`` holds the float rates of a generator exactly in mpmath,
+  its diagonal built in mpmath, and ``mp_concurrence`` evolves an X state
+  by ``mpmath.expm`` of it at the working precision: the high-precision
+  reference of refined event times;
 - ``read_table`` reparses the CSV tables the CLI writes, and
   ``format_rows`` is the row-at-a-time formatting that the array formatter
   ``atompair.cli.format_rows`` must match byte for byte.
@@ -44,6 +48,7 @@ frequency, L in its inverse.
 
 import functools
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
@@ -399,6 +404,36 @@ def format_rows(values) -> bytes:
     """CSV body of an (m, k) float table, one Python format per row."""
     row_fmt = ",".join(["%.17g"] * values.shape[1])
     return "".join(row_fmt % tuple(row) + "\n" for row in values.tolist()).encode()
+
+
+# ---------------------------------------------------------------------------
+# high precision: mpmath.expm of a double generator
+
+def mp_generator(M):
+    """The float rates of the generator M, exact in mpmath, with the
+    diagonal built in mpmath as minus each column's off-diagonal sum."""
+    G = mp.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                G[i, j] = mp.mpf(float(M[i, j]))
+    for j in range(4):
+        G[j, j] = -mp.fsum(G[i, j] for i in range(4) if i != j)
+    return G
+
+
+def mp_concurrence(G, state: XState, A1, tau):
+    """max(K1, K2) of the X state ``state`` at time tau, not clamped at zero:
+    populations mpmath.expm(G tau) p0 of an ``mp_generator`` G, coherences
+    decaying as exp(-4 A1 tau), all at the working precision. A radicand
+    below zero (roundoff of a vanishing one) counts as zero."""
+    p0 = mp.matrix([mp.mpf(float(v)) for v in state.populations()])
+    pGG, pAA, pSS, pEE = mp.expm(G * tau) * p0
+    decay = mp.exp(-4 * mp.mpf(A1) * tau)
+    reAS, imAS, reGE, imGE = (mp.mpf(float(v)) * decay for v in state.coherences())
+    K1 = mp.sqrt((pAA - pSS) ** 2 + 4 * imAS ** 2) - 2 * mp.sqrt(max(pGG * pEE, 0))
+    K2 = 2 * mp.hypot(reGE, imGE) - mp.sqrt(max((pAA + pSS) ** 2 - 4 * reAS ** 2, 0))
+    return max(K1, K2)
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,19 @@ def test_unknown_keys_rejected(tmp_path, capsys):
 
 def test_physical_validation(tmp_path):
     bad = dict(MINIMAL, fixed={"a_over_omega": 1.0, "omega_L": 0.0})
-    with pytest.raises(ConfigError, match="omega_L"):
+    with pytest.raises(ConfigError, match=r"fixed\.omega_L: must be > 0, got 0\.0"):
         load_config(write_config(tmp_path, bad))
     bad = dict(MINIMAL, fixed={"a_over_omega": -0.5, "omega_L": 1.0})
-    with pytest.raises(ConfigError, match="a_over_omega"):
+    with pytest.raises(ConfigError, match=r"fixed\.a_over_omega: must be >= 0, got -0\.5"):
         load_config(write_config(tmp_path, bad))
+    # a grid start takes the same bound, in the same words
+    for axis, other, start, text in (("a_over_omega", "omega_L", -0.5, ">= 0, got -0.5"),
+                                     ("omega_L", "a_over_omega", 0.0, "> 0, got 0.0")):
+        bad = dict(MINIMAL, fixed={other: 1.0},
+                   grid={"tau": MINIMAL["grid"]["tau"],
+                         axis: {"start": start, "stop": 2.0, "num": 2}})
+        with pytest.raises(ConfigError, match=re.escape(f"grid.{axis}.start: must be {text}")):
+            load_config(write_config(tmp_path, bad))
     bad = dict(MINIMAL, initial_states=[{"family": "psi1", "p": 1.5}])
     with pytest.raises(ConfigError, match="p"):
         load_config(write_config(tmp_path, bad))
@@ -168,10 +176,13 @@ def test_axis_must_be_fixed_or_grid(tmp_path):
 
 def test_command_requirements(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
-    with pytest.raises(ConfigError, match="max_concurrence"):
+    with pytest.raises(ConfigError, match="outputs: `sweep` needs the max_concurrence output"):
         cfg.check_command("sweep")
-    with pytest.raises(ConfigError, match="region"):
+    with pytest.raises(ConfigError, match="outputs: `region` needs the region output"):
         cfg.check_command("region")
+    events_only = load_config(write_config(tmp_path, dict(MINIMAL, outputs=["events"]), "c1.yaml"))
+    with pytest.raises(ConfigError, match="outputs: `evolve` needs the curve output"):
+        events_only.check_command("evolve")
     no_states = dict(MINIMAL)
     del no_states["initial_states"]
     path2 = write_config(tmp_path, no_states, "c2.yaml")

@@ -18,7 +18,7 @@ from atompair import kernels
 from atompair.dynamics import _one_row_stack
 from atompair.sweeps import HORIZON, HORIZON_TAU
 from conftest import AXES, random_coeffs, random_xstate, rk4_evolve
-from oracles import basis_transform
+from oracles import basis_transform, mp_generator
 from scipy.linalg import expm as scipy_expm
 
 VACUUM = CoefficientSet(A1=0.25, B1=0.25, A2=0.0, B2=0.0)
@@ -259,18 +259,6 @@ def _near_dead(eps):
     return CoefficientSet(A1=0.5, B1=0.25, A2=0.5 * (1.0 - eps), B2=0.25 * (1.0 - eps))
 
 
-def _mp_generator(M):
-    # the float rates of M, exact in mpmath, with the diagonal built in mpmath
-    G = mp.matrix(4, 4)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                G[i, j] = mp.mpf(float(M[i, j]))
-    for j in range(4):
-        G[j, j] = -mp.fsum(G[i, j] for i in range(4) if i != j)
-    return G
-
-
 def test_asymptotic_state_matches_mpmath_solve():
     # every population, the smallest about 5e-28 at a/omega = 0.2, to 1e-12
     # relative against a 60-digit solve of the same generator; an SVD null
@@ -279,7 +267,7 @@ def test_asymptotic_state_matches_mpmath_solve():
              for a in (0.2, 0.3) for d1, d2 in (("z", "z"), ("x", "y")) for bath in BathKind]
     with mp.workdps(60):
         for cs in cells + [_near_dead(1e-9), _near_dead(1e-12)]:
-            G = _mp_generator(build_generator(cs))
+            G = mp_generator(build_generator(cs))
             for j in range(4):
                 G[3, j] = 1
             want = mp.lu_solve(G, mp.matrix([0, 0, 0, 1]))
@@ -369,7 +357,7 @@ def test_expm_fallback_matches_mpmath():
         got = kernels.pops_at(M, p0, np.broadcast_to(taus, (len(rows), taus.size)))
         with mp.workdps(50):
             for k in range(len(rows)):
-                G = _mp_generator(M[k])
+                G = mp_generator(M[k])
                 for s, tau in enumerate(taus):
                     # a block is bitwise its one-sample calls
                     one = kernels.pops_at(M[k:k + 1], p0[k:k + 1], np.array([[tau]]))

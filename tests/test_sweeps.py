@@ -450,6 +450,39 @@ def test_region_map_requires_a_by_L_cells():
     assert labels.shape == (2, 3)
 
 
+def test_region_rule_truth_table(monkeypatch):
+    # crafted event rows at and beside the floor and 0.9 of it: a mode shows
+    # the event above the floor, or above 0.9 of it when the other mode is
+    # above the floor. Each entry is (flag, amplitude, level): level 0 at or
+    # below 0.9 floor or unflagged, 1 up to the floor, 2 above it
+    floor = sweeps.REGION_MIN_AMPLITUDE
+    band = 0.9 * floor
+    entries = [(1.0, 0.0, 0), (1.0, np.nextafter(band, 0.0), 0), (1.0, band, 0),
+               (0.0, 0.5, 0), (1.0, np.nextafter(band, 1.0), 1),
+               (1.0, np.nextafter(floor, 0.0), 1), (1.0, floor, 1),
+               (1.0, np.nextafter(floor, 1.0), 2), (1.0, 0.5, 2)]
+    # LABEL_NAMES codes by the (accelerated, thermal) levels
+    table = {(0, 0): 0, (0, 1): 0, (0, 2): 2, (1, 0): 0, (1, 1): 0, (1, 2): 3,
+             (2, 0): 1, (2, 1): 3, (2, 2): 3}
+    pairs = [(acc, th) for acc in entries for th in entries]
+    want = [table[acc[2], th[2]] for acc, th in pairs]
+    for kind, initial, flag_field, amp_field in (
+            ("revival", ("psi1", 0.25), "revival", "revival_amplitude"),
+            # |E> starts at C = 0, so the amplitude is the maximum itself
+            ("enhancement", ("E", None), "enhancement", "max_concurrence")):
+        for modes in ((AV, TH), (TH, AV)):
+            spec = make_spec(initial_label=initial[0], p=initial[1], bath_modes=modes,
+                             a_over_omega=tuple(range(1, len(pairs) + 1)), tau=None,
+                             event_kind=kind)
+            rows = np.zeros((len(pairs), 2, len(EVENT_FIELDS)))
+            for mode, side in ((AV, 0), (TH, 1)):
+                entry = np.array([pair[side] for pair in pairs])
+                rows[:, modes.index(mode), EVENT_FIELDS.index(flag_field)] = entry[:, 0]
+                rows[:, modes.index(mode), EVENT_FIELDS.index(amp_field)] = entry[:, 1]
+            monkeypatch.setattr(sweeps, "run_events", lambda _spec, rows=rows: rows)
+            assert run_region_map(spec).ravel().tolist() == want, (kind, modes)
+
+
 def test_region_cells_agree_with_single_mode_runs():
     # a cell labelled "both" must be flagged by each mode run individually
     spec = region_spec(n=12, initial=("psi1", 0.25))
