@@ -19,7 +19,7 @@ Grid cells run in one process, scanned in blocks of a fixed size;
 of the same config are byte-identical for any value.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 computation
-error, 4 I/O error.
+error (a MemoryError too, e.g. a grid too large to allocate), 4 I/O error.
 """
 
 import argparse
@@ -415,7 +415,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except AtompairError as exc:
+    except (AtompairError, MemoryError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -75,6 +75,15 @@ class DipoleOrientation:
         return np.array(self.components)
 
 
+def check_axis(axis: str, value: float):
+    """Raise DomainError unless ``value`` is a finite a_over_omega >= 0 or
+    omega_L > 0, as ``axis`` names: the bounds of SystemParams and the config."""
+    if axis == "a_over_omega" and not 0.0 <= value < np.inf:
+        raise DomainError(f"a_over_omega must be finite and >= 0, got {value}")
+    if axis == "omega_L" and not 0.0 < value < np.inf:
+        raise DomainError(f"omega_L must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Dimensionless physical configuration of one run cell."""
@@ -86,10 +95,8 @@ class SystemParams:
     bath: BathKind
 
     def __post_init__(self):
-        if not 0.0 <= self.a_over_omega < np.inf:
-            raise DomainError(f"a_over_omega must be finite and >= 0, got {self.a_over_omega}")
-        if not 0.0 < self.omega_L < np.inf:
-            raise DomainError(f"omega_L must be finite and > 0, got {self.omega_L}")
+        check_axis("a_over_omega", self.a_over_omega)
+        check_axis("omega_L", self.omega_L)
         if not isinstance(self.bath, BathKind):
             raise DomainError(f"bath must be a BathKind, got {self.bath!r}")
 

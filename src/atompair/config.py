@@ -1,10 +1,11 @@
 """Run configuration: YAML schema, validation, expansion into sweep specs.
 
 A config file is a nested key-value document; unknown keys are rejected
-with their full path, and every rule on a run's inputs is checked here, at
-parse time and by ``check_command``, before any computation: the sweep
-layer takes the specs of ``RunConfig.sweep_specs`` as they are. One preset
-file per reproduced figure ships under ``atompair/presets``.
+with their full path. Each value is checked by the owner of its rule, and
+this module adds the key path and the YAML shape, at parse time and by
+``check_command``, before any computation: the sweep layer takes the specs
+of ``RunConfig.sweep_specs`` as they are. One preset file per reproduced
+figure ships under ``atompair/presets``.
 
 Schema (defaults in parentheses):
 
@@ -43,13 +44,12 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .coefficients import BathKind, DipoleOrientation
+from .coefficients import BathKind, DipoleOrientation, check_axis
+from .dynamics import catalogue_state
 from .errors import ConfigError, DomainError
 from .sweeps import SweepSpec, time_grid
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-_STATE_NAMES = ("G", "A", "S", "E")
-_AXIS_LETTERS = ("x", "y", "z")
 _PHYSICAL_AXES = ("a_over_omega", "omega_L")
 _OUTPUTS = ("curve", "events", "max_concurrence", "region")
 COMMAND_OUTPUTS = {"evolve": "curve", "sweep": "max_concurrence", "region": "region"}
@@ -57,6 +57,14 @@ COMMAND_OUTPUTS = {"evolve": "curve", "sweep": "max_concurrence", "region": "reg
 
 def _fail(source, path, message):
     raise ConfigError(f"{source}: {path}: {message}")
+
+
+def _owned(source, path, build, *args):
+    """``build(*args)``, the DomainError of the rule's owner a ConfigError at ``path``."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        _fail(source, path, str(exc))
 
 
 def _expect_mapping(source, path, value, allowed):
@@ -106,7 +114,7 @@ class RunConfig:
 
     name: str
     source: str
-    initial_states: tuple      # ((name, p), ...), p None for G/A/S/E
+    initial_states: tuple      # ((panel label, XState), ...)
     polarizations: tuple       # ((DipoleOrientation, DipoleOrientation, label), ...)
     bath_modes: tuple
     fixed: dict                # axis -> tuple of values
@@ -129,8 +137,7 @@ class RunConfig:
         tau = self.grid["tau"] if command == "evolve" else None
         specs = []
         entries = {}
-        for k, (family, p) in enumerate(self.initial_states):
-            state_label = family if p is None else f"{family}-{p:g}"
+        for k, (state_label, state) in enumerate(self.initial_states):
             for j, (d1, d2, pol_label) in enumerate(self.polarizations):
                 label = f"{state_label}_{pol_label}"
                 entry = f"initial_states[{k}] x polarizations[{j}]"
@@ -140,7 +147,7 @@ class RunConfig:
                 entries[label] = entry
                 specs.append((label, SweepSpec(
                     label=f"{self.name}_{label}",
-                    initial_label=family, p=p,
+                    initial=state,
                     dipole1=d1, dipole2=d2,
                     bath_modes=self.bath_modes,
                     a_over_omega=self.axis_values("a_over_omega"),
@@ -168,9 +175,7 @@ class RunConfig:
 
 def _parse_initial_state(source, path, entry):
     if isinstance(entry, str):
-        if entry in _STATE_NAMES:
-            return entry, None
-        _fail(source, path, f"unknown state {entry!r}; use G/A/S/E or {{family: psi1|psi2, p}}")
+        return entry, _owned(source, path, catalogue_state, entry)
     if isinstance(entry, dict):
         _expect_mapping(source, path, entry, ("family", "p"))
         family = entry.get("family")
@@ -179,28 +184,17 @@ def _parse_initial_state(source, path, entry):
         if "p" not in entry:
             _fail(source, f"{path}.p", f"required: the weight of {family}")
         p = _expect_number(source, f"{path}.p", entry["p"])
-        if not 0.0 < p < 1.0:
-            _fail(source, f"{path}.p", f"must lie in (0, 1), got {p}")
-        return family, p
+        return f"{family}-{p:g}", _owned(source, f"{path}.p", catalogue_state, family, p)
     _fail(source, path, f"expected a state name or mapping, got {entry!r}")
 
 
 def _parse_dipole(source, path, entry):
     if isinstance(entry, str):
-        if entry not in _AXIS_LETTERS:
-            _fail(source, path, f"axis letter must be x/y/z, got {entry!r}")
-        return DipoleOrientation.from_axis(entry), entry
+        return _owned(source, path, DipoleOrientation.from_axis, entry), entry
     if isinstance(entry, (list, tuple)) and len(entry) == 3:
         vec = [_expect_number(source, f"{path}[{k}]", v) for k, v in enumerate(entry)]
-        if all(v == 0.0 for v in vec):
-            _fail(source, path, "zero dipole vector")
-        return DipoleOrientation.normalized(vec), "v"
+        return _owned(source, path, DipoleOrientation.normalized, vec), "v"
     _fail(source, path, f"expected an axis letter or a 3-vector, got {entry!r}")
-
-
-def _check_bound(source, path, axis, value):
-    if value < 0.0 or (value == 0.0 and axis == "omega_L"):
-        _fail(source, path, f"must be {'>' if axis == 'omega_L' else '>='} 0, got {value}")
 
 
 def _parse_values(source, path, axis, entry):
@@ -212,7 +206,7 @@ def _parse_values(source, path, axis, entry):
     else:
         _fail(source, path, f"expected a number or nonempty list, got {entry!r}")
     for v in values:
-        _check_bound(source, path, axis, v)
+        _owned(source, path, check_axis, axis, v)
     return values
 
 
@@ -221,15 +215,12 @@ def _parse_range(source, path, axis, entry):
         body = _expect_mapping(source, path, entry, ("stop", "num", "spacing"))
         stop = _expect_number(source, f"{path}.stop", body.get("stop"))
         num = _expect_int(source, f"{path}.num", body.get("num", 400), 2)
-        try:
-            return tuple(time_grid(stop, num, body.get("spacing", "log")))
-        except DomainError as exc:
-            _fail(source, path, str(exc))
+        return tuple(_owned(source, path, time_grid, stop, num, body.get("spacing", "log")))
     body = _expect_mapping(source, path, entry, ("start", "stop", "num"))
     start = _expect_number(source, f"{path}.start", body.get("start"))
     stop = _expect_number(source, f"{path}.stop", body.get("stop"))
     num = _expect_int(source, f"{path}.num", body.get("num"), 2)
-    _check_bound(source, f"{path}.start", axis, start)
+    _owned(source, f"{path}.start", check_axis, axis, start)
     if stop <= start:
         _fail(source, f"{path}.stop", "must exceed start")
     return tuple(np.linspace(start, stop, num))

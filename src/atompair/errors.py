@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError exits 2, every other
-package error exits 3. Keep the hierarchy flat: configuration/validation
-problems, numerical failures, and bad physical states are separate
-branches. The test oracles' own error lives with them, in tests/.
+package error and a MemoryError exit 3. Keep the hierarchy flat:
+configuration/validation problems, numerical failures, and bad physical
+states are separate branches. The test oracles' own error lives in tests/.
 """
 
 

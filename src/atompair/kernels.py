@@ -4,9 +4,9 @@ Populations and concurrence are sampled for a block of rows of a
 ``TrajectoryStack`` at once, on arrays (``trajectory_kernel``), and event
 refinement (bisection, golden section) steps every flagged bracket of a
 group at once, one pass per search (``events_kernel``). The kernels do not
-validate their arguments: the config parser (:mod:`atompair.config`) and
-the public dataclasses (``SystemParams``, ``CoefficientSet``,
-``DipoleOrientation``, ``XState``) check every input before it reaches them.
+validate their arguments: each input is checked before it reaches them by
+the owner of its rule (``catalogue_state``, ``DipoleOrientation``,
+``check_axis``, ``time_grid``, ``check_coefficients``, ``XState.validate``).
 
 Units: the atomic transition frequency is fixed at 1, so ``a`` means a/omega
 and ``L`` means omega*L. Rates are expressed in units of the spontaneous

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import BathKind, DipoleOrientation, coefficient_rows
-from .dynamics import XState, catalogue_state
+from .dynamics import XState
 from .entanglement import EVENT_FIELDS, concurrence_x
 from .errors import DomainError
 
@@ -78,13 +78,11 @@ class SweepSpec:
 
     The cells are the a_over_omega x omega_L grid, omega_L fastest;
     ``tau`` is the time axis of a curve run (None for event runs). Every
-    cell starts in the one state ``initial_state()``: ``initial_label``
-    names a catalogue state, and a psi1/psi2 family takes the weight ``p``.
+    cell starts in the one state ``initial``, a catalogue state.
     """
 
     label: str
-    initial_label: str
-    p: float | None
+    initial: XState
     dipole1: DipoleOrientation
     dipole2: DipoleOrientation
     bath_modes: tuple
@@ -97,9 +95,6 @@ class SweepSpec:
         """(a, L) of every cell as two flat arrays, omega_L fastest."""
         a, L = np.meshgrid(self.a_over_omega, self.omega_L, indexing="ij")
         return a.ravel(), L.ravel()
-
-    def initial_state(self) -> XState:
-        return catalogue_state(self.initial_label, self.p)
 
 
 def _trajectories(spec):
@@ -114,7 +109,7 @@ def _trajectories(spec):
     a, L = spec.cells()
     nmodes = len(spec.bath_modes)
     size = max(1, REFINE_TRAJECTORIES // nmodes)
-    state = spec.initial_state()
+    state = spec.initial
     for start in range(0, a.size, size):
         coeffs = coefficient_rows(a[start:start + size], L[start:start + size],
                                   spec.dipole1, spec.dipole2, spec.bath_modes)
@@ -197,7 +192,7 @@ def run_region_map(spec: SweepSpec) -> np.ndarray:
     floor = REGION_MIN_AMPLITUDE
     if spec.event_kind == "enhancement":
         amp = np.where(column["enhancement"] > 0.5,
-                       column["max_concurrence"] - concurrence_x(spec.initial_state()), 0.0)
+                       column["max_concurrence"] - concurrence_x(spec.initial), 0.0)
     else:
         amp = np.where(column["revival"] > 0.5, column["revival_amplitude"], 0.0)
     amp_a = amp[:, modes.index(BathKind.ACCELERATED_VACUUM)]

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from atompair import (BathKind, CoefficientSet, DipoleOrientation, DomainError,
-                      SystemParams, assemble)
+from atompair import (BathKind, CoefficientSet, ConfigError, DipoleOrientation,
+                      DomainError, SystemParams, assemble)
 from atompair import kernels
+from atompair.config import parse_config
 from atompair.kernels import coth_kernel, f11_kernel
 from conftest import AXES, random_params
 import oracles
@@ -94,6 +95,24 @@ def test_system_params_validation():
     for a, L in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
         with pytest.raises(DomainError, match="finite"):
             make_params(a, L)
+    # the bounds have one statement: a config value or grid start out of
+    # bounds reads, after its key path, exactly what SystemParams says
+    for axis, other, value in (("a_over_omega", "omega_L", -0.5),
+                               ("a_over_omega", "omega_L", -5e-324),
+                               ("omega_L", "a_over_omega", 0.0),
+                               ("omega_L", "a_over_omega", -0.0),
+                               ("omega_L", "a_over_omega", -1.0)):
+        with pytest.raises(DomainError) as direct:
+            SystemParams(**{axis: value, other: 1.0}, dipole1=AXES["z"], dipole2=AXES["z"],
+                         bath=BathKind.ACCELERATED_VACUUM)
+        start = {axis: {"start": value, "stop": 2.0, "num": 2}}
+        for key, fixed, grid in ((f"fixed.{axis}", {axis: value, other: 1.0}, {}),
+                                 (f"grid.{axis}.start", {other: 1.0}, start)):
+            data = {"name": "bound", "polarizations": [["z", "z"]], "fixed": fixed,
+                    "grid": grid, "outputs": ["curve"]}
+            with pytest.raises(ConfigError) as parsed:
+                parse_config(data)
+            assert str(parsed.value) == f"<config>: {key}: {direct.value}"
 
 
 def test_coefficient_set_ordering():

@@ -98,10 +98,12 @@ def test_unknown_keys_rejected(tmp_path, capsys):
 
 def test_physical_validation(tmp_path):
     bad = dict(MINIMAL, fixed={"a_over_omega": 1.0, "omega_L": 0.0})
-    with pytest.raises(ConfigError, match=r"fixed\.omega_L: must be > 0, got 0\.0"):
+    with pytest.raises(ConfigError, match=r"fixed\.omega_L: omega_L must be finite "
+                                          r"and > 0, got 0\.0"):
         load_config(write_config(tmp_path, bad))
     bad = dict(MINIMAL, fixed={"a_over_omega": -0.5, "omega_L": 1.0})
-    with pytest.raises(ConfigError, match=r"fixed\.a_over_omega: must be >= 0, got -0\.5"):
+    with pytest.raises(ConfigError, match=r"fixed\.a_over_omega: a_over_omega must be "
+                                          r"finite and >= 0, got -0\.5"):
         load_config(write_config(tmp_path, bad))
     # a grid start takes the same bound, in the same words
     for axis, other, start, text in (("a_over_omega", "omega_L", -0.5, ">= 0, got -0.5"),
@@ -109,7 +111,8 @@ def test_physical_validation(tmp_path):
         bad = dict(MINIMAL, fixed={other: 1.0},
                    grid={"tau": MINIMAL["grid"]["tau"],
                          axis: {"start": start, "stop": 2.0, "num": 2}})
-        with pytest.raises(ConfigError, match=re.escape(f"grid.{axis}.start: must be {text}")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"grid.{axis}.start: {axis} must be finite and {text}")):
             load_config(write_config(tmp_path, bad))
     bad = dict(MINIMAL, initial_states=[{"family": "psi1", "p": 1.5}])
     with pytest.raises(ConfigError, match="p"):
@@ -220,6 +223,16 @@ def test_run_input_rules_are_config_errors(tmp_path, capsys):
             ("evolve", dict(MINIMAL, initial_states=[{"family": "psi3", "p": 0.2}]),
              "initial_states[0].family"),
             ("evolve", dict(MINIMAL, initial_states=[5]), "initial_states[0]"),
+            # the rules of the owners, each reported at its key
+            ("evolve", dict(MINIMAL, initial_states=["psi1"]), "initial_states[0]"),
+            ("evolve", dict(MINIMAL, initial_states=["Q"]), "initial_states[0]"),
+            ("evolve", dict(MINIMAL, initial_states=[{"family": "psi2", "p": 1.5}]),
+             "initial_states[0].p"),
+            ("evolve", dict(MINIMAL, polarizations=[[[0, 0, 0], "z"]]), "polarizations[0][0]"),
+            ("evolve", dict(MINIMAL, fixed={"a_over_omega": 1.0, "omega_L": 0.0}),
+             "fixed.omega_L"),
+            ("evolve", dict(MINIMAL, fixed={"a_over_omega": -0.5, "omega_L": 1.0}),
+             "fixed.a_over_omega"),
             ("evolve", dict(MINIMAL, polarizations=[]), "polarizations"),
             ("evolve", dict(MINIMAL, polarizations=[["w", "z"]]), "polarizations[0][0]"),
             ("evolve", dict(MINIMAL, polarizations=[[[1.0, 0.0], "z"]]), "polarizations[0][0]"),
@@ -263,7 +276,8 @@ def test_vector_polarizations(tmp_path):
         (_, spec), = load_config(cfg).sweep_specs("evolve")
         assert np.allclose(spec.dipole1.as_array(), want, rtol=0.0, atol=1e-15)
         assert run_cli(["coeffs", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    with pytest.raises(ConfigError, match=r"polarizations\[0\]\[0\]: zero dipole"):
+    with pytest.raises(ConfigError, match=r"polarizations\[0\]\[0\]: dipole vector "
+                                          r"must be finite and nonzero"):
         load_config(write_config(tmp_path, dict(MINIMAL, polarizations=[[[0, 0, 0], "z"]])))
 
 
@@ -479,7 +493,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     p_grid = dict(MINIMAL["grid"], p={"start": 0.2, "stop": 0.8, "num": 3})
     for states, grid, message in (
             (["A"], p_grid, "grid: unknown keys ['p']"),
-            (["A", "psi1"], MINIMAL["grid"], "initial_states[1]: unknown state 'psi1'"),
+            (["A", "psi1"], MINIMAL["grid"], "initial_states[1]: state 'psi1' needs the weight p"),
             (["E", {"family": "psi2"}], MINIMAL["grid"], "initial_states[1].p: required")):
         cfg = write_config(tmp_path, dict(MINIMAL, initial_states=states, grid=grid),
                            "paxis.yaml")
@@ -488,6 +502,16 @@ def test_cli_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, err
     assert not (tmp_path / "p").exists()
+    # a grid too large to allocate (10**15 samples, 7 PiB, beyond any
+    # address space) is a computation error, with no output directory
+    vast = dict(MINIMAL, grid=dict(MINIMAL["grid"], omega_L={"start": 0.1, "stop": 1.0,
+                                                             "num": 10 ** 15}),
+                fixed={"a_over_omega": 1.0})
+    cfg = write_config(tmp_path, vast, "vast.yaml")
+    assert run_cli(["evolve", "--config", cfg, "--out", tmp_path / "vast"]) == 3
+    err = capsys.readouterr().err
+    assert "computation error: " in err and "Traceback" not in err, err
+    assert not (tmp_path / "vast").exists()
     # two entries that would share a panel's file stem are config errors
     # naming both entries, with no output directory
     swept = dict(MINIMAL, fixed={"a_over_omega": 0.6666666666666666},

@@ -16,8 +16,7 @@ AV, TH = BathKind.ACCELERATED_VACUUM, BathKind.THERMAL_AT_UNRUH
 
 def make_spec(**overrides):
     base = dict(
-        label="test", initial_label="psi1",
-        p=0.25,
+        label="test", initial=catalogue_state("psi1", 0.25),
         dipole1=AXES["z"], dipole2=AXES["z"],
         bath_modes=(AV, TH),
         a_over_omega=(0.5,), omega_L=(1.0,), tau=tuple(time_grid(10.0, 60)))
@@ -31,7 +30,7 @@ def region_spec(n=20, initial=("psi2", 0.2), kind="revival", amax=3.0, Lmax=5.0,
     astart = amax / n if astart is None else astart
     Lstart = Lmax / n if Lstart is None else Lstart
     return make_spec(
-        initial_label=fam, p=p,
+        initial=catalogue_state(fam, p),
         a_over_omega=tuple(np.linspace(astart, amax, n)),
         omega_L=tuple(np.linspace(Lstart, Lmax, n)), tau=None,
         event_kind=kind)
@@ -81,7 +80,7 @@ def test_repeated_runs_identical():
 
 def test_cells_are_the_a_by_L_grid():
     # omega_L fastest, every cell starting in the panel's one state
-    spec = make_spec(initial_label="psi2", p=0.2, a_over_omega=(0.6666666666666666, 1.5),
+    spec = make_spec(initial=catalogue_state("psi2", 0.2), a_over_omega=(0.6666666666666666, 1.5),
                      omega_L=(1.0, 2.0, 3.0), tau=None)
     a, L = spec.cells()
     assert a.tolist() == [0.6666666666666666] * 3 + [1.5] * 3
@@ -91,11 +90,11 @@ def test_cells_are_the_a_by_L_grid():
     for ci, (a_k, L_k) in enumerate(zip(a, L)):
         for mi, mode in enumerate(spec.bath_modes):
             direct = detect_events(compute_trajectory(
-                spec.initial_state(), _coeffs_for(spec, mode, a_k, L_k), sweeps.HORIZON))
+                spec.initial, _coeffs_for(spec, mode, a_k, L_k), sweeps.HORIZON))
             assert EntanglementEvents.from_row(table[ci, mi]) == direct
     # psi2(0.2) and psi2(0.8) start at concurrence 0.8 and can only lose it
     for p in (0.2, 0.8):
-        spec = make_spec(initial_label="psi2", p=p, a_over_omega=(0.6666666666666666,),
+        spec = make_spec(initial=catalogue_state("psi2", p), a_over_omega=(0.6666666666666666,),
                          tau=None)
         max_c = run_events(spec)[0, 0, EVENT_FIELDS.index("max_concurrence")]
         assert max_c == pytest.approx(0.8, abs=1e-9)
@@ -105,7 +104,7 @@ def test_run_events_matches_detect_events():
     spec = make_spec(tau=None)
     table = run_events(spec)
     direct = detect_events(compute_trajectory(
-        spec.initial_state(), _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
+        spec.initial, _coeffs_for(spec, AV, 0.5, 1.0), sweeps.HORIZON))
     via_table = EntanglementEvents.from_row(table[0, 0])
     assert via_table == direct
 
@@ -237,7 +236,7 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     for ci, (a, L) in enumerate(zip(*spec.cells())):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, a, L)
-            traj = prepare([(spec.initial_state(), cs)])
+            traj = prepare([(spec.initial, cs)])
             want_pops, want_C = _scalar_scan(traj, 0, taus)
             assert np.array_equal(populations[ci, mi], want_pops)
             assert np.array_equal(concurrence[ci, mi], want_C)
@@ -256,7 +255,7 @@ def test_sweeps_in_blocks_match_single_trajectories(monkeypatch):
     for ci, (a, L) in enumerate(zip(*spec.cells())):
         for mi, mode in enumerate(spec.bath_modes):
             cs = _coeffs_for(spec, mode, a, L)
-            direct = detect_events(compute_trajectory(spec.initial_state(), cs,
+            direct = detect_events(compute_trajectory(spec.initial, cs,
                                                       sweeps.HORIZON))
             assert EntanglementEvents.from_row(table[ci, mi]) == direct
 
@@ -471,7 +470,7 @@ def test_region_rule_truth_table(monkeypatch):
             # |E> starts at C = 0, so the amplitude is the maximum itself
             ("enhancement", ("E", None), "enhancement", "max_concurrence")):
         for modes in ((AV, TH), (TH, AV)):
-            spec = make_spec(initial_label=initial[0], p=initial[1], bath_modes=modes,
+            spec = make_spec(initial=catalogue_state(*initial), bath_modes=modes,
                              a_over_omega=tuple(range(1, len(pairs) + 1)), tau=None,
                              event_kind=kind)
             rows = np.zeros((len(pairs), 2, len(EVENT_FIELDS)))
@@ -496,7 +495,7 @@ def test_region_cells_agree_with_single_mode_runs():
             continue
         for mode in (AV, TH):
             cs = _coeffs_for(spec, mode, float(a_values[ai]), float(L_values[lj]))
-            ev = detect_events(compute_trajectory(spec.initial_state(), cs, taus))
+            ev = detect_events(compute_trajectory(spec.initial, cs, taus))
             assert ev.revival and ev.revival_amplitude > sweeps.REGION_MIN_AMPLITUDE
         checked += 1
     assert checked > 0
