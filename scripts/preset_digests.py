@@ -12,7 +12,7 @@ matrix-exponential fallback: once on the horizon grid, where only event
 refinement reaches the dip, and once on a linear grid through the dip,
 where the scan itself takes the retry, plus ``coeffs`` and ``region`` on a
 grid through a/omega = 1e-300, below the magnitudes ``format_rows``
-certifies, so that their rows are printed by its ``%`` fallback, plus
+certifies, so that their tables are printed by its ``%`` fallback, plus
 ``evolve`` on psi1(1/4) cells whose concurrence dips through zero between
 samples, so that the events output prints the refined times of 18 such
 dips, plus ``region``, ``evolve`` and ``sweep`` with the bath modes in the
@@ -90,8 +90,8 @@ THIN_EARLY_EVOLVE = {
     "outputs": ["curve"],
 }
 
-# a/omega = 1e-300 on the grid: the coeffs and region rows that hold it are
-# printed by format_rows' % fallback, beside rows it prints itself
+# a/omega = 1e-300 on the grid: the coeffs and region tables that hold it
+# are printed whole by format_rows' % fallback
 TINY_A = {
     "name": "tiny-a",
     "initial_states": [{"family": "psi2", "p": 0.2}],

@@ -8,7 +8,7 @@ significant digits; every table comes with a JSON metadata sidecar carrying
 the resolved parameters, package version and a sha256 checksum. Every
 float field of every table is printed by ``format_rows``, exactly
 ``"%.17g" % x``: it prints a whole table at once on arrays, with digits
-certified from a double-double product, and leaves each row holding a
+certified from a double-double product, and leaves each table holding a
 value it cannot certify (nan, inf, an exact decimal tie, a magnitude
 outside about 1e-250..1e250) to Python's ``%``. The text columns of the
 ``coeffs`` and ``region`` tables are joined to its lines row by row.
@@ -158,7 +158,8 @@ def format_rows(values) -> bytes:
     e10 = floor(log10|x|): y is a double-double (Dekker's exact product
     against 10**p stored as two doubles), accurate to well under 1e-14, so
     its rounding is certain unless the fraction is within 1e-6 of 1/2. A
-    row holding a value not certified that way is printed by Python's %.
+    table holding a nonzero value not certified that way is printed whole
+    by Python's %; a zero is computed as 1.0, its mask keeps sign and "0".
     """
     values = np.asarray(values, dtype=np.float64)
     m, k = values.shape
@@ -186,9 +187,9 @@ def format_rows(values) -> bytes:
     floor = y_hi.astype(np.int64) + whole.astype(np.int64)
     n = floor + (frac > 0.5)
     ok = inside & (np.abs(frac - 0.5) > 1e-6) & (floor >= 10 ** 16) & (n < 10 ** 17)
-    ok |= zero
-    n[~ok | zero] = 10 ** 16
-    e10[~ok] = 0
+    if not (ok | zero).all():
+        row_fmt = ",".join(["%.17g"] * k) + "\n"
+        return "".join(row_fmt % tuple(row) for row in values.tolist()).encode()
     # d0 and four groups of four digits
     top = n // 10 ** 8
     low = n - top * 10 ** 8
@@ -211,19 +212,7 @@ def format_rows(values) -> bytes:
     sep[-1] = ord("\n")
     fields[..., 5] = t.exps.take(e10 - _EXP_MIN) | (sep << np.uint64(8 * (_SEP - _EXP)))
     fields &= t.masks.take(mask, axis=0)
-    body = fields.tobytes()
-    if ok.all():
-        return body.translate(None, b"\0")
-    row_fmt = ",".join(["%.17g"] * k) + "\n"
-    step = k * _FIELD
-    parts = []
-    start = 0
-    for i in np.flatnonzero(~ok.all(axis=1)).tolist():
-        parts.append(body[start * step:i * step].translate(None, b"\0"))
-        parts.append((row_fmt % tuple(values[i].tolist())).encode())
-        start = i + 1
-    parts.append(body[start * step:].translate(None, b"\0"))
-    return b"".join(parts)
+    return fields.tobytes().translate(None, b"\0")
 
 
 def _write_text(path: Path, parts) -> str:

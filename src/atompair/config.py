@@ -199,14 +199,14 @@ def _parse_dipole(source, path, entry):
 
 def _parse_values(source, path, axis, entry):
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        values = (_expect_number(source, path, entry),)
+        items = [(path, entry)]
     elif isinstance(entry, list) and entry:
-        values = tuple(_expect_number(source, f"{path}[{k}]", v)
-                       for k, v in enumerate(entry))
+        items = [(f"{path}[{k}]", v) for k, v in enumerate(entry)]
     else:
         _fail(source, path, f"expected a number or nonempty list, got {entry!r}")
-    for v in values:
-        _owned(source, path, check_axis, axis, v)
+    values = tuple(_expect_number(source, p, v) for p, v in items)
+    for (p, _), v in zip(items, values):
+        _owned(source, p, check_axis, axis, v)
     return values
 
 

@@ -183,14 +183,10 @@ def generator_kernel(A1, B1, A2, B2):
     matching the -4(...) closed forms to roundoff.
     """
     M = np.zeros(np.shape(A1) + (4, 4))
-    M[..., 0, 1] = 2.0 * (A1 + B1 - A2 - B2)
-    M[..., 0, 2] = 2.0 * (A1 + B1 + A2 + B2)
-    M[..., 1, 0] = 2.0 * (A1 - B1 - A2 + B2)
-    M[..., 1, 3] = 2.0 * (A1 + B1 - A2 - B2)
-    M[..., 2, 0] = 2.0 * (A1 - B1 + A2 - B2)
-    M[..., 2, 3] = 2.0 * (A1 + B1 + A2 + B2)
-    M[..., 3, 1] = 2.0 * (A1 - B1 - A2 + B2)
-    M[..., 3, 2] = 2.0 * (A1 - B1 + A2 - B2)
+    M[..., 0, 1] = M[..., 1, 3] = 2.0 * (A1 + B1 - A2 - B2)   # G-A-E down: A->G, E->A
+    M[..., 0, 2] = M[..., 2, 3] = 2.0 * (A1 + B1 + A2 + B2)   # G-S-E down: S->G, E->S
+    M[..., 1, 0] = M[..., 3, 1] = 2.0 * (A1 - B1 - A2 + B2)   # G-A-E up: G->A, A->E
+    M[..., 2, 0] = M[..., 3, 2] = 2.0 * (A1 - B1 + A2 - B2)   # G-S-E up: G->S, S->E
     for k in range(4):
         M[..., k, k] = -sum(M[..., r, k] for r in range(4) if r != k)
     return M

@@ -233,6 +233,8 @@ def test_run_input_rules_are_config_errors(tmp_path, capsys):
              "fixed.omega_L"),
             ("evolve", dict(MINIMAL, fixed={"a_over_omega": -0.5, "omega_L": 1.0}),
              "fixed.a_over_omega"),
+            ("evolve", dict(MINIMAL, fixed={"a_over_omega": [1.0, -0.5], "omega_L": 1.0}),
+             "fixed.a_over_omega[1]"),
             ("evolve", dict(MINIMAL, polarizations=[]), "polarizations"),
             ("evolve", dict(MINIMAL, polarizations=[["w", "z"]]), "polarizations[0][0]"),
             ("evolve", dict(MINIMAL, polarizations=[[[1.0, 0.0], "z"]]), "polarizations[0][0]"),
@@ -434,7 +436,7 @@ def test_cli_evolve_decomposes_each_generator_once(tmp_path, monkeypatch):
     seen = []
 
     def counting(M):
-        seen.append(1)
+        seen.append(int(np.prod(np.shape(M)[:-2])))   # generators handed over
         return original(M)
 
     monkeypatch.setattr(kernels, "eig_decompose", counting)

@@ -11,13 +11,13 @@ import yaml
 
 import atompair
 from atompair import SystemParams, assemble
-from atompair.cli import format_rows, main
+from atompair.cli import _CERTAIN, format_rows, main
 from atompair.config import load_config
 from atompair.sweeps import LABEL_NAMES, run_region_map
 import oracles
 
-# a/omega = 1e-300 lies below the range format_rows certifies: its rows
-# are printed by the % fallback
+# a/omega = 1e-300 lies below the range format_rows certifies: the tables
+# that hold it are printed whole by the % fallback
 TINY_A = {"a_over_omega": {"start": 0.0, "stop": 2.0e-300, "num": 3},
           "omega_L": {"start": 0.5, "stop": 2.0, "num": 2}}
 
@@ -50,22 +50,35 @@ def _special():
 
 
 def _inputs(seed):
+    # random bit patterns of finite magnitude inside the range format_rows
+    # certifies, then typical values and their negatives
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2 ** 64, 10 ** 6 // 3, dtype=np.uint64).view(np.float64)
+    bits = bits[(np.abs(bits) >= _CERTAIN[0]) & (np.abs(bits) <= _CERTAIN[1])]
     typical = np.concatenate([rng.random(2 * 10 ** 4),
                               np.exp(rng.uniform(-70, 70, 2 * 10 ** 4))])
-    fixed = np.concatenate([_special(), _ties(), _powers_of_ten(), _format_switches(),
-                            typical])
-    return np.concatenate([bits, fixed, -fixed])
+    return np.concatenate([bits, typical, -typical])
 
 
 @pytest.mark.parametrize("k", [1, 3, 13])
 def test_format_rows_matches_python_format(k):
-    # a third of the 10**6 random bit patterns for each row width
+    # a third of the 10**6 random bit patterns for each row width, in tables
+    # of about 64 values: a table with one value it cannot certify is
+    # printed whole by %, so most of these take the certified path
     values = _inputs(seed=k)
-    pad = (-values.size) % k
-    values = np.concatenate([values, values[:pad]]).reshape(-1, k)
-    assert format_rows(values) == oracles.format_rows(values)
+    rows = round(64 / k)
+    pad = (-values.size) % (rows * k)
+    for table in np.concatenate([values, values[:pad]]).reshape(-1, rows, k):
+        assert format_rows(table) == oracles.format_rows(table)
+
+
+def test_format_rows_classifies_each_value_alone():
+    # every special value, tie, power of ten and format switch, and its
+    # negative, alone in a 1x1 table, so that its own class picks the path
+    fixed = np.concatenate([_special(), _ties(), _powers_of_ten(), _format_switches()])
+    wrong = [x for x in np.concatenate([fixed, -fixed]).tolist()
+             if format_rows([[x]]) != oracles.format_rows(np.array([[x]]))]
+    assert not wrong, wrong[:10]
 
 
 def test_format_rows_splices_fallback_rows():

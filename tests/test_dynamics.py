@@ -88,6 +88,27 @@ def test_generator_vacuum_structure():
     assert gen[3, 3] == pytest.approx(-2.0)
 
 
+def test_generator_rates_sit_on_the_ladders(rng):
+    # M[r, c] is the rate c -> r over (G, A, S, E): each rate of the rate
+    # equations sits twice on its ladder, G-A-E or G-S-E, and no rate links
+    # G with E or A with S. Up rates differ between the ladders at a > 0,
+    # so a swap of the A and S up rates shows too
+    off = ~np.eye(4, dtype=bool)
+    ups_differ = 0
+    for _ in range(25):
+        cs = random_coeffs(rng)
+        A1, B1, A2, B2 = cs.A1, cs.B1, cs.A2, cs.B2
+        down_A, down_S = 2.0 * (A1 + B1 - A2 - B2), 2.0 * (A1 + B1 + A2 + B2)
+        up_A, up_S = 2.0 * (A1 - B1 - A2 + B2), 2.0 * (A1 - B1 + A2 - B2)
+        want = np.array([[0.0, down_A, down_S, 0.0],
+                         [up_A, 0.0, 0.0, down_A],
+                         [up_S, 0.0, 0.0, down_S],
+                         [0.0, up_A, up_S, 0.0]])
+        assert build_generator(cs)[off].tobytes() == want[off].tobytes()
+        ups_differ += up_A != up_S
+    assert ups_differ > 0
+
+
 def test_generator_columns_sum_to_zero(rng):
     for _ in range(25):
         cs = random_coeffs(rng)
